@@ -12,13 +12,18 @@ between sources.
 
 Blades are bitmasks: bit ``i`` set means generator ``e_{i+1}`` is a factor,
 factors in ascending index order.  A multivector is a sparse map from blade
-masks to rational coefficients.
+masks to rational coefficients.  The geometric product stays exact without
+building a rational per blade pair: each operand is brought to integer
+numerators over one common denominator, the blade-pair products accumulate as
+integers, and one rational is formed per nonzero output term.  Blade-pair
+signs come from integer bit arithmetic (``_sign_mask``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError, StructureError
 from .linalg import Rref, sparse_solve
@@ -53,6 +58,11 @@ class Signature:
             raise InputError(f"generator index {i} out of range for {self}")
         return 1 if i < self.r else -1
 
+    @property
+    def neg_mask(self) -> int:
+        """Blade mask of the generators squaring to -1: bits r..n-1."""
+        return ((1 << self.s) - 1) << self.r
+
     def form(self, i: int) -> int:
         """Diagonal entry g(e_{i+1}, e_{i+1}) = -e_{i+1}^2."""
         return -self.gen_square(i)
@@ -74,21 +84,30 @@ def euclidean(n: int) -> Signature:
     return Signature(0, n)
 
 
+def _sign_mask(a: int, neg_mask: int) -> int:
+    """Mask ``m`` with ``e_a e_b = (-1)^popcount(m & b) e_{a^b}`` for every ``b``.
+
+    The reorder parity of ``a`` before ``b`` is the sum over k >= 1 of
+    ``popcount((a >> k) & b)``; mod 2 that is ``popcount(P & b)`` with ``P``
+    the XOR of the shifts ``a >> k``.  Each repeated generator squaring to -1
+    adds one more sign flip, ``popcount(a & b & neg_mask)``, folded in the same
+    way.  Pass ``neg_mask=0`` for the reorder parity alone.
+    """
+    m = a & neg_mask
+    a >>= 1
+    while a:
+        m ^= a
+        a >>= 1
+    return m
+
+
 def reorder_sign(a: int, b: int) -> int:
     """Parity sign for sorting the concatenation of blades ``a`` and ``b``.
 
     Counts pairs (i in a, j in b) with j < i; this is the permutation part of
     a blade product, with no metric contractions.
     """
-    total = 0
-    j = 0
-    bb = b
-    while bb:
-        if bb & 1:
-            total += bin(a >> (j + 1)).count("1")
-        bb >>= 1
-        j += 1
-    return -1 if total & 1 else 1
+    return -1 if (_sign_mask(a, 0) & b).bit_count() & 1 else 1
 
 
 def blade_product(sig: Signature, a: int, b: int) -> tuple[Fraction, int]:
@@ -100,15 +119,8 @@ def blade_product(sig: Signature, a: int, b: int) -> tuple[Fraction, int]:
     limit = 1 << sig.n
     if a >= limit or b >= limit:
         raise InputError("blade mask out of range for signature")
-    sign = reorder_sign(a, b)
-    rep = a & b
-    i = 0
-    while rep:
-        if rep & 1 and sig.gen_square(i) < 0:
-            sign = -sign
-        rep >>= 1
-        i += 1
-    return Fraction(sign), a ^ b
+    odd = (_sign_mask(a, sig.neg_mask) & b).bit_count() & 1
+    return (-ONE if odd else ONE), a ^ b
 
 
 def wedge_sign(a: int, b: int) -> int | None:
@@ -119,7 +131,14 @@ def wedge_sign(a: int, b: int) -> int | None:
 
 
 def _grade(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
+
+
+def _integer_terms(terms: dict[int, Fraction]) -> tuple[int, list[tuple[int, int]]]:
+    """``(den, [(mask, numerator)])`` with ``terms[mask] == numerator / den``
+    and ``den`` the lcm of the coefficients' denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
 
 
 @dataclass(frozen=True)
@@ -225,21 +244,30 @@ class Multivector:
 
     # -- products -------------------------------------------------------------
     def __mul__(self, other):
-        """Geometric product (bilinear extension of ``blade_product``)."""
+        """Geometric product (bilinear extension of ``blade_product``).
+
+        Exact: both operands are scaled to integer numerators over their
+        common denominators, the blade-pair products accumulate as integers,
+        and one rational is formed per nonzero output term.
+        """
         if not isinstance(other, Multivector):
             return self.scale(other)
         self._same_sig(other)
         sig = self.signature
-        out: dict[int, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                sign, mask = blade_product(sig, ma, mb)
-                s = out.get(mask, ZERO) + sign * ca * cb
-                if s:
-                    out[mask] = s
-                elif mask in out:
-                    del out[mask]
-        return Multivector(sig, out)
+        neg = sig.neg_mask
+        den_a, ints_a = _integer_terms(self.terms)
+        den_b, ints_b = _integer_terms(other.terms)
+        acc: dict[int, int] = {}
+        for ma, va in ints_a:
+            sa = _sign_mask(ma, neg)
+            for mb, vb in ints_b:
+                mask = ma ^ mb
+                if (sa & mb).bit_count() & 1:
+                    acc[mask] = acc.get(mask, 0) - va * vb
+                else:
+                    acc[mask] = acc.get(mask, 0) + va * vb
+        den = den_a * den_b
+        return Multivector(sig, {m: Fraction(v, den) for m, v in acc.items() if v})
 
     def wedge(self, other: "Multivector") -> "Multivector":
         """Exterior product on the shared blade basis."""
@@ -373,42 +401,3 @@ def hodge_star(n: int, x: Multivector) -> Multivector:
         sgn = reorder_sign(mask, comp)
         out[comp] = out.get(comp, ZERO) + sgn * c
     return Multivector.make(x.signature, out)
-
-
-def interior_product(v_coords, x: Multivector) -> Multivector:
-    """Euclidean contraction of an exterior element by the vector ``v``."""
-    sig = x.signature
-    if len(v_coords) != sig.n:
-        raise InputError("vector length mismatch")
-    out: dict[int, Fraction] = {}
-    for mask, c in x.terms.items():
-        pos = 0
-        for i in range(sig.n):
-            if not mask >> i & 1:
-                continue
-            vi = Fraction(v_coords[i])
-            if vi:
-                new = mask & ~(1 << i)
-                sgn = -1 if pos & 1 else 1
-                s = out.get(new, ZERO) + sgn * vi * c
-                if s:
-                    out[new] = s
-                elif new in out:
-                    del out[new]
-            pos += 1
-    return Multivector(sig, out)
-
-
-def left_action_matrix(x: Multivector):
-    """Matrix of left multiplication by ``x`` on the 2^n blade basis."""
-    from .linalg import QMat
-
-    sig = x.signature
-    dim = 1 << sig.n
-    entries: dict[tuple[int, int], Fraction] = {}
-    for mb in range(dim):
-        for ma, ca in x.terms.items():
-            sign, mask = blade_product(sig, ma, mb)
-            key = (mask, mb)
-            entries[key] = entries.get(key, ZERO) + sign * ca
-    return QMat.from_entries(dim, dim, {k: v for k, v in entries.items() if v})

@@ -16,7 +16,7 @@ from .clifford import CONVENTION, Signature
 from .errors import InputError
 from .kmatrix import verify_clifford_condition
 from .linalg import QMat
-from .modules import SpinorModule, spin_metric_verify, verify_module
+from .modules import SpinorModule, verify_module
 from .surfaces import TransportTrace
 
 FORMAT_VERSION = 1
@@ -50,6 +50,8 @@ def _matrix_from_rows(rows, size: int) -> QMat:
     entries = {}
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
+            if cell == "0":
+                continue
             v = _parse_frac(cell)
             if v:
                 entries[(i, j)] = v
@@ -200,11 +202,10 @@ def verify_gamma(loaded: LoadedGammaFile) -> list[tuple[str, bool, str]]:
 
 def self_verify_module(module: SpinorModule) -> list[tuple[str, bool, str]]:
     """Pre-write verification: the structural audit plus the metric audit."""
-    report = verify_module(module)
-    checks = list(report.checks)
-    met = spin_metric_verify(module)
-    if not met.ok:
-        checks.append(("spin-metric-units", False, "; ".join(met.failures)))
+    checks = list(verify_module(module).checks)
+    _, metric_ok, detail = next(c for c in checks if c[0] == "spin-metric")
+    if not metric_ok:
+        checks.append(("spin-metric-units", False, detail))
     return checks
 
 

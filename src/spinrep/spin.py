@@ -90,27 +90,25 @@ def reflection(w, v, sig: Signature) -> list[Fraction]:
     return [a - coef * b for a, b in zip(v, w)]
 
 
+def _twisted_adjoint(g: Multivector, gi: Multivector, vec: Multivector) -> list[Fraction]:
+    """g vec gi as a coordinate vector, with ``gi`` = grade_involution(g)^(-1)."""
+    return (g * vec * gi).vector_coords()
+
+
 def twisted_adjoint(g: Multivector, v) -> list[Fraction]:
     """g v grade_involution(g)^(-1), returned as a coordinate vector.
 
     Raises when the result is not a vector (g outside the Clifford group).
     """
-    sig = g.signature
-    if isinstance(v, Multivector):
-        vec = v
-    else:
-        vec = Multivector.vector(sig, v)
-    gi = g.grade_involution().inverse()
-    out = g * vec * gi
-    return out.vector_coords()
+    vec = v if isinstance(v, Multivector) else Multivector.vector(g.signature, v)
+    return _twisted_adjoint(g, g.grade_involution().inverse(), vec)
 
 
 def twisted_adjoint_matrix(g: Multivector) -> list[list[Fraction]]:
     """Matrix of the twisted adjoint on basis vectors (columns are images)."""
     sig = g.signature
-    cols = []
-    for i in range(sig.n):
-        cols.append(twisted_adjoint(g, Multivector.generator(sig, i)))
+    gi = g.grade_involution().inverse()
+    cols = [_twisted_adjoint(g, gi, Multivector.generator(sig, i)) for i in range(sig.n)]
     return [[cols[j][i] for j in range(sig.n)] for i in range(sig.n)]
 
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinrep.clifford import (
     Multivector,
@@ -13,6 +15,7 @@ from spinrep.clifford import (
     euclidean,
     hodge_star,
     psi_embed,
+    reorder_sign,
     volume_element,
     volume_square_sign,
 )
@@ -27,6 +30,89 @@ def test_blade_product_signs():
     assert blade_product(euclidean(2), 0b01, 0b01) == (Fraction(-1), 0)
     assert blade_product(Signature(2, 0), 0b01, 0b01) == (Fraction(1), 0)
     assert blade_product(euclidean(2), 0b01, 0b10) == (Fraction(1), 0b11)
+
+
+# Reference blade product: the loop-based reorder parity and square-sign
+# rule, independent of the bit-mask kernel in spinrep.clifford.
+def _ref_reorder_sign(a, b):
+    total = 0
+    j = 0
+    bb = b
+    while bb:
+        if bb & 1:
+            total += bin(a >> (j + 1)).count("1")
+        bb >>= 1
+        j += 1
+    return -1 if total & 1 else 1
+
+
+def _ref_blade_product(sig, a, b):
+    sign = _ref_reorder_sign(a, b)
+    rep = a & b
+    i = 0
+    while rep:
+        if rep & 1 and sig.gen_square(i) < 0:
+            sign = -sign
+        rep >>= 1
+        i += 1
+    return sign, a ^ b
+
+
+def _ref_product(x, y):
+    out = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            sign, mask = _ref_blade_product(x.signature, ma, mb)
+            out[mask] = out.get(mask, 0) + sign * ca * cb
+    return Multivector.make(x.signature, out)
+
+
+def test_blade_sign_rule_exhaustive():
+    for n in range(1, 6):
+        for r in range(n + 1):
+            sig = Signature(r, n - r)
+            for a in range(1 << n):
+                for b in range(1 << n):
+                    sign, mask = _ref_blade_product(sig, a, b)
+                    assert blade_product(sig, a, b) == (Fraction(sign), mask)
+                    assert reorder_sign(a, b) == _ref_reorder_sign(a, b)
+
+
+_COEFF = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@st.composite
+def _operand(draw, sig):
+    full = (1 << sig.n) - 1
+    shape = draw(st.sampled_from(["sparse", "empty", "scalar", "top", "dense"]))
+    if shape == "empty":
+        masks = []
+    elif shape == "scalar":
+        masks = [0]
+    elif shape == "top":
+        masks = [full]
+    elif shape == "dense":
+        masks = range(full + 1)
+    else:
+        masks = draw(st.lists(st.integers(0, full), max_size=12))
+    return Multivector.make(sig, {m: draw(_COEFF) for m in masks})
+
+
+@st.composite
+def _signature_and_operands(draw):
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, n))
+    sig = Signature(r, n - r)
+    return sig, draw(_operand(sig)), draw(_operand(sig))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_signature_and_operands())
+def test_geometric_product_matches_reference(case):
+    _, x, y = case
+    prod = x * y
+    assert prod == _ref_product(x, y)
+    assert all(type(c) is Fraction and c for c in prod.terms.values())
 
 
 def test_geometric_product_examples():

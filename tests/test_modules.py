@@ -1,6 +1,7 @@
 """The spinor module families: dimensions, Clifford conditions, intertwiner
 tables, variants, gradings and spinor squaring."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from spinrep import algebras as alg
 from spinrep.clifford import Multivector, Signature, euclidean
 from spinrep.errors import InputError
+from spinrep.files import self_verify_module
 from spinrep.kmatrix import joint_intertwiners, verify_clifford_condition
 from spinrep.linalg import QMat, intertwiner_space
 from spinrep.modules import (
@@ -311,6 +313,16 @@ def test_spin_metric_negative_control():
     bad = QMat.diag([1, 2, 1, 1])
     rep = spin_metric_verify(m, metric=bad)
     assert not rep.ok
+
+
+def test_self_verify_module_adds_metric_units_on_failure():
+    good = base_module(2)
+    assert self_verify_module(good) == verify_module(good).checks
+    bad = dataclasses.replace(good, spin_metric=QMat.diag([1, 2, 1, 1]))
+    detail = "; ".join(spin_metric_verify(bad).failures)
+    assert self_verify_module(bad) == verify_module(bad).checks + [
+        ("spin-metric-units", False, detail)
+    ]
 
 
 # -- spinor squaring -------------------------------------------------------------

@@ -86,6 +86,14 @@ def test_spin_lift_round_trip(n):
         assert twisted_adjoint_matrix(g.value) == rot
 
 
+def test_spin_lift_exact_at_n8():
+    rot = random_rational_rotation(8, random.Random(808), factors=12)
+    g = spin_lift(rot)
+    assert len(g.value.terms) == 128  # a full even versor
+    assert twisted_adjoint_matrix(g.value) == rot
+    assert double_cover_check(g, assemble_euclidean(8)).ok
+
+
 def test_spin_lift_rejects_bad_input():
     bad = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     with pytest.raises(InputError):
