@@ -172,55 +172,21 @@ def classify(max_n: int) -> None:
 
 
 def _parse_curve(spec: str):
+    """(curve, velocity): t -> (u, v) and t -> (du/dt, dv/dt)."""
     if spec == "great-circle":
-        return lambda t: (2 * math.pi * t, 0.0)
-    names = {
-        "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-        "sqrt": math.sqrt, "pi": math.pi, "atan": math.atan, "abs": abs,
-    }
-    try:
-        parts = dict(
-            piece.split("=", 1) for piece in (p.strip() for p in spec.split(";")) if piece
-        )
-        u_expr = compile(parts["u"], "<curve-u>", "eval")
-        v_expr = compile(parts["v"], "<curve-v>", "eval")
-    except (ValueError, KeyError, SyntaxError) as exc:
-        raise InputError(f"bad curve spec {spec!r}: expected 'u=EXPR; v=EXPR'") from exc
+        return (lambda t: (2 * math.pi * t, 0.0)), (lambda t: (2 * math.pi, 0.0))
+    # imported here so that commands without an expression never load the compiler
+    from .expressions import compile_curve
 
-    def curve(t: float):
-        env = dict(names, t=t)
-        return (
-            float(eval(u_expr, {"__builtins__": {}}, env)),
-            float(eval(v_expr, {"__builtins__": {}}, env)),
-        )
-
-    return curve
+    return compile_curve(spec)
 
 
 def _parse_surface(spec: str) -> ParametricSurface:
     if spec in BUILTIN_SURFACES:
         return BUILTIN_SURFACES[spec]()
-    names = {
-        "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-        "sqrt": math.sqrt, "pi": math.pi, "atan": math.atan, "abs": abs,
-    }
-    try:
-        parts = dict(
-            piece.split("=", 1) for piece in (p.strip() for p in spec.split(";")) if piece
-        )
-        exprs = {axis: compile(parts[axis], f"<surface-{axis}>", "eval") for axis in "xyz"}
-    except (ValueError, KeyError, SyntaxError) as exc:
-        raise InputError(
-            f"bad surface spec {spec!r}: builtin name or 'x=EXPR; y=EXPR; z=EXPR'"
-        ) from exc
+    from .expressions import compile_surface
 
-    def chart(u: float, v: float):
-        env = dict(names, u=u, v=v)
-        return tuple(
-            float(eval(exprs[axis], {"__builtins__": {}}, env)) for axis in "xyz"
-        )
-
-    return ParametricSurface(chart, name="custom")
+    return compile_surface(spec)
 
 
 _Q0_SHORTHAND = {
@@ -240,6 +206,8 @@ def _parse_q0(text: str):
         raise InputError(f"bad spinor {text!r}") from exc
     if len(parts) != 4:
         raise InputError("spinor must be w,x,y,z or one of 1,i,j,k")
+    if not all(map(math.isfinite, parts)) or not any(parts):
+        raise InputError(f"spinor {text!r} must be finite and nonzero")
     return tuple(parts)
 
 
@@ -259,17 +227,19 @@ def transport(surface_spec, curve_spec, q0_text, steps, sign, t0, t1, out_path) 
     """Spin-parallel-transport a spinor along a surface curve; write CSV."""
     try:
         surface = _parse_surface(surface_spec)
-        curve = _parse_curve(curve_spec)
+        curve, velocity = _parse_curve(curve_spec)
         q0 = _parse_q0(q0_text)
         if steps < 2:
             raise InputError("steps must be at least 2")
+        if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
+            raise InputError("--t0 and --t1 must be finite and different")
         initial_sign = 1 if sign == "+1" else -1
     except InputError as exc:
         _fail(EXIT_INPUT, str(exc))
     try:
         trace = spin_parallel_transport(
             surface, curve, q0, initial_sign=initial_sign, steps=steps,
-            t0=t0, t1=t1, strict=False,
+            t0=t0, t1=t1, strict=False, velocity=velocity,
         )
     except IntegrationError as exc:
         _fail(EXIT_NUMERIC, f"integration failed at t={exc.t}: {exc}")

@@ -178,9 +178,10 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
             continue
         w = [a - b for a, b in zip(col, target)]
         mirrors.append(w)
-        # apply the reflection to every remaining column
+        # reflect the columns not yet reduced; columns c < j are e_c, and
+        # w[c] = 0 there because the matrix stays orthogonal, so they are fixed
         ww = sig.bilinear(w, w)
-        for c in range(n):
+        for c in range(j, n):
             column = [work[i][c] for i in range(n)]
             coef = 2 * sig.bilinear(column, w) / ww
             for i in range(n):

@@ -192,25 +192,26 @@ class TransportTrace:
 
 FRAME_TOL = 1e-9
 LIFT_TOL = 1e-8
+# what evaluating a chart, a curve or their derivatives raises at a bad point
+# (math domain errors, division by zero, overflow, a degenerate chart)
+_EVAL_ERRORS = (InputError, ArithmeticError, ValueError)
 
 
-def _normal_along(surface, curve, t):
+def _normal_and_velocity(surface, curve, velocity, t):
+    """Unit normal n and dn/dt at curve(t), by the chain rule.
+
+    ``velocity(t)`` gives (du/dt, dv/dt); without it the curve is
+    differenced centrally with step FD_STEP.  Second partials are exact
+    when the surface provides them, otherwise finite differences."""
     u, v = curve(t)
-    return surface.normal(u, v)
-
-
-def _normal_velocity(surface, curve, t, dt):
-    """dn/dt along the curve via the chain rule on analytic data.
-
-    Uses exact second partials when the surface provides them, otherwise
-    finite differences; the curve parameters are differenced with a step
-    tied to the integration step."""
-    u, v = curve(t)
-    h = max(FD_STEP, 1e-7)
-    u_p, v_p = curve(t + h)
-    u_m, v_m = curve(t - h)
-    du = (u_p - u_m) / (2 * h)
-    dv = (v_p - v_m) / (2 * h)
+    if velocity is None:
+        h = FD_STEP
+        u_p, v_p = curve(t + h)
+        u_m, v_m = curve(t - h)
+        du = (u_p - u_m) / (2 * h)
+        dv = (v_p - v_m) / (2 * h)
+    else:
+        du, dv = velocity(t)
     xu, xv = surface.first_partials(u, v)
     xuu, xuv, xvv = surface.second_partials_at(u, v)
     n_raw = _cross(xu, xv)
@@ -222,7 +223,7 @@ def _normal_velocity(surface, curve, t, dt):
     dxv = _add(_scale(xuv, du), _scale(xvv, dv))
     dn_raw = _add(_cross(dxu, xv), _cross(xu, dxv))
     # derivative of n_raw/|n_raw|
-    return _scale(_sub(dn_raw, _scale(n_hat, _dot(n_hat, dn_raw))), 1.0 / n_len)
+    return n_hat, _scale(_sub(dn_raw, _scale(n_hat, _dot(n_hat, dn_raw))), 1.0 / n_len)
 
 
 def parallel_transport_frame(
@@ -232,17 +233,27 @@ def parallel_transport_frame(
     steps: int = 10000,
     t0: float = 0.0,
     t1: float = 1.0,
+    velocity: Callable[[float], tuple[float, float]] | None = None,
 ) -> TransportTrace:
     """Parallel-transport an initial tangent frame along the curve.
 
     Integrates dV/dt = -(V . dn/dt) n with fixed-step RK4 and per-step
     Gram-Schmidt re-orthonormalization; fills times, positions, frames and
-    rotations of the returned trace.
+    rotations of the returned trace.  ``velocity(t)``, when given, is the
+    curve's exact (du/dt, dv/dt); otherwise the curve is differenced.
     """
     if steps < 2:
         raise InputError("steps must be at least 2")
-    u0, v0 = curve(t0)
-    nu0 = surface.normal(u0, v0)
+
+    def at(t):
+        """(u, v), the unit normal and the point at curve parameter t."""
+        uv = curve(t)
+        return uv, surface.normal(*uv), surface.point(*uv)
+
+    try:
+        (u0, v0), nu0, x0 = at(t0)
+    except (ArithmeticError, ValueError) as exc:  # InputError at t0 stays an input error
+        raise IntegrationError(str(exc), t0) from exc
     if frame0 is None:
         e1, e2, _ = surface_frame(surface, u0, v0)
     else:
@@ -260,25 +271,14 @@ def parallel_transport_frame(
 
     def rhs(t, state):
         try:
-            dn = _normal_velocity(surface, curve, t, dt)
-            n = _normal_along(surface, curve, t)
-        except InputError as exc:
+            n, dn = _normal_and_velocity(surface, curve, velocity, t)
+        except _EVAL_ERRORS as exc:
             raise IntegrationError(str(exc), t) from exc
-        out = []
-        for vec in state:
-            out.append(_scale(n, -_dot(vec, dn)))
-        return out
+        return [_scale(n, -_dot(vec, dn)) for vec in state]
 
-    def record(t, e1, e2):
-        u, v = curve(t)
-        try:
-            n = surface.normal(u, v)
-        except InputError as exc:
-            if t != t0:
-                raise IntegrationError(str(exc), t) from exc
-            raise
+    def record(t, x, n, e1, e2):
         trace.times.append(t)
-        trace.positions.append(surface.point(u, v))
+        trace.positions.append(x)
         trace.e1.append(e1)
         trace.e2.append(e2)
         trace.normals.append(n)
@@ -287,7 +287,7 @@ def parallel_transport_frame(
         )
 
     state = (e1, e2)
-    record(t0, e1, e2)
+    record(t0, x0, nu0, e1, e2)
     for step in range(steps):
         t = t0 + step * dt
         k1 = rhs(t, state)
@@ -304,16 +304,16 @@ def parallel_transport_frame(
         t = t1 if step == steps - 1 else t0 + (step + 1) * dt
         # re-orthonormalize against the exact normal at the new point
         try:
-            n = _normal_along(surface, curve, t)
-        except InputError as exc:
+            _, n, x = at(t)
+            v1 = _sub(state[0], _scale(n, _dot(state[0], n)))
+            v1 = _normalize(v1)
+            v2 = _sub(state[1], _scale(n, _dot(state[1], n)))
+            v2 = _sub(v2, _scale(v1, _dot(v2, v1)))
+            v2 = _normalize(v2)
+        except _EVAL_ERRORS as exc:
             raise IntegrationError(str(exc), t) from exc
-        v1 = _sub(state[0], _scale(n, _dot(state[0], n)))
-        v1 = _normalize(v1)
-        v2 = _sub(state[1], _scale(n, _dot(state[1], n)))
-        v2 = _sub(v2, _scale(v1, _dot(v2, v1)))
-        v2 = _normalize(v2)
         state = (v1, v2)
-        record(t, v1, v2)
+        record(t, x, n, v1, v2)
     return trace
 
 
@@ -337,6 +337,7 @@ def spin_parallel_transport(
     t1: float = 1.0,
     frame0: tuple[Vec3, Vec3] | None = None,
     strict: bool = True,
+    velocity: Callable[[float], tuple[float, float]] | None = None,
 ) -> TransportTrace:
     """Spin parallel transport of the spinor q0 given at the initial time.
 
@@ -345,7 +346,7 @@ def spin_parallel_transport(
     spinor (the value in the fiber at t0 is g(t0) * q0; for curves starting
     at the standard frame g(t0) = +-1).  ``initial_sign`` selects between
     the two lifts; the other lift negates the whole trace."""
-    trace = parallel_transport_frame(surface, curve, frame0, steps, t0, t1)
+    trace = parallel_transport_frame(surface, curve, frame0, steps, t0, t1, velocity)
     lifted = quaternion_lift_path(trace.rotations, initial_sign, strict=strict)
     if strict:
         lifts, ambiguous = lifted, []
@@ -356,10 +357,14 @@ def spin_parallel_transport(
     ambiguous_set = set(ambiguous)
     for idx in range(len(trace)):
         g = lifts[idx]
-        trace.spinors.append(quat_mul(g, q_model))
-        frame_ok = _frame_defect(trace.e1[idx], trace.e2[idx], trace.normals[idx]) <= FRAME_TOL
+        q = quat_mul(g, q_model)
+        trace.spinors.append(q)
+        e1, e2, n = trace.e1[idx], trace.e2[idx], trace.normals[idx]
+        values = (trace.times[idx], *trace.positions[idx], *e1, *e2, *n, *g, *q)
+        finite = all(map(math.isfinite, values))
+        frame_ok = _frame_defect(e1, e2, n) <= FRAME_TOL
         lift_ok = lift_residual(g, trace.rotations[idx]) <= LIFT_TOL
-        trace.ok.append(frame_ok and lift_ok and idx not in ambiguous_set)
+        trace.ok.append(finite and frame_ok and lift_ok and idx not in ambiguous_set)
     return trace
 
 

@@ -185,3 +185,46 @@ def test_transport_custom_surface_and_curve(runner, tmp_path):
     # flat surface: the lift is constant and the spinor returns to itself
     for a, b in zip(first[13:21], last[13:21]):
         assert abs(float(a) - float(b)) < 1e-9
+
+
+@pytest.mark.parametrize("curve", ["u=t; v=sqrt(0.5-t)", "u=t; v=1/(t-0.5)"])
+def test_transport_domain_error_exit_4(runner, tmp_path, curve):
+    out = tmp_path / "domain.csv"
+    result = runner.invoke(
+        main, ["transport", "--curve", curve, "--steps", "100", "--out", str(out)]
+    )
+    assert result.exit_code == 4, result.output
+    assert "t=0.5" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--q0", "nan,0,0,0"],
+        ["--q0", "0,1,inf,0"],
+        ["--q0", "0,0,0,0"],
+        ["--t1", "nan"],
+        ["--t0", "-inf"],
+        ["--t0", "1", "--t1", "1"],
+    ],
+)
+def test_transport_rejects_non_finite_or_degenerate_input(runner, tmp_path, args):
+    out = tmp_path / "bad.csv"
+    result = runner.invoke(main, ["transport", *args, "--steps", "10", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert not out.exists()
+
+
+def test_transport_rejects_python_escape(runner, tmp_path):
+    out = tmp_path / "escape.csv"
+    result = runner.invoke(
+        main,
+        [
+            "transport",
+            "--surface", "x=u; y=v; z=0*().__class__.__mro__.__len__()",
+            "--steps", "10",
+            "--out", str(out),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "not allowed" in result.output

@@ -199,3 +199,14 @@ def test_exact_rational_hypersurface_units():
     out = hypersurface4_action(nu, v, (1, 0, 0, 0))
     sq = hypersurface4_action(nu, v, tuple(out.coeffs))
     assert sq == alg.kelem("H", (-1, 0, 0, 0))
+
+
+def test_non_finite_rows_are_not_ok():
+    # NaN from t = 0.55 on: no exception is raised, the rows go non-finite
+    def escaping(t):
+        return (t, math.nan) if t > 0.55 else (t, 0.0)
+
+    trace = spin_parallel_transport(
+        plane(), escaping, (1.0, 0.0, 0.0, 0.0), steps=10, strict=False
+    )
+    assert trace.ok == [t < 0.55 for t in trace.times]
