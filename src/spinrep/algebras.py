@@ -81,10 +81,6 @@ def basis(algebra: str) -> list[KElement]:
     return [unit(algebra, i) for i in range(ALGEBRA_DIM[algebra])]
 
 
-def imaginary_basis(algebra: str) -> list[KElement]:
-    return [unit(algebra, i) for i in range(1, ALGEBRA_DIM[algebra])]
-
-
 def _check_same(a: KElement, b: KElement) -> None:
     if a.algebra != b.algebra:
         raise InputError(f"algebra tag mismatch: {a.algebra} vs {b.algebra}")
@@ -196,9 +192,3 @@ def lmul_matrix(x: KElement) -> QMat:
 
 def rmul_matrix(x: KElement) -> QMat:
     return mul_matrix(x, "right")
-
-
-def octonion_from_quaternions(a: KElement, b: KElement) -> KElement:
-    if a.algebra != "H" or b.algebra != "H":
-        raise InputError("octonion halves must be quaternions")
-    return KElement("O", a.coeffs + b.coeffs)

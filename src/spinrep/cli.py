@@ -15,20 +15,15 @@ import click
 
 from .clifford import Signature
 from .errors import InputError, IntegrationError, SpinrepError
-from .files import (
-    dump_gamma_json,
-    module_to_payload,
-    payload_to_gamma,
-    self_verify_module,
-    trace_to_csv,
-    verify_gamma,
-)
+from .files import dump_gamma_json, module_to_payload, payload_to_gamma, trace_to_csv
 from .modules import (
     assemble_signature,
+    audit,
     expected_irreducible_dim,
     intertwiners,
     octonion_module,
     sqrt_space_module,
+    verify_module,
 )
 from .surfaces import BUILTIN_SURFACES, ParametricSurface, spin_parallel_transport
 
@@ -88,7 +83,7 @@ def generate(sig_text: str, family: str, variant: str, out_path: str) -> None:
         module = _build_module(sig, family, variant)
     except InputError as exc:
         _fail(EXIT_INPUT, str(exc))
-    checks = self_verify_module(module)
+    checks = verify_module(module).checks
     bad = [(name, detail) for name, ok, detail in checks if not ok]
     if bad:
         for name, detail in bad:
@@ -121,14 +116,15 @@ def verify(path: str) -> None:
         loaded = payload_to_gamma(payload)
     except (json.JSONDecodeError, InputError) as exc:
         _fail(EXIT_INPUT, f"malformed file: {exc}")
-    checks = verify_gamma(loaded)
-    failed = False
-    for name, ok, detail in checks:
+    report = audit(
+        loaded.signature, loaded.generators, loaded.spin_metric, loaded.commutant_basis,
+        loaded.grading, loaded.variant, loaded.volume_sign,
+    )
+    for name, ok, detail in report.checks:
         status = "PASS" if ok else "FAIL"
         suffix = f" ({detail})" if detail and not ok else ""
         click.echo(f"{status} {name}{suffix}")
-        failed |= not ok
-    sys.exit(EXIT_VERIFY_FAILED if failed else 0)
+    sys.exit(0 if report.ok else EXIT_VERIFY_FAILED)
 
 
 _K_TAGS = ["C", "H", "H", "H", "C", "R", "R", "R"]

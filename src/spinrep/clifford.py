@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InputError, StructureError
-from .linalg import Rref, sparse_solve
+from .linalg import sparse_solve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

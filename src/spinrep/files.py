@@ -3,20 +3,24 @@ the transport-trace CSV.
 
 Rationals are serialized as "p/q" strings so exactness survives the round
 trip; geometry output uses 17-significant-digit floats.  Both writers are
-deterministic: identical inputs produce byte-identical files.
+deterministic: identical inputs produce byte-identical files.  This module
+only reads and writes: the structural audit of a loaded gamma file is
+``modules.audit``, the same one ``generate`` runs before writing.  A CSV row
+is flagged ok only when its trace flag (if any) is set and every value is
+finite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import CONVENTION, Signature
 from .errors import InputError
-from .kmatrix import verify_clifford_condition
 from .linalg import QMat
-from .modules import SpinorModule, verify_module
+from .modules import SpinorModule
 from .surfaces import TransportTrace
 
 FORMAT_VERSION = 1
@@ -135,80 +139,6 @@ def dump_gamma_json(payload: dict) -> str:
     return json.dumps(payload, indent=1, sort_keys=False) + "\n"
 
 
-def verify_gamma(loaded: LoadedGammaFile) -> list[tuple[str, bool, str]]:
-    """Re-run the structural checks on a deserialized file.
-
-    Returns (check, ok, detail) triples; the caller decides how to report.
-    """
-    checks: list[tuple[str, bool, str]] = []
-    sig = loaded.signature
-    d = loaded.real_dim
-    if len(loaded.generators) != sig.n:
-        checks.append(("generator-count", False, f"{len(loaded.generators)} != {sig.n}"))
-        return checks
-    rep = verify_clifford_condition(loaded.generators, sig)
-    detail = "" if rep.ok else f"violating pairs {rep.violations}"
-    checks.append(("clifford-condition", rep.ok, detail))
-
-    metric = loaded.spin_metric
-    metric_fail = []
-    if metric.transpose() != metric:
-        metric_fail.append("metric not symmetric")
-    for idx, g in enumerate(loaded.generators):
-        lhs = g.transpose() * metric
-        rhs = metric * g
-        want_skew = sig.gen_square(idx) == -1
-        good = lhs == (rhs.scale(-1) if want_skew else rhs)
-        if not good:
-            kind = "skew" if want_skew else "self"
-            metric_fail.append(f"generator e_{idx + 1} fails {kind}-adjointness")
-    checks.append(("spin-metric", not metric_fail, "; ".join(metric_fail)))
-
-    commute_fail = []
-    ident = QMat.identity(d)
-    if not loaded.commutant_basis or loaded.commutant_basis[0] != ident:
-        commute_fail.append("first commutant basis element is not the identity")
-    for t, b in enumerate(loaded.commutant_basis):
-        for idx, g in enumerate(loaded.generators):
-            if b * g != g * b:
-                commute_fail.append(f"basis element {t} vs e_{idx + 1}")
-                break
-    checks.append(("commutant-basis", not commute_fail, "; ".join(commute_fail)))
-
-    if loaded.grading is not None:
-        eps = QMat.diag(loaded.grading)
-        odd_ok = all((eps * g) == (g * eps).scale(-1) for g in loaded.generators)
-        checks.append(("generators-odd", odd_ok, ""))
-
-    if (sig.s - sig.r) % 4 == 3:
-        vol = loaded.generators[0]
-        for g in loaded.generators[1:]:
-            vol = vol * g
-        ident = QMat.identity(d)
-        sign = 1 if vol == ident else (-1 if vol == ident.scale(-1) else 0)
-        checks.append(("volume-central-sign", sign != 0, ""))
-        if loaded.volume_sign is not None:
-            checks.append(
-                ("volume-sign-recorded", sign == loaded.volume_sign,
-                 f"computed {sign}, recorded {loaded.volume_sign}")
-            )
-        if sig.r == 0:
-            expect = -1 if loaded.variant == "plus" else 1
-            checks.append(
-                ("volume-variant", sign == expect, f"variant {loaded.variant}")
-            )
-    return checks
-
-
-def self_verify_module(module: SpinorModule) -> list[tuple[str, bool, str]]:
-    """Pre-write verification: the structural audit plus the metric audit."""
-    checks = list(verify_module(module).checks)
-    _, metric_ok, detail = next(c for c in checks if c[0] == "spin-metric")
-    if not metric_ok:
-        checks.append(("spin-metric-units", False, detail))
-    return checks
-
-
 def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -224,6 +154,6 @@ def trace_to_csv(trace: TransportTrace) -> str:
         cells += list(trace.lifts[idx]) if trace.lifts else [0.0] * 4
         cells += list(trace.spinors[idx]) if trace.spinors else [0.0] * 4
         row = ",".join(_fmt_float(c) for c in cells)
-        ok = trace.ok[idx] if trace.ok else True
+        ok = (trace.ok[idx] if trace.ok else True) and all(map(math.isfinite, cells))
         lines.append(f"{row},{1 if ok else 0}")
     return "\n".join(lines) + "\n"

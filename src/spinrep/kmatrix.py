@@ -28,7 +28,7 @@ import random
 from . import algebras as alg
 from .algebras import ALGEBRA_DIM, KElement
 from .clifford import Signature
-from .errors import InputError, StructureError
+from .errors import InputError
 from .linalg import QMat, Rref, intertwiner_space, sparse_solve
 
 ZERO = Fraction(0)
@@ -90,18 +90,6 @@ class KMatrix:
                     acc = alg.add(acc, term)
                 out.append(acc)
         return KMatrix(self.field, self.rows, other.cols, tuple(out), self.side)
-
-    def scale_sign(self, sign: int) -> "KMatrix":
-        if sign == 1:
-            return self
-        return KMatrix(
-            self.field, self.rows, self.cols, tuple(alg.neg(e) for e in self.entries), self.side
-        )
-
-    def conjugate_entries(self) -> "KMatrix":
-        return KMatrix(
-            self.field, self.rows, self.cols, tuple(alg.conj(e) for e in self.entries), self.side
-        )
 
     def realify(self) -> QMat:
         """Real matrix in the K-blocked basis, respecting the linearity side."""

@@ -295,13 +295,6 @@ def sparse_nullspace(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[di
     return rr.nullspace(ncols)
 
 
-def sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
-    rr = Rref()
-    for row in rows:
-        rr.add_row(row)
-    return rr.rank
-
-
 def sparse_solve(rows: list[dict[int, Fraction]], rhs: list, ncols: int):
     """Solve the linear system given by ``rows`` (each ``sum coeff*x = rhs``).
 

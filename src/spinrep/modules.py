@@ -38,7 +38,6 @@ from .clifford import (
     Signature,
     euclidean,
     reorder_sign,
-    volume_element,
 )
 from .errors import InputError, StructureError
 from .kmatrix import (
@@ -50,7 +49,7 @@ from .kmatrix import (
     tensor_op_right,
     verify_clifford_condition,
 )
-from .linalg import QMat, Rref, sparse_nullspace, sparse_solve
+from .linalg import QMat, sparse_nullspace, sparse_solve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -363,22 +362,22 @@ def _restrict_h_to_c(mod: SpinorModule) -> tuple[list[QMat], GradedSpace]:
 
 
 @lru_cache(maxsize=None)
-def _euclid_power8(k: int) -> SpinorModule:
-    """Graded tensor power S8^k; S8 itself is the H-tensor square of S4."""
+def _power8(k: int, positive: bool) -> SpinorModule:
+    """Graded tensor power S8^k for Cl(0,8k), or for Cl(8k,0) when
+    ``positive``; S8 itself is the H-tensor square of the matching S4."""
     if k < 1:
         raise InputError("power must be >= 1")
+    sig = Signature(8 * k, 0) if positive else euclidean(8 * k)
     if k == 1:
-        s4 = base_module(4)
-        right_kgens = [_left_version(c4_action(u)) for u in _H_UNITS]
+        s4 = base_module_pos(4) if positive else base_module(4)
+        action = _c4_pos_action if positive else c4_action
+        right_kgens = [_left_version(action(u)) for u in _H_UNITS]
         gens, space = _tensor_k(
             list(s4.generators), s4.space, right_kgens, 2, (1, -1), "R", True
         )
-        return _module(euclidean(8), "R", gens, space, FAMILY_ASSEMBLED, "plus")
-    left = _euclid_power8(k - 1)
-    right = _euclid_power8(1)
-    gens, space, _ = _tensor_r(left, right, graded_space=True)
-    return _module(euclidean(8 * k), "R", gens, space, FAMILY_ASSEMBLED, "plus",
-                   right_units=())
+        return _module(sig, "R", gens, space, FAMILY_ASSEMBLED, "plus")
+    gens, space, _ = _tensor_r(_power8(k - 1, positive), _power8(1, positive), graded_space=True)
+    return _module(sig, "R", gens, space, FAMILY_ASSEMBLED, "plus", right_units=())
 
 
 @lru_cache(maxsize=None)
@@ -399,9 +398,9 @@ def assemble_euclidean(n: int, variant: str = "plus") -> SpinorModule:
     k, r = divmod(n - 1, 8)
     r += 1
     if r == 8:
-        return _euclid_power8(k + 1)
+        return _power8(k + 1, False)
     if r <= 4:
-        left = _euclid_power8(k)
+        left = _power8(k, False)
         right = base_module(r, variant if r == 3 else "plus")
         gens, space, units = _tensor_r(left, right, graded_space=(r == 4))
         return _module(euclidean(n), right.field, gens, space, FAMILY_ASSEMBLED, variant,
@@ -426,24 +425,6 @@ def assemble_euclidean(n: int, variant: str = "plus") -> SpinorModule:
 
 
 @lru_cache(maxsize=None)
-def _pos_power8(k: int) -> SpinorModule:
-    if k < 1:
-        raise InputError("power must be >= 1")
-    if k == 1:
-        s4 = base_module_pos(4)
-        right_kgens = [_left_version(_c4_pos_action(u)) for u in _H_UNITS]
-        gens, space = _tensor_k(
-            list(s4.generators), s4.space, right_kgens, 2, (1, -1), "R", True
-        )
-        return _module(Signature(8, 0), "R", gens, space, FAMILY_ASSEMBLED, "plus")
-    left = _pos_power8(k - 1)
-    right = _pos_power8(1)
-    gens, space, _ = _tensor_r(left, right, graded_space=True)
-    return _module(Signature(8 * k, 0), "R", gens, space, FAMILY_ASSEMBLED, "plus",
-                   right_units=())
-
-
-@lru_cache(maxsize=None)
 def assemble_positive(n: int, variant: str = "plus") -> SpinorModule:
     """Irreducible module for Cl(n,0); mirror of the Euclidean assembly.
 
@@ -459,10 +440,10 @@ def assemble_positive(n: int, variant: str = "plus") -> SpinorModule:
     k, r = divmod(n - 1, 8)
     r += 1
     if r == 8:
-        return _pos_power8(k + 1)
+        return _power8(k + 1, True)
     sig = Signature(n, 0)
     if r <= 4:
-        left = _pos_power8(k)
+        left = _power8(k, True)
         right = base_module_pos(r, variant if r == 1 else "plus")
         gens, space, units = _tensor_r(left, right, graded_space=(r == 4))
         return _module(sig, right.field, gens, space, FAMILY_ASSEMBLED, variant,
@@ -784,18 +765,6 @@ def sqrt_space_module(n: int) -> SpinorModule:
 _OCT_IMAGINARY = [(4, 1), (5, 1), (6, 1), (7, 1), (1, 1), (2, 1), (3, 1)]
 
 
-def _oct_unit(index: int) -> KElement:
-    return alg.unit("O", index)
-
-
-def _oct_rmul(x: KElement) -> QMat:
-    return alg.rmul_matrix(x)
-
-
-def _oct_lmul(x: KElement) -> QMat:
-    return alg.lmul_matrix(x)
-
-
 @lru_cache(maxsize=None)
 def octonion_module(k: int) -> SpinorModule:
     """Octonion models: Cl(0,k) acting on O for 4 <= k <= 7 by right
@@ -806,38 +775,18 @@ def octonion_module(k: int) -> SpinorModule:
         raise InputError("octonion modules exist for dimensions 4..8 only")
     sig = euclidean(k)
     if k <= 7:
-        gens = [_oct_rmul(_oct_unit(_OCT_IMAGINARY[t][0])) for t in range(k)]
+        gens = [alg.rmul_matrix(alg.unit("O", _OCT_IMAGINARY[t][0])) for t in range(k)]
         dim = 8
-        if k == 4:
-            field_tag = "H"
-            # diagonal right action (a,b).q = (aq, bq) commutes with all four
-            units = []
-            for t in range(1, 4):
-                rm = alg.rmul_matrix(alg.unit("H", t))
-                entries = {}
-                for blk in range(2):
-                    for i, j, v in rm.entries():
-                        entries[(blk * 4 + i, blk * 4 + j)] = v
-                units.append(QMat.from_entries(8, 8, entries))
-            right_units = tuple(units)
-        elif k == 5:
-            field_tag = "C"
-            rm = alg.rmul_matrix(alg.unit("H", 1))
-            entries = {}
-            for blk in range(2):
-                for i, j, v in rm.entries():
-                    entries[(blk * 4 + i, blk * 4 + j)] = v
-            right_units = (QMat.from_entries(8, 8, entries),)
-        else:
-            field_tag = "R"
-            right_units = ()
+        field_tag = {4: "H", 5: "C"}.get(k, "R")
+        # diagonal right action (a,b).q = (aq, bq) of H, or of its C = span(1, i)
+        right_units = _right_unit_matrices(GradedSpace("H", 2))[: ALGEBRA_DIM[field_tag] - 1]
     else:
         dim = 16
         gens = []
         for t in range(8):
-            o = _oct_unit(t)
-            top = _oct_lmul(alg.conj(o)).scale(-1)
-            bottom = _oct_lmul(o)
+            o = alg.unit("O", t)
+            top = alg.lmul_matrix(alg.conj(o)).scale(-1)
+            bottom = alg.lmul_matrix(o)
             entries = {}
             for i, j, v in top.entries():
                 entries[(i, j + 8)] = v
@@ -889,19 +838,6 @@ def grading_from_volume(module: SpinorModule) -> GradedSpace:
     return GradedSpace("R", d, tuple(diag))
 
 
-def volume_projector_ranks(module: SpinorModule) -> tuple[int, int]:
-    """Exact ranks of (1 +- volume)/2, valid also for non-diagonal volume."""
-    vol = module.volume_operator()
-    d = module.real_dim
-    if vol * vol != QMat.identity(d):
-        raise InputError("volume element does not square to +1 on this module")
-    tr = vol.trace()
-    plus = Fraction(d + tr, 2)
-    if plus.denominator != 1:
-        raise StructureError("volume trace is not integral")
-    return int(plus), d - int(plus)
-
-
 @dataclass
 class MetricReport:
     ok: bool
@@ -911,29 +847,31 @@ class MetricReport:
         return self.ok
 
 
-def spin_metric_verify(module: SpinorModule, metric: QMat | None = None) -> MetricReport:
-    """Exact adjointness audit of the spin metric.
-
-    Generators squaring to -1 must be skew-adjoint, generators squaring to
-    +1 self-adjoint, and the right action of every imaginary unit of K must
-    be skew-adjoint.  Failures are reported, not raised.
-    """
-    m = module.spin_metric if metric is None else metric
+def _metric_failures(sig: Signature, generators, metric: QMat, units) -> list[str]:
+    """Exact adjointness audit of a spin metric: symmetric, generators
+    squaring to -1 skew-adjoint and to +1 self-adjoint, every right unit
+    (imaginary unit of K) skew-adjoint."""
     failures = []
-    if m.transpose() != m:
-        failures.append("metric is not symmetric")
-    for idx, g in enumerate(module.generators):
-        lhs = g.transpose() * m
-        rhs = m * g
-        if module.signature.gen_square(idx) == -1:
-            if lhs != rhs.scale(-1):
-                failures.append(f"generator e_{idx + 1} is not skew-adjoint")
-        else:
-            if lhs != rhs:
-                failures.append(f"generator e_{idx + 1} is not self-adjoint")
-    for t, u in enumerate(module.right_units):
-        if u.transpose() * m != (m * u).scale(-1):
-            failures.append(f"right unit {t + 1} is not skew-adjoint")
+    if metric.transpose() != metric:
+        failures.append("metric not symmetric")
+    for idx, g in enumerate(generators):
+        lhs = g.transpose() * metric
+        rhs = metric * g
+        want_skew = sig.gen_square(idx) == -1
+        if lhs != (rhs.scale(-1) if want_skew else rhs):
+            kind = "skew" if want_skew else "self"
+            failures.append(f"generator e_{idx + 1} fails {kind}-adjointness")
+    for t, u in enumerate(units, 1):
+        if u.transpose() * metric != (metric * u).scale(-1):
+            failures.append(f"right unit {t} fails skew-adjointness")
+    return failures
+
+
+def spin_metric_verify(module: SpinorModule, metric: QMat | None = None) -> MetricReport:
+    """Metric part of the structural audit on a module, optionally against
+    another candidate ``metric``.  Failures are reported, not raised."""
+    m = module.spin_metric if metric is None else metric
+    failures = _metric_failures(module.signature, module.generators, m, module.right_units)
     return MetricReport(not failures, failures)
 
 
@@ -946,6 +884,21 @@ def _submatrix(m: QMat, idxs: list[int]) -> QMat:
     return QMat.from_entries(len(idxs), len(idxs), entries)
 
 
+def even_summand(module: SpinorModule) -> list[int] | None:
+    """Basis indices of the +1 volume eigenspace when the volume element is
+    even and squares to +1 (the module then splits as an even-subalgebra
+    module), else None.  The volume operator must be diagonal there."""
+    if module.signature.n % 2:
+        return None
+    vol = module.volume_operator()
+    d = module.real_dim
+    if vol * vol != QMat.identity(d):
+        return None
+    if not all(set(row) == {i} for i, row in enumerate(vol.rows)):
+        raise StructureError("even commutant on a split module needs a diagonal volume operator")
+    return [i for i in range(d) if vol.get(i, i) == 1]
+
+
 def intertwiners(module: SpinorModule, even_only: bool = False) -> Commutant:
     """Commutant of the full action, or of the even subalgebra.
 
@@ -953,27 +906,18 @@ def intertwiners(module: SpinorModule, even_only: bool = False) -> Commutant:
     operators (or the identity in dimension 1) determine the even commutant.
     When the volume element is even and squares to +1 the module splits into
     the two volume eigenspaces as an even-subalgebra module; the commutant is
-    then taken on the irreducible +1 summand, which is the convention the
-    classification tables use (otherwise the answer would double).
+    then taken on the irreducible +1 summand (``even_summand``), which is the
+    convention the classification tables use (otherwise the answer would
+    double).
     """
     if not even_only:
         return commutant(list(module.generators), module.real_dim)
     gens = [module.generators[0] * g for g in module.generators[1:]]
     if not gens:
         gens = [QMat.identity(module.real_dim)]
-    sig = module.signature
-    if sig.n % 2 == 0:
-        vol = module.volume_operator()
-        d = module.real_dim
-        if vol * vol == QMat.identity(d):
-            diag = [vol.get(i, i) for i in range(d)]
-            if all(set(row) == {i} for i, row in enumerate(vol.rows)):
-                plus = [i for i in range(d) if diag[i] == 1]
-                gens = [_submatrix(g, plus) for g in gens]
-            else:
-                raise StructureError(
-                    "even commutant on a split module needs a diagonal volume operator"
-                )
+    plus = even_summand(module)
+    if plus is not None:
+        gens = [_submatrix(g, plus) for g in gens]
     return commutant(gens, gens[0].nrows)
 
 
@@ -1054,44 +998,78 @@ class ModuleReport:
         return self.ok
 
 
-def verify_module(module: SpinorModule) -> ModuleReport:
-    """Full structural audit: Clifford condition, metric adjointness, right
-    units commuting with the action, grading oddness, volume-variant sign."""
+def audit(
+    sig: Signature,
+    generators,
+    metric: QMat,
+    commutant_basis,
+    grading,
+    variant: str,
+    volume_sign: int | None = None,
+) -> ModuleReport:
+    """The structural audit of a module given as plain data; ``generate``
+    runs it before writing a gamma file and ``verify`` after reading one.
+
+    Checks, in order: generator count (reported only when wrong), the
+    Clifford condition, the spin metric (symmetric, generators self- or
+    skew-adjoint, commutant basis elements 1.. skew-adjoint), the commutant
+    basis (element 0 is the identity, every element commutes with every
+    generator), odd generators when a ``grading`` is given, and for
+    s - r = 3 mod 4 a central volume element whose sign matches the
+    recorded ``volume_sign`` and, on definite signatures, the ``variant``.
+    """
     checks: list[tuple[str, bool, str]] = []
-    rep = verify_clifford_condition(list(module.generators), module.signature)
+    if len(generators) != sig.n:
+        checks.append(("generator-count", False, f"{len(generators)} != {sig.n}"))
+        return ModuleReport(checks)
+    rep = verify_clifford_condition(list(generators), sig)
     detail = "" if rep.ok else f"violating pairs {rep.violations}"
     checks.append(("clifford-condition", rep.ok, detail))
-    met = spin_metric_verify(module)
-    checks.append(("spin-metric", met.ok, "; ".join(met.failures)))
-    commute_ok = True
-    bad = ""
-    for t, u in enumerate(module.right_units):
-        for idx, g in enumerate(module.generators):
-            if u * g != g * u:
-                commute_ok = False
-                bad = f"right unit {t + 1} vs generator e_{idx + 1}"
+
+    failures = _metric_failures(sig, generators, metric, commutant_basis[1:])
+    checks.append(("spin-metric", not failures, "; ".join(failures)))
+
+    ident = QMat.identity(metric.nrows)
+    failures = []
+    if not commutant_basis or commutant_basis[0] != ident:
+        failures.append("first commutant basis element is not the identity")
+    for t, b in enumerate(commutant_basis[1:], 1):
+        for idx, g in enumerate(generators):
+            if b * g != g * b:
+                failures.append(f"basis element {t} vs e_{idx + 1}")
                 break
-        if not commute_ok:
-            break
-    checks.append(("right-action-commutes", commute_ok, bad))
-    if module.space.grading is not None:
-        grading = QMat.diag(module.real_grading())
-        odd_ok = all(
-            (grading * g) == (g * grading).scale(-1) for g in module.generators
-        )
+    checks.append(("commutant-basis", not failures, "; ".join(failures)))
+
+    if grading is not None:
+        eps = QMat.diag(grading)
+        odd_ok = all((eps * g) == (g * eps).scale(-1) for g in generators)
         checks.append(("generators-odd", odd_ok, ""))
-    sig = module.signature
+
     if (sig.s - sig.r) % 4 == 3:
-        vol = module.volume_operator()
-        ident = QMat.identity(module.real_dim)
-        is_plus_i = vol == ident
-        is_minus_i = vol == ident.scale(-1)
-        checks.append(("volume-central-sign", is_plus_i or is_minus_i, ""))
+        vol = generators[0]
+        for g in generators[1:]:
+            vol = vol * g
+        sign = 1 if vol == ident else (-1 if vol == ident.scale(-1) else 0)
+        checks.append(("volume-central-sign", sign != 0, ""))
+        if volume_sign is not None:
+            checks.append(("volume-sign-recorded", sign == volume_sign,
+                           f"computed {sign}, recorded {volume_sign}"))
         # the sign itself is pinned only for the definite signatures
-        if sig.r == 0:
-            expect = ident.scale(-1 if module.variant == "plus" else 1)
-            checks.append(("volume-variant", vol == expect, f"variant {module.variant}"))
-        elif sig.s == 0:
-            expect = ident.scale(1 if module.variant == "plus" else -1)
-            checks.append(("volume-variant", vol == expect, f"variant {module.variant}"))
+        if sig.r == 0 or sig.s == 0:
+            plus_sign = -1 if sig.r == 0 else 1
+            expect = plus_sign if variant == "plus" else -plus_sign
+            checks.append(("volume-variant", sign == expect, f"variant {variant}"))
     return ModuleReport(checks)
+
+
+def verify_module(module: SpinorModule) -> ModuleReport:
+    """The structural audit on the module's own data, exactly as
+    ``files.module_to_payload`` writes it."""
+    return audit(
+        module.signature,
+        module.generators,
+        module.spin_metric,
+        (QMat.identity(module.real_dim),) + module.right_units,
+        module.real_grading(),
+        module.variant,
+    )

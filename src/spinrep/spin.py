@@ -20,7 +20,7 @@ from fractions import Fraction
 from .clifford import Multivector, Signature, euclidean
 from .errors import InputError, StructureError
 from .linalg import QMat
-from .modules import SpinorModule
+from .modules import SpinorModule, _submatrix, even_summand, intertwiners
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -260,9 +260,8 @@ def verify_spin_coordinate_system(
 ) -> list[str]:
     """Exact checks: the isometry intertwines the Clifford action up to the
     covered frame, is a scaled isometry of the spin metric, and commutes
-    with the even commutant (the right action of K0)."""
-    from .modules import intertwiners
-
+    with the even commutant (the right action of K0), on the +1 volume
+    summand where ``intertwiners(module, even_only=True)`` takes it."""
     failures = []
     n = module.signature.n
     phi = system.iso
@@ -279,11 +278,12 @@ def verify_spin_coordinate_system(
     m = module.spin_metric
     if phi.transpose() * m * phi != m.scale(system.scale2):
         failures.append("not a (scaled) spin-metric isometry")
-    even = intertwiners(module, even_only=True)
-    for t, b in enumerate(even.basis):
-        if module.signature.n % 4 == 0:
-            continue  # commutant computed on a summand; skip the full-space check
-        if phi * b != b * phi:
+    # the even commutant lives on the +1 volume summand when there is one;
+    # phi is even, so it preserves that summand
+    plus = even_summand(module)
+    phi_even = phi if plus is None else _submatrix(phi, plus)
+    for t, b in enumerate(intertwiners(module, even_only=True).basis):
+        if phi_even * b != b * phi_even:
             failures.append(f"does not commute with even intertwiner {t}")
     return failures
 

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InputError, IntegrationError
-from .spin import (
-    LIFT_DOT_MIN,
-    lift_residual,
-    quat_mul,
-    quaternion_lift_path,
-)
+from .spin import lift_residual, quat_mul, quaternion_lift_path
 
 FD_STEP = 1e-6  # central-difference step for missing derivatives
 

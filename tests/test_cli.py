@@ -1,6 +1,7 @@
 """CLI contract: round trips, exit codes, determinism, table output."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -66,6 +67,36 @@ def test_verify_detects_corruption(runner, tmp_path):
     assert verify.exit_code == 1
     assert "clifford-condition" in verify.output
     assert "1" in verify.output  # the violating pair names generator 1
+
+
+def test_verify_checks_definite_variant_sign(runner, tmp_path):
+    # Cl(1,0): the recorded variant must match the sign of the volume element
+    result, out = _generate(runner, tmp_path, "g10.json", "--sig", "1,0")
+    assert result.exit_code == 0
+    assert "PASS volume-variant" in runner.invoke(main, ["verify", str(out)]).output
+    payload = json.loads(out.read_text())
+    payload["variant"] = "minus"
+    out.write_text(json.dumps(payload))
+    verify = runner.invoke(main, ["verify", str(out)])
+    assert verify.exit_code == 1
+    assert "FAIL volume-variant (variant minus)" in verify.output
+
+
+def test_verify_checks_right_units_are_imaginary(runner, tmp_path):
+    # 1 + J commutes with every generator but is not skew-adjoint
+    result, out = _generate(runner, tmp_path, "g05.json", "--sig", "0,5")
+    assert result.exit_code == 0
+    payload = json.loads(out.read_text())
+    ident, unit = payload["commutant_basis"][:2]
+    payload["commutant_basis"][1] = [
+        [str(Fraction(a) + Fraction(b)) for a, b in zip(row_i, row_j)]
+        for row_i, row_j in zip(ident, unit)
+    ]
+    out.write_text(json.dumps(payload))
+    verify = runner.invoke(main, ["verify", str(out)])
+    assert verify.exit_code == 1
+    assert "FAIL spin-metric (right unit 1 fails skew-adjointness)" in verify.output
+    assert "PASS commutant-basis" in verify.output
 
 
 def test_verify_malformed_file(runner, tmp_path):

@@ -1,0 +1,56 @@
+"""Byte-level gate on the gamma JSON writer.
+
+``gamma_manifest.json`` holds the SHA-256 of ``dump_gamma_json(
+module_to_payload(m))`` for every module of the criterion-10 sweep: recipe
+modules with r+s <= 10 (both variants where a minus variant exists), the
+sqrt-space modules n = 1..4 and the octonion modules k = 4..8.  Any change to
+module assembly or to the writer that alters a single byte fails here.
+
+Regenerate the manifest (only for an intended format change) with
+``PYTHONPATH=src python tests/test_gamma_manifest.py``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from spinrep.files import dump_gamma_json, module_to_payload
+from spinrep.modules import assemble_signature, octonion_module, sqrt_space_module
+
+MANIFEST = Path(__file__).with_name("gamma_manifest.json")
+
+
+def sweep_jobs():
+    """(key, builder) for every module of the criterion-10 sweep."""
+    jobs = []
+    for total in range(1, 11):
+        for r in range(total + 1):
+            s = total - r
+            variants = ("plus", "minus") if (s - r) % 4 == 3 else ("plus",)
+            for variant in variants:
+                jobs.append((f"recipe {r},{s} {variant}",
+                             lambda r=r, s=s, v=variant: assemble_signature(r, s, v)))
+    for n in range(1, 5):
+        jobs.append((f"sqrt-space 0,{n} plus", lambda n=n: sqrt_space_module(n)))
+    for k in range(4, 9):
+        jobs.append((f"octonion 0,{k} plus", lambda k=k: octonion_module(k)))
+    return jobs
+
+
+def gamma_hashes() -> dict[str, str]:
+    return {
+        key: hashlib.sha256(dump_gamma_json(module_to_payload(build())).encode()).hexdigest()
+        for key, build in sweep_jobs()
+    }
+
+
+def test_gamma_bytes_match_manifest():
+    expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    got = gamma_hashes()
+    assert sorted(got) == sorted(expected)
+    changed = [key for key in got if got[key] != expected[key]]
+    assert not changed, f"gamma JSON bytes changed for {changed}"
+
+
+if __name__ == "__main__":
+    MANIFEST.write_text(json.dumps(gamma_hashes(), indent=1) + "\n", encoding="utf-8")

@@ -10,13 +10,14 @@ import pytest
 from spinrep import algebras as alg
 from spinrep.clifford import Multivector, Signature, euclidean
 from spinrep.errors import InputError
-from spinrep.files import self_verify_module
+from spinrep.files import module_to_payload, payload_to_gamma
 from spinrep.kmatrix import joint_intertwiners, verify_clifford_condition
 from spinrep.linalg import QMat, intertwiner_space
 from spinrep.modules import (
     assemble_euclidean,
     assemble_positive,
     assemble_signature,
+    audit,
     base_module,
     base_module_pos,
     c4_action,
@@ -315,14 +316,28 @@ def test_spin_metric_negative_control():
     assert not rep.ok
 
 
-def test_self_verify_module_adds_metric_units_on_failure():
+def _file_audit(module):
+    """The audit ``verify`` runs on the module's gamma file, read back."""
+    loaded = payload_to_gamma(module_to_payload(module))
+    return audit(loaded.signature, loaded.generators, loaded.spin_metric,
+                 loaded.commutant_basis, loaded.grading, loaded.variant, loaded.volume_sign)
+
+
+def test_generate_and_verify_run_one_audit():
     good = base_module(2)
-    assert self_verify_module(good) == verify_module(good).checks
-    bad = dataclasses.replace(good, spin_metric=QMat.diag([1, 2, 1, 1]))
-    detail = "; ".join(spin_metric_verify(bad).failures)
-    assert self_verify_module(bad) == verify_module(bad).checks + [
-        ("spin-metric-units", False, detail)
+    bad_metric = dataclasses.replace(good, spin_metric=QMat.diag([1, 2, 1, 1]))
+    modules = [
+        good, bad_metric, assemble_signature(0, 3, "minus"), assemble_signature(1, 0, "minus"),
+        assemble_signature(2, 3), assemble_signature(5, 0), assemble_signature(0, 4),
+        sqrt_space_module(4), octonion_module(5), octonion_module(8),
     ]
+    for m in modules:
+        on_file = [c for c in _file_audit(m).checks if c[0] != "volume-sign-recorded"]
+        assert verify_module(m).checks == on_file, m.describe()
+    # spin_metric_verify is the metric part of the same audit
+    detail = "; ".join(spin_metric_verify(bad_metric).failures)
+    assert detail.startswith("generator e_1 fails skew-adjointness")
+    assert ("spin-metric", False, detail) in verify_module(bad_metric).checks
 
 
 # -- spinor squaring -------------------------------------------------------------

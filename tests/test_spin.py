@@ -1,5 +1,6 @@
 """Reflections, twisted adjoint, rotation lifts and quaternion path lifting."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from conftest import random_rational_rotation
 
 from spinrep.clifford import Multivector, Signature, euclidean
 from spinrep.errors import InputError
-from spinrep.modules import assemble_euclidean
+from spinrep.modules import assemble_euclidean, assemble_signature
 from spinrep.spin import (
     SpinElement,
     double_cover_check,
@@ -158,13 +159,36 @@ def test_spin_action_orthogonality_and_homomorphism():
     assert spin_action(module, g) * spin_action(module, h) == spin_action(module, g * h)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_spin_coordinate_systems(n):
     rng = random.Random(60 + n)
     module = assemble_euclidean(n)
     g = spin_lift(random_rational_rotation(n, rng))
     system = spin_coordinate_system(module, g)
     assert verify_spin_coordinate_system(module, system) == []
+
+
+@pytest.mark.parametrize("sig", [(1, 1), (2, 2), (3, 1)])
+def test_spin_coordinate_system_on_split_summand(sig):
+    # Cl(1,1) has n = 2 but a volume element squaring to +1, so its even
+    # commutant also lives on the +1 summand
+    module = assemble_signature(*sig)
+    one = SpinElement.from_multivector(Multivector.make(module.signature, {0: Fraction(1)}))
+    assert verify_spin_coordinate_system(module, spin_coordinate_system(module, one)) == []
+
+
+def test_spin_coordinate_system_even_commutant_checked_on_summand():
+    # n = 4: the even commutant lives on the +1 volume summand.  Composing
+    # with a right unit keeps an intertwining isometry but breaks commuting
+    # with the quaternionic even commutant there.
+    module = assemble_euclidean(4)
+    g = spin_lift(random_rational_rotation(4, random.Random(64)))
+    system = spin_coordinate_system(module, g)
+    bad = dataclasses.replace(system, iso=system.iso * module.right_units[0])
+    assert verify_spin_coordinate_system(module, bad) == [
+        "does not commute with even intertwiner 2",
+        "does not commute with even intertwiner 3",
+    ]
 
 
 # -- float path lifting -------------------------------------------------------

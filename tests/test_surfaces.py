@@ -8,6 +8,7 @@ import pytest
 
 from spinrep import algebras as alg
 from spinrep.errors import InputError
+from spinrep.files import trace_to_csv
 from spinrep.surfaces import (
     hypersurface4_action,
     parallel_transport_frame,
@@ -210,3 +211,15 @@ def test_non_finite_rows_are_not_ok():
         plane(), escaping, (1.0, 0.0, 0.0, 0.0), steps=10, strict=False
     )
     assert trace.ok == [t < 0.55 for t in trace.times]
+
+
+def test_csv_flags_non_finite_rows_without_trace_flags():
+    # a frame trace carries no ok flags; its CSV must still flag NaN rows 0
+    def escaping(t):
+        return (t, math.nan) if t > 0.5 else (t, 0.0)
+
+    trace = parallel_transport_frame(plane(), escaping, steps=4)
+    assert not trace.ok
+    rows = trace_to_csv(trace).splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["1", "1", "0", "0", "0"]
+    assert "nan" in rows[-1]
