@@ -91,11 +91,6 @@ def add(a: KElement, b: KElement) -> KElement:
     return KElement(a.algebra, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def sub(a: KElement, b: KElement) -> KElement:
-    _check_same(a, b)
-    return KElement(a.algebra, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-
 def neg(a: KElement) -> KElement:
     return KElement(a.algebra, tuple(-x for x in a.coeffs))
 

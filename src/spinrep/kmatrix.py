@@ -32,7 +32,6 @@ from .errors import InputError
 from .linalg import QMat, Rref, intertwiner_space, sparse_solve
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -106,10 +105,6 @@ class KMatrix:
         return QMat.from_entries(self.rows * k, self.cols * k, entries)
 
 
-def realify(m: KMatrix) -> QMat:
-    return m.realify()
-
-
 @dataclass(frozen=True)
 class GradedSpace:
     """Module over ``field`` with an optional basis-aligned Z2-grading.
@@ -135,10 +130,6 @@ class GradedSpace:
     @property
     def real_dim(self) -> int:
         return self.dim * ALGEBRA_DIM[self.field]
-
-    @property
-    def is_graded(self) -> bool:
-        return self.grading is not None
 
     def plus_count(self) -> int:
         return sum(1 for g in self.grading or () if g == 1)

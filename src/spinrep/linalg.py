@@ -97,9 +97,6 @@ class QMat:
             for j, v in r.items():
                 yield i, j, v
 
-    def to_dense(self) -> list[list[Fraction]]:
-        return [[self.get(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
-
     def trace(self) -> Fraction:
         return sum((r[i] for i, r in enumerate(self.rows) if i in r), ZERO)
 
@@ -174,9 +171,6 @@ class QMat:
         for r in self.rows:
             out.append(sum((v * vec[j] for j, v in r.items()), ZERO))
         return out
-
-    def column(self, j: int) -> list[Fraction]:
-        return [r.get(j, ZERO) for r in self.rows]
 
     def anticommutator(self, other: "QMat") -> "QMat":
         return self * other + other * self
@@ -286,13 +280,6 @@ class Rref:
                     vec[p] = -v
             basis.append(vec)
         return basis
-
-
-def sparse_nullspace(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
-    rr = Rref()
-    for row in rows:
-        rr.add_row(row)
-    return rr.nullspace(ncols)
 
 
 def sparse_solve(rows: list[dict[int, Fraction]], rhs: list, ncols: int):

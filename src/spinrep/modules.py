@@ -1,19 +1,21 @@
 """Explicit irreducible real spinor representations for every Cl(r,s).
 
-The construction bootstraps from hand-written modules in dimensions 1..4 and
-produces all higher dimensions through mixed-field tensor products:
+One recipe builds both definite signatures from a family of hand-written
+base modules in dimensions 1..4 through mixed-field tensor products
+(Atiyah-Bott-Shapiro):
 
-* Euclidean base modules: S1 = C, S2 = S3 = H (with a plus/minus pair in
+* Base modules.  Cl(0,n): S1 = C, S2 = S3 = H (with a plus/minus pair in
   dimension 3), S4 = the quaternionic multivector space H (+) H with the
   action  q -> wedge_q - contract_q  (an odd, right-H-linear operator).
+  Cl(n,0): the real, complex and quaternionic multivector models with
+  wedge-plus-contraction (a plus/minus pair in dimension 1).
 * S8 is the Z2-graded H-tensor square of S4; multiples of 8 are graded real
-  tensor powers of S8; intermediate dimensions attach one small factor, with
-  the operator tensor always taken in the graded (Koszul-signed) sense even
-  when the space tensor is ungraded.
-* Positive signatures Cl(n,0) run the mirror construction on real, complex
-  and quaternionic multivector models; split signatures Cl(i,i) act on the
-  real exterior algebra by wedge-minus-contraction; a general Cl(r,s) is the
-  split module tensored with the leftover definite factor.
+  tensor powers of S8; intermediate dimensions attach one base factor, over
+  R, C or H as its field dictates, with the operator tensor always taken in
+  the graded (Koszul-signed) sense even when the space tensor is ungraded.
+* Split signatures Cl(i,i) act on the real exterior algebra by
+  wedge-minus-contraction; a general Cl(r,s) is the split module tensored
+  with the leftover definite factor.
 
 Two alternative Euclidean families are included: the square-roots-of-space
 modules built by halving the exterior algebra through the Hodge star
@@ -45,15 +47,15 @@ from .kmatrix import (
     GradedSpace,
     KMatrix,
     commutant,
+    tensor_module,
     tensor_op_left,
     tensor_op_right,
     verify_clifford_condition,
 )
-from .linalg import QMat, sparse_nullspace, sparse_solve
+from .linalg import QMat, Rref, intertwiner_space, sparse_solve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 FAMILY_QUATERNIONIC = "quaternionic-multivector"
 FAMILY_POSITIVE = "positive-multivector"
@@ -174,7 +176,7 @@ def _module(sig, field_tag, gens, space, family, variant, metric=None, right_uni
 
 
 # ---------------------------------------------------------------------------
-# Base modules, Euclidean signature (0,n), n = 1..4
+# Base modules in dimensions 1..4
 # ---------------------------------------------------------------------------
 
 
@@ -204,51 +206,31 @@ def _left_version(m: KMatrix) -> KMatrix:
 _H_UNITS = [alg.unit("H", t) for t in range(4)]
 
 
-def _base_kmatrices(n: int, variant: str) -> tuple[str, list[KMatrix], GradedSpace]:
+def _base_kmatrices(n: int, positive: bool, variant: str) -> tuple[str, list[KMatrix], GradedSpace]:
+    """Field, generators and layout of the base module in dimension n = 1..4.
+
+    Cl(0,n): C, H, +-H and the graded quaternionic multivectors H (+) H.
+    Cl(n,0): the real, complex and quaternionic multivector models with
+    wedge-plus-contraction.  The minus variant negates the generators of the
+    one base module that has it, Cl(0,3) or Cl(1,0).
+    """
     sign = -1 if variant == "minus" else 1
+    if not positive:
+        if n == 1:
+            return "C", [KMatrix("C", 1, 1, (alg.unit("C", 1),), "right")], GradedSpace("C", 1)
+        if n in (2, 3):
+            gens = [KMatrix("H", 1, 1, (alg.scale(_H_UNITS[t], sign),), "right")
+                    for t in range(1, n + 1)]
+            return "H", gens, GradedSpace("H", 1)
+        return "H", [c4_action(u) for u in _H_UNITS], GradedSpace("H", 2, (1, -1))
+    z, o = alg.zero("R"), alg.one("R")
     if n == 1:
-        gens = [KMatrix("C", 1, 1, (alg.unit("C", 1),), "right")]
-        return "C", gens, GradedSpace("C", 1)
+        return "R", [KMatrix("R", 1, 1, (alg.scale(o, sign),))], GradedSpace("R", 1)
     if n == 2:
-        gens = [KMatrix("H", 1, 1, (_H_UNITS[t],), "right") for t in (1, 2)]
-        return "H", gens, GradedSpace("H", 1)
-    if n == 3:
-        gens = [
-            KMatrix("H", 1, 1, (alg.scale(_H_UNITS[t], sign),), "right") for t in (1, 2, 3)
-        ]
-        return "H", gens, GradedSpace("H", 1)
-    if n == 4:
-        gens = [c4_action(u) for u in _H_UNITS]
-        return "H", gens, GradedSpace("H", 2, (1, -1))
-    raise InputError(f"base module dimension must be 1..4, got {n}")
-
-
-def _check_variant(n_for_rule: int, variant: str, allowed_mod4: int) -> None:
-    if variant not in ("plus", "minus"):
-        raise InputError(f"variant must be 'plus' or 'minus', got {variant!r}")
-    if variant == "minus" and n_for_rule % 4 != allowed_mod4:
-        raise InputError(f"minus variant not available in dimension {n_for_rule}")
-
-
-@lru_cache(maxsize=None)
-def base_module(n: int, variant: str = "plus") -> SpinorModule:
-    """Euclidean base modules: C, H, +-H, and the graded H (+) H."""
-    if not 1 <= n <= 4:
-        raise InputError(f"base module dimension must be 1..4, got {n}")
-    _check_variant(n, variant, 3)
-    field_tag, kgens, space = _base_kmatrices(n, variant)
-    gens = [g.realify() for g in kgens]
-    return _module(euclidean(n), field_tag, gens, space, FAMILY_QUATERNIONIC, variant)
-
-
-def _base_kmatrices_pos(n: int, variant: str) -> tuple[str, list, GradedSpace]:
-    sign = -1 if variant == "minus" else 1
-    if n == 1:
-        return "R", [QMat.from_dense([[sign]])], GradedSpace("R", 1)
-    if n == 2:
-        wedge_plus_contract = QMat.from_dense([[0, 1], [1, 0]])
-        degree_sign = QMat.diag([1, -1])
-        return "R", [wedge_plus_contract, degree_sign], GradedSpace("R", 2)
+        # wedge plus contraction on R (+) R, and the degree sign
+        gens = [KMatrix.from_rows("R", [[z, o], [o, z]]),
+                KMatrix.from_rows("R", [[o, z], [z, alg.neg(o)]])]
+        return "R", gens, GradedSpace("R", 2)
     if n == 3:
         i1 = alg.unit("C", 1)
         z, o = alg.zero("C"), alg.one("C")
@@ -258,20 +240,7 @@ def _base_kmatrices_pos(n: int, variant: str) -> tuple[str, list, GradedSpace]:
             KMatrix.from_rows("C", [[o, z], [z, alg.neg(o)]], "right"),
         ]
         return "C", gens, GradedSpace("C", 2)
-    if n == 4:
-        return "H", [_c4_pos_action(u) for u in _H_UNITS], GradedSpace("H", 2, (1, -1))
-    raise InputError(f"base module dimension must be 1..4, got {n}")
-
-
-@lru_cache(maxsize=None)
-def base_module_pos(n: int, variant: str = "plus") -> SpinorModule:
-    """Cl(n,0) base modules on real/complex/quaternionic multivectors."""
-    if not 1 <= n <= 4:
-        raise InputError(f"base module dimension must be 1..4, got {n}")
-    _check_variant(n, variant, 1)
-    field_tag, kgens, space = _base_kmatrices_pos(n, variant)
-    gens = [g.realify() if isinstance(g, KMatrix) else g for g in kgens]
-    return _module(Signature(n, 0), field_tag, gens, space, FAMILY_POSITIVE, variant)
+    return "H", [_c4_pos_action(u) for u in _H_UNITS], GradedSpace("H", 2, (1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -310,38 +279,21 @@ def _tensor_r(left: SpinorModule, right: SpinorModule, graded_space: bool):
     return gens, GradedSpace(right.space.field, slots, grading), units
 
 
-def _tensor_k(
-    left_gens: list[QMat],
-    left_space: GradedSpace,
-    right_kgens: list[KMatrix],
-    right_slots: int,
-    right_grading,
-    result_field: str,
-    graded_space: bool,
-):
-    """Tensor over C or H: left generators act on their K-blocks, right
-    generators act through right-multiplication blocks with Koszul signs."""
-    k_mid = left_space.field
-    n_space = GradedSpace(k_mid, right_slots, right_grading)
-    gens = [tensor_op_left(g, left_space, n_space) for g in left_gens]
-    gens += [tensor_op_right(s, left_space, n_space, odd=True) for s in right_kgens]
-    k = ALGEBRA_DIM[k_mid]
-    a = left_space.dim
-    pair_grading = None
-    if graded_space:
-        if left_space.grading is None or right_grading is None:
-            raise StructureError("graded space tensor requires graded factors")
-        pair_grading = tuple(gp * gq for gp in left_space.grading for gq in right_grading)
-    if result_field == k_mid:
-        space = GradedSpace(k_mid, a * right_slots, pair_grading)
-    elif result_field == "R":
-        grading = None
-        if pair_grading is not None:
-            grading = tuple(g for g in pair_grading for _ in range(k))
-        space = GradedSpace("R", a * right_slots * k, grading)
-    else:
-        raise InputError("result field must be the tensor field or R")
-    return gens, space
+def _tensor_k(left_gens: list[QMat], left_space: GradedSpace, right_kgens: list[KMatrix],
+              right_space: GradedSpace):
+    """Tensor over K = C or H (the field of both layouts): left generators act
+    on their K-blocks, right generators (left-module maps) through
+    right-multiplication blocks with Koszul signs.
+
+    Over C the product keeps its C-blocked layout; over H it is realified,
+    graded when the right factor is.
+    """
+    gens = [tensor_op_left(g, left_space, right_space) for g in left_gens]
+    gens += [tensor_op_right(s, left_space, right_space, odd=True) for s in right_kgens]
+    if left_space.field == "C":
+        # the C factors, Cl(0,1) and Cl(3,0), carry no grading
+        return gens, GradedSpace("C", left_space.dim * right_space.dim)
+    return gens, tensor_module(left_space, right_space, "H", graded=right_space.grading is not None)
 
 
 def _restrict_h_to_c(mod: SpinorModule) -> tuple[list[QMat], GradedSpace]:
@@ -362,111 +314,64 @@ def _restrict_h_to_c(mod: SpinorModule) -> tuple[list[QMat], GradedSpace]:
 
 
 @lru_cache(maxsize=None)
-def _power8(k: int, positive: bool) -> SpinorModule:
-    """Graded tensor power S8^k for Cl(0,8k), or for Cl(8k,0) when
-    ``positive``; S8 itself is the H-tensor square of the matching S4."""
-    if k < 1:
-        raise InputError("power must be >= 1")
-    sig = Signature(8 * k, 0) if positive else euclidean(8 * k)
-    if k == 1:
-        s4 = base_module_pos(4) if positive else base_module(4)
-        action = _c4_pos_action if positive else c4_action
-        right_kgens = [_left_version(action(u)) for u in _H_UNITS]
-        gens, space = _tensor_k(
-            list(s4.generators), s4.space, right_kgens, 2, (1, -1), "R", True
-        )
-        return _module(sig, "R", gens, space, FAMILY_ASSEMBLED, "plus")
-    gens, space, _ = _tensor_r(_power8(k - 1, positive), _power8(1, positive), graded_space=True)
-    return _module(sig, "R", gens, space, FAMILY_ASSEMBLED, "plus", right_units=())
+def _definite(n: int, positive: bool, variant: str) -> SpinorModule:
+    """Irreducible module for Cl(n,0) when ``positive``, else for Cl(0,n).
 
+    Dimensions 1..4 are the base modules.  Beyond, n = 8k + r with r = 1..8:
 
-@lru_cache(maxsize=None)
-def assemble_euclidean(n: int, variant: str = "plus") -> SpinorModule:
-    """Irreducible module for Euclidean Cl(0,n), any n >= 1.
+    * k >= 1 and r = 1..4 or 8: the graded real tensor product of S_(8k)
+      with S_r, space-graded when S_r is (r = 4, 8);
+    * otherwise (r = 5..7, or n = 8): S_(8k+4) tensored with the base factor of
+      dimension m = r - 4 over that factor's field F: over R the left
+      factor's right-H action survives (K = H); over C the left factor is
+      re-blocked over C (K = C); over H the product is real (K = R).
 
-    Dimension n = 8k + r attaches the 1..4-dimensional base modules to the
-    graded power S8^k (tensor over R, space-graded only for r = 4), or for
-    r = 5..7 tensors S_(8k+4) over K_(r-4) with the left-module version of
-    the small base module.  The minus variant (n = 3 mod 4) swaps the sign
-    of the single base factor that carries the choice.
+    S_r and the base factor have the residue of n mod 4, so they carry the
+    minus variant exactly when the whole module does (s - r = 3 mod 4).
     """
     if n < 1:
         raise InputError("dimension must be >= 1")
-    _check_variant(n, variant, 3)
+    if variant not in ("plus", "minus"):
+        raise InputError(f"variant must be 'plus' or 'minus', got {variant!r}")
+    sig = Signature(n, 0) if positive else euclidean(n)
+    if variant == "minus" and (sig.s - sig.r) % 4 != 3:
+        raise InputError(f"minus variant not available in dimension {n}")
     if n <= 4:
-        return base_module(n, variant)
+        field_tag, kgens, space = _base_kmatrices(n, positive, variant)
+        family = FAMILY_POSITIVE if positive else FAMILY_QUATERNIONIC
+        return _module(sig, field_tag, [g.realify() for g in kgens], space, family, variant)
     k, r = divmod(n - 1, 8)
     r += 1
-    if r == 8:
-        return _power8(k + 1, False)
-    if r <= 4:
-        left = _power8(k, False)
-        right = base_module(r, variant if r == 3 else "plus")
-        gens, space, units = _tensor_r(left, right, graded_space=(r == 4))
-        return _module(euclidean(n), right.field, gens, space, FAMILY_ASSEMBLED, variant,
-                       right_units=units)
-    # r in 5..7
-    small = r - 4
-    left = assemble_euclidean(8 * k + 4)
-    _, small_kgens, small_space = _base_kmatrices(small, variant if small == 3 else "plus")
-    right_kgens = [_left_version(g) for g in small_kgens]
-    if small == 1:
-        left_gens, left_space = _restrict_h_to_c(left)
-        gens, space = _tensor_k(
-            left_gens, left_space, right_kgens, small_space.dim, None, "C", False
-        )
-        field_tag = "C"
-    else:
-        gens, space = _tensor_k(
-            list(left.generators), left.space, right_kgens, small_space.dim, None, "R", False
-        )
-        field_tag = "R"
-    return _module(euclidean(n), field_tag, gens, space, FAMILY_ASSEMBLED, variant)
-
-
-@lru_cache(maxsize=None)
-def assemble_positive(n: int, variant: str = "plus") -> SpinorModule:
-    """Irreducible module for Cl(n,0); mirror of the Euclidean assembly.
-
-    The small factors in dimensions 5..7 are the Cl(1,0), Cl(2,0) and
-    Cl(3,0) models tensored over R, R and C respectively; the minus variant
-    (n = 1 mod 4) swaps the sign of the Cl(1,0) factor.
-    """
-    if n < 1:
-        raise InputError("dimension must be >= 1")
-    _check_variant(n, variant, 1)
-    if n <= 4:
-        return base_module_pos(n, variant)
-    k, r = divmod(n - 1, 8)
-    r += 1
-    if r == 8:
-        return _power8(k + 1, True)
-    sig = Signature(n, 0)
-    if r <= 4:
-        left = _power8(k, True)
-        right = base_module_pos(r, variant if r == 1 else "plus")
-        gens, space, units = _tensor_r(left, right, graded_space=(r == 4))
-        return _module(sig, right.field, gens, space, FAMILY_ASSEMBLED, variant,
-                       right_units=units)
-    small = r - 4
-    left = assemble_positive(8 * k + 4)
-    if small in (1, 2):
-        # tensor over R: the left factor's right-H action survives as the
-        # intertwiner algebra of the product
-        right = base_module_pos(small, variant if small == 1 else "plus")
+    if k and r not in (5, 6, 7):
+        right = _definite(r, positive, variant)
+        gens, space, units = _tensor_r(_definite(8 * k, positive, "plus"), right,
+                                       graded_space=right.space.grading is not None)
+        return _module(sig, right.field, gens, space, FAMILY_ASSEMBLED, variant, right_units=units)
+    left = _definite(8 * k + 4, positive, "plus")
+    small_field, small_kgens, small_space = _base_kmatrices(r - 4, positive, variant)
+    if small_field == "R":
+        right = _definite(r - 4, positive, variant)
         gens, space, _ = _tensor_r(left, right, graded_space=False)
         m_space, n_space = _r_spaces(left, right)
         units = [tensor_op_left(u, m_space, n_space) for u in left.right_units]
-        return _module(sig, "H", gens, space, FAMILY_ASSEMBLED, variant,
-                       right_units=units)
-    # small == 3: tensor over C with the left-module Pauli generators
-    _, small_kgens, small_space = _base_kmatrices_pos(3, "plus")
+        return _module(sig, "H", gens, space, FAMILY_ASSEMBLED, variant, right_units=units)
+    if small_field == "C":
+        left_gens, left_space = _restrict_h_to_c(left)
+    else:
+        left_gens, left_space = list(left.generators), left.space
     right_kgens = [_left_version(g) for g in small_kgens]
-    left_gens, left_space = _restrict_h_to_c(left)
-    gens, space = _tensor_k(
-        left_gens, left_space, right_kgens, small_space.dim, None, "C", False
-    )
-    return _module(sig, "C", gens, space, FAMILY_ASSEMBLED, variant)
+    gens, space = _tensor_k(left_gens, left_space, right_kgens, small_space)
+    return _module(sig, space.field, gens, space, FAMILY_ASSEMBLED, variant)
+
+
+def assemble_euclidean(n: int, variant: str = "plus") -> SpinorModule:
+    """Irreducible module for Euclidean Cl(0,n), any n >= 1."""
+    return _definite(n, False, variant)
+
+
+def assemble_positive(n: int, variant: str = "plus") -> SpinorModule:
+    """Irreducible module for Cl(n,0), any n >= 1."""
+    return _definite(n, True, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -544,20 +449,15 @@ def assemble_signature(r: int, s: int, variant: str = "plus") -> SpinorModule:
     exactly when s - r = 3 mod 4 and is carried by the leftover factor.
     """
     sig = Signature(r, s)
-    if r == 0:
-        return assemble_euclidean(s, variant)
-    if s == 0:
-        return assemble_positive(r, variant)
+    if r == 0 or s == 0:
+        return _definite(r + s, s == 0, variant)
     if variant == "minus" and (s - r) % 4 != 3:
         raise InputError(f"minus variant not available for signature ({r},{s})")
     i = min(r, s)
     split = split_signature_module(i)
     if r == s:
         return split
-    if r > s:
-        leftover = assemble_positive(r - s, variant)
-    else:
-        leftover = assemble_euclidean(s - r, variant)
+    leftover = _definite(abs(r - s), r > s, variant)
     gens, space, units = _tensor_r(split, leftover, graded_space=False)
     plus_split, minus_split = gens[:i], gens[i : 2 * i]
     rest = gens[2 * i :]
@@ -655,40 +555,22 @@ def _sqrt_gens(n: int) -> list[QMat]:
 
 def _solve_invariant_metric(gens, sig: Signature, right_units) -> QMat:
     """Unique-up-to-scale symmetric form making generators skew (e^2 = -1) or
-    self-adjoint (e^2 = +1) and right units skew; normalized to 1 at (0,0)."""
+    self-adjoint (e^2 = +1) and right units skew; normalized to 1 at (0,0).
+
+    Each condition G^T X = -form * X G is an intertwining relation
+    X G = (-form * G^T) X."""
     d = gens[0].nrows
-
-    def var(i, j):
-        return i * d + j
-
-    rows = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            rows.append({var(i, j): ONE, var(j, i): -ONE})
-    constraints = [(g, -sig.form(idx)) for idx, g in enumerate(gens)]
-    constraints += [(u, -1) for u in right_units]
-    for g, expect in constraints:
-        gt = g.transpose()
-        # G^T X - expect * X G = 0
-        for i in range(d):
-            for j in range(d):
-                row: dict[int, Fraction] = {}
-                for k, v in gt.rows[i].items():
-                    row[var(k, j)] = row.get(var(k, j), ZERO) + v
-                for k, v in gt.rows[j].items():
-                    key = var(i, k)
-                    row[key] = row.get(key, ZERO) - expect * v
-                if row:
-                    rows.append(row)
-    basis = sparse_nullspace(rows, d * d)
+    pairs = [(g, g.transpose().scale(-sig.form(idx))) for idx, g in enumerate(gens)]
+    pairs += [(u, u.transpose().scale(-1)) for u in right_units]
+    basis = intertwiner_space(pairs, d, d)
     if len(basis) != 1:
         raise StructureError(f"invariant metric space has dimension {len(basis)}")
-    vec = basis[0]
-    scale = vec.get(0, ZERO)
+    scale = basis[0].get(0, 0)
     if not scale:
         raise StructureError("invariant metric is degenerate at the first basis vector")
-    entries = {divmod(k, d): v / scale for k, v in vec.items()}
-    metric = QMat.from_entries(d, d, entries)
+    metric = basis[0].scale(1 / scale)
+    if metric.transpose() != metric:
+        raise StructureError("invariant metric is not symmetric")
     for i in range(d):
         if metric.get(i, i) <= 0:
             raise StructureError("invariant metric is not positive on the basis")
@@ -698,8 +580,6 @@ def _solve_invariant_metric(gens, sig: Signature, right_units) -> QMat:
 def _transported_right_units(target: SpinorModule, source: SpinorModule) -> tuple[QMat, ...]:
     """Push the right K-action of ``source`` through an explicit intertwiner
     onto ``target`` (both modules over the same signature and K)."""
-    from .linalg import intertwiner_space
-
     pairs = list(zip(source.generators, target.generators))
     basis = intertwiner_space(pairs, source.real_dim, target.real_dim)
     if not basis:
@@ -710,20 +590,15 @@ def _transported_right_units(target: SpinorModule, source: SpinorModule) -> tupl
 
 
 def _invert(m: QMat) -> QMat:
+    """Inverse by one reduction of [M | I] to [I | M^-1]; M is singular
+    exactly when a pivot lands in the right half."""
     d = m.nrows
-    cols = []
-    rows = [dict(r) for r in m.rows]
-    for t in range(d):
-        rhs = [ONE if i == t else ZERO for i in range(d)]
-        sol, unique = sparse_solve(rows, rhs, d)
-        if sol is None or not unique:
-            raise StructureError("matrix is not invertible")
-        cols.append(sol)
-    entries = {}
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            entries[(i, j)] = v
-    return QMat.from_entries(d, d, entries)
+    rr = Rref()
+    for i, row in enumerate(m.rows):
+        rr.add_row({**row, d + i: ONE})
+    if any(p >= d for p in rr.pivots):
+        raise StructureError("matrix is not invertible")
+    return QMat(d, d, [{j - d: v for j, v in rr.pivots[i].items() if j >= d} for i in range(d)])
 
 
 @lru_cache(maxsize=None)
@@ -744,7 +619,7 @@ def sqrt_space_module(n: int) -> SpinorModule:
     if n == 3:
         vol = gens[0] * gens[1] * gens[2]
         variant = "plus" if vol == QMat.identity(dim).scale(-1) else "minus"
-    reference = base_module(n, variant if n == 3 else "plus")
+    reference = assemble_euclidean(n, variant)
     stub = _module(sig, field_tag, gens, space, FAMILY_SQRT, variant, right_units=())
     units = _transported_right_units(stub, reference)
     if n <= 3:

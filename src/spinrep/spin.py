@@ -60,10 +60,6 @@ class SpinElement:
     def __mul__(self, other: "SpinElement") -> "SpinElement":
         return SpinElement(self.value * other.value, self.norm2 * other.norm2)
 
-    def inverse_value(self) -> Multivector:
-        """Exact inverse of the underlying versor."""
-        return self.value.reversion().scale(ONE / self.norm2)
-
     def is_unit(self) -> bool:
         return self.norm2 == 1
 

@@ -18,7 +18,7 @@ from typing import Callable
 from .errors import InputError, IntegrationError
 from .spin import lift_residual, quat_mul, quaternion_lift_path
 
-FD_STEP = 1e-6  # central-difference step for missing derivatives
+FD_STEP = 1e-6  # central-difference step for a curve given without its velocity
 
 Vec3 = tuple[float, float, float]
 
@@ -60,48 +60,19 @@ def _normalize(a):
 
 @dataclass
 class ParametricSurface:
-    """Chart (u,v) -> R^3 with optional analytic derivatives.
-
-    Missing first or second partials are filled by central differences with
-    step 1e-6.  ``partials`` returns (X_u, X_v); ``second_partials`` returns
-    (X_uu, X_uv, X_vv).
-    """
+    """Chart (u,v) -> R^3 with its analytic derivatives: ``partials``
+    returns (X_u, X_v) and ``second_partials`` returns (X_uu, X_uv, X_vv)."""
 
     chart: Callable[[float, float], Vec3]
-    partials: Callable[[float, float], tuple[Vec3, Vec3]] | None = None
-    second_partials: Callable[[float, float], tuple[Vec3, Vec3, Vec3]] | None = None
+    partials: Callable[[float, float], tuple[Vec3, Vec3]]
+    second_partials: Callable[[float, float], tuple[Vec3, Vec3, Vec3]]
     name: str = "surface"
 
     def point(self, u: float, v: float) -> Vec3:
         return tuple(map(float, self.chart(u, v)))
 
-    def first_partials(self, u: float, v: float) -> tuple[Vec3, Vec3]:
-        if self.partials is not None:
-            xu, xv = self.partials(u, v)
-            return tuple(map(float, xu)), tuple(map(float, xv))
-        h = FD_STEP
-        xu = _scale(_sub(self.point(u + h, v), self.point(u - h, v)), 0.5 / h)
-        xv = _scale(_sub(self.point(u, v + h), self.point(u, v - h)), 0.5 / h)
-        return xu, xv
-
-    def second_partials_at(self, u: float, v: float) -> tuple[Vec3, Vec3, Vec3]:
-        if self.second_partials is not None:
-            xuu, xuv, xvv = self.second_partials(u, v)
-            return tuple(map(float, xuu)), tuple(map(float, xuv)), tuple(map(float, xvv))
-        h = FD_STEP
-        xu_p, _ = self.first_partials(u + h, v)
-        xu_m, _ = self.first_partials(u - h, v)
-        _, xv_p = self.first_partials(u, v + h)
-        _, xv_m = self.first_partials(u, v - h)
-        _, xv_up = self.first_partials(u + h, v)
-        _, xv_um = self.first_partials(u - h, v)
-        xuu = _scale(_sub(xu_p, xu_m), 0.5 / h)
-        xvv = _scale(_sub(xv_p, xv_m), 0.5 / h)
-        xuv = _scale(_sub(xv_up, xv_um), 0.5 / h)
-        return xuu, xuv, xvv
-
     def normal(self, u: float, v: float) -> Vec3:
-        xu, xv = self.first_partials(u, v)
+        xu, xv = self.partials(u, v)
         n = _cross(xu, xv)
         if _norm(n) < 1e-14:
             raise InputError(f"chart is not an immersion at (u,v)=({u},{v})")
@@ -149,7 +120,7 @@ BUILTIN_SURFACES = {"unit-sphere": unit_sphere, "plane": plane}
 def surface_frame(surface: ParametricSurface, u: float, v: float) -> tuple[Vec3, Vec3, Vec3]:
     """Oriented orthonormal frame: e1 along X_u, e2 the Gram-Schmidt
     complement of X_v, normal e1 x e2."""
-    xu, xv = surface.first_partials(u, v)
+    xu, xv = surface.partials(u, v)
     if _norm(xu) < 1e-14:
         raise InputError(f"degenerate X_u at (u,v)=({u},{v})")
     e1 = _normalize(xu)
@@ -196,8 +167,7 @@ def _normal_and_velocity(surface, curve, velocity, t):
     """Unit normal n and dn/dt at curve(t), by the chain rule.
 
     ``velocity(t)`` gives (du/dt, dv/dt); without it the curve is
-    differenced centrally with step FD_STEP.  Second partials are exact
-    when the surface provides them, otherwise finite differences."""
+    differenced centrally with step FD_STEP."""
     u, v = curve(t)
     if velocity is None:
         h = FD_STEP
@@ -207,8 +177,8 @@ def _normal_and_velocity(surface, curve, velocity, t):
         dv = (v_p - v_m) / (2 * h)
     else:
         du, dv = velocity(t)
-    xu, xv = surface.first_partials(u, v)
-    xuu, xuv, xvv = surface.second_partials_at(u, v)
+    xu, xv = surface.partials(u, v)
+    xuu, xuv, xvv = surface.second_partials(u, v)
     n_raw = _cross(xu, xv)
     n_len = _norm(n_raw)
     if n_len < 1e-14:

@@ -6,7 +6,12 @@ modules with r+s <= 10 (both variants where a minus variant exists), the
 sqrt-space modules n = 1..4 and the octonion modules k = 4..8.  Any change to
 module assembly or to the writer that alters a single byte fails here.
 
-Regenerate the manifest (only for an intended format change) with
+``definite_manifest.json`` reaches past that sweep for the definite
+signatures: the SHA-256 of the module data (signature, family, field,
+variant, layout, generators, spin metric and right units) of every Cl(0,n)
+and Cl(n,0) module with n <= 16, both variants where a minus variant exists.
+
+Regenerate both manifests (only for an intended change) with
 ``PYTHONPATH=src python tests/test_gamma_manifest.py``.
 """
 
@@ -18,6 +23,7 @@ from spinrep.files import dump_gamma_json, module_to_payload
 from spinrep.modules import assemble_signature, octonion_module, sqrt_space_module
 
 MANIFEST = Path(__file__).with_name("gamma_manifest.json")
+DEFINITE_MANIFEST = Path(__file__).with_name("definite_manifest.json")
 
 
 def sweep_jobs():
@@ -44,6 +50,34 @@ def gamma_hashes() -> dict[str, str]:
     }
 
 
+def module_digest(module) -> str:
+    def rows(m):
+        return [sorted((j, str(v)) for j, v in row.items()) for row in m.rows]
+
+    data = [str(module.signature), module.family, module.field, module.variant,
+            module.space.field, module.space.dim, module.space.grading,
+            [rows(g) for g in module.generators], rows(module.spin_metric),
+            [rows(u) for u in module.right_units]]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+def definite_digests() -> dict[str, str]:
+    digests = {}
+    for n in range(1, 17):
+        for r, s in ((0, n), (n, 0)):
+            for variant in ("plus", "minus") if (s - r) % 4 == 3 else ("plus",):
+                digests[f"{r},{s} {variant}"] = module_digest(assemble_signature(r, s, variant))
+    return digests
+
+
+def test_definite_modules_match_manifest():
+    expected = json.loads(DEFINITE_MANIFEST.read_text(encoding="utf-8"))
+    got = definite_digests()
+    assert sorted(got) == sorted(expected)
+    changed = [key for key in got if got[key] != expected[key]]
+    assert not changed, f"definite module data changed for {changed}"
+
+
 def test_gamma_bytes_match_manifest():
     expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
     got = gamma_hashes()
@@ -54,3 +88,4 @@ def test_gamma_bytes_match_manifest():
 
 if __name__ == "__main__":
     MANIFEST.write_text(json.dumps(gamma_hashes(), indent=1) + "\n", encoding="utf-8")
+    DEFINITE_MANIFEST.write_text(json.dumps(definite_digests(), indent=1) + "\n", encoding="utf-8")

@@ -19,7 +19,7 @@ from spinrep.kmatrix import (
     verify_clifford_condition,
 )
 from spinrep.linalg import QMat
-from spinrep.modules import base_module, c4_action
+from spinrep.modules import assemble_euclidean, c4_action
 
 
 def test_realify_left_multiplication_by_i():
@@ -96,7 +96,7 @@ def test_koszul_sign_on_odd_block():
 def test_graded_tensor_clifford_condition_on_s4_square():
     """(c4R(u) (x) 1 + 1 (x) c4L(v))^2 = -(|u|^2 + |v|^2) I, the dimension-8
     Clifford condition, via the one-slot tensor builders."""
-    s4 = base_module(4)
+    s4 = assemble_euclidean(4)
     m_space = s4.space
     n_space = GradedSpace("H", 2, (1, -1))
     rng = random.Random(4)
@@ -172,7 +172,7 @@ def test_commutant_basis_independent_and_commuting():
 
 
 def test_verify_clifford_condition_examples():
-    m2 = base_module(2)
+    m2 = assemble_euclidean(2)
     rep = verify_clifford_condition(list(m2.generators), euclidean(2))
     assert rep.ok
 
@@ -181,8 +181,8 @@ def test_verify_clifford_condition_examples():
     assert not rep_bad.ok
     assert (1, 2) in rep_bad.violations
 
-    from spinrep.modules import base_module_pos
+    from spinrep.modules import assemble_positive
 
-    m40 = base_module_pos(4)
+    m40 = assemble_positive(4)
     rep_pos = verify_clifford_condition(list(m40.generators), Signature(4, 0))
     assert rep_pos.ok

@@ -9,17 +9,16 @@ import pytest
 
 from spinrep import algebras as alg
 from spinrep.clifford import Multivector, Signature, euclidean
-from spinrep.errors import InputError
+from spinrep.errors import InputError, StructureError
 from spinrep.files import module_to_payload, payload_to_gamma
 from spinrep.kmatrix import joint_intertwiners, verify_clifford_condition
 from spinrep.linalg import QMat, intertwiner_space
 from spinrep.modules import (
+    _invert,
     assemble_euclidean,
     assemble_positive,
     assemble_signature,
     audit,
-    base_module,
-    base_module_pos,
     c4_action,
     expected_irreducible_dim,
     grading_from_volume,
@@ -45,20 +44,20 @@ def _neg_identity(d):
 
 
 def test_base_module_dimensions():
-    assert [base_module(n).real_dim for n in (1, 2, 3, 4)] == [2, 4, 4, 8]
+    assert [assemble_euclidean(n).real_dim for n in (1, 2, 3, 4)] == [2, 4, 4, 8]
 
 
 def test_base_module_volume_variants():
-    plus = base_module(3)
-    minus = base_module(3, "minus")
+    plus = assemble_euclidean(3)
+    minus = assemble_euclidean(3, "minus")
     assert plus.volume_operator() == _neg_identity(4)
     assert minus.volume_operator() == QMat.identity(4)
     with pytest.raises(InputError):
-        base_module(2, "minus")
+        assemble_euclidean(2, "minus")
 
 
 def test_base_module_1_squares_to_minus_one():
-    m = base_module(1)
+    m = assemble_euclidean(1)
     g = m.generators[0]
     assert g * g == _neg_identity(2)
 
@@ -85,14 +84,14 @@ def test_c4_action_examples():
 
 
 def test_base_module_pos_examples():
-    m1 = base_module_pos(1)
+    m1 = assemble_positive(1)
     assert m1.generators[0] == QMat.from_dense([[1]])
-    m1m = base_module_pos(1, "minus")
+    m1m = assemble_positive(1, "minus")
     assert m1m.generators[0] == QMat.from_dense([[-1]])
-    m2 = base_module_pos(2)
+    m2 = assemble_positive(2)
     eps = m2.generators[1]
     assert eps == QMat.diag([1, -1])
-    m4 = base_module_pos(4)
+    m4 = assemble_positive(4)
     rng = random.Random(2)
     for _ in range(4):
         coords = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
@@ -102,7 +101,7 @@ def test_base_module_pos_examples():
         norm = sum(c * c for c in coords)
         assert op * op == QMat.identity(8).scale(norm)
     with pytest.raises(InputError):
-        base_module_pos(3, "minus")
+        assemble_positive(3, "minus")
 
 
 # -- assembly ------------------------------------------------------------------
@@ -198,9 +197,9 @@ def test_grading_oddness_and_volume():
 
 
 def test_grading_from_volume_s4():
-    g = grading_from_volume(base_module(4))
+    g = grading_from_volume(assemble_euclidean(4))
     assert g.plus_count() == 4 and g.minus_count() == 4
-    m = base_module(4)
+    m = assemble_euclidean(4)
     vol = m.volume_operator()
     assert vol == QMat.diag(g.grading)
 
@@ -250,7 +249,7 @@ def test_sqrt_space_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sqrt_space_structure(n):
     m = sqrt_space_module(n)
-    base = base_module(n, m.variant if n == 3 else "plus")
+    base = assemble_euclidean(n, m.variant if n == 3 else "plus")
     assert m.real_dim == base.real_dim
     assert verify_clifford_condition(list(m.generators), m.signature).ok
     assert spin_metric_verify(m).ok
@@ -266,6 +265,14 @@ def test_sqrt_space_structure(n):
 def test_sqrt_space_range():
     with pytest.raises(InputError):
         sqrt_space_module(5)
+
+
+def test_invert_reduces_once_and_rejects_singular():
+    m = QMat.from_dense([[0, 2, 1], [1, 0, 0], [3, 1, Fraction(3, 2)]])
+    inv = _invert(m)
+    assert m * inv == QMat.identity(3) and inv * m == QMat.identity(3)
+    with pytest.raises(StructureError, match="not invertible"):
+        _invert(QMat.from_dense([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
 
 
 def test_octonion_examples():
@@ -305,12 +312,13 @@ def test_octonion_structure(k):
 
 
 def test_spin_metric_passes_on_families():
-    for mod in (base_module(2), base_module(4), assemble_euclidean(6), octonion_module(8)):
+    for mod in (assemble_euclidean(2), assemble_euclidean(4), assemble_euclidean(6),
+                octonion_module(8)):
         assert spin_metric_verify(mod).ok
 
 
 def test_spin_metric_negative_control():
-    m = base_module(2)
+    m = assemble_euclidean(2)
     bad = QMat.diag([1, 2, 1, 1])
     rep = spin_metric_verify(m, metric=bad)
     assert not rep.ok
@@ -324,7 +332,7 @@ def _file_audit(module):
 
 
 def test_generate_and_verify_run_one_audit():
-    good = base_module(2)
+    good = assemble_euclidean(2)
     bad_metric = dataclasses.replace(good, spin_metric=QMat.diag([1, 2, 1, 1]))
     modules = [
         good, bad_metric, assemble_signature(0, 3, "minus"), assemble_signature(1, 0, "minus"),
