@@ -3,7 +3,7 @@ Spin lifts of rotations, and spin parallel transport on surfaces.
 
 The algebraic layer (division algebras, blade arithmetic, module assembly,
 commutants, Spin lifts) is exact over the rationals; the geometric layer
-(frame transport, quaternion path lifting) is floating point.  See the CLI
+(spin parallel transport of unit quaternion frames) is floating point.  See the CLI
 entry point ``spinrep`` for the file-producing commands.
 """
 
@@ -50,7 +50,6 @@ from .spin import (
     SpinCoordinateSystem,
     SpinElement,
     double_cover_check,
-    quaternion_lift_path,
     reflection,
     spin_action,
     spin_coordinate_system,
@@ -62,7 +61,6 @@ from .surfaces import (
     ParametricSurface,
     TransportTrace,
     hypersurface4_action,
-    parallel_transport_frame,
     spin_parallel_transport,
     surface_frame,
     unit_sphere,
@@ -107,9 +105,7 @@ __all__ = [
     "mul",
     "norm_sq",
     "octonion_module",
-    "parallel_transport_frame",
     "psi_embed",
-    "quaternion_lift_path",
     "reflection",
     "spin_action",
     "spin_coordinate_system",

@@ -235,7 +235,7 @@ def transport(surface_spec, curve_spec, q0_text, steps, sign, t0, t1, out_path) 
     try:
         trace = spin_parallel_transport(
             surface, curve, q0, initial_sign=initial_sign, steps=steps,
-            t0=t0, t1=t1, strict=False, velocity=velocity,
+            t0=t0, t1=t1, velocity=velocity,
         )
     except IntegrationError as exc:
         _fail(EXIT_NUMERIC, f"integration failed at t={exc.t}: {exc}")

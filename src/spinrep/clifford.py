@@ -197,12 +197,6 @@ class Multivector:
     def scalar_part(self) -> Fraction:
         return self.terms.get(0, ZERO)
 
-    def grade_part(self, k: int) -> "Multivector":
-        return Multivector(self.signature, {m: c for m, c in self.terms.items() if _grade(m) == k})
-
-    def grades(self) -> set[int]:
-        return {_grade(m) for m in self.terms}
-
     def vector_coords(self) -> list[Fraction]:
         if any(_grade(m) != 1 for m in self.terms):
             raise StructureError("multivector is not homogeneous of grade 1")

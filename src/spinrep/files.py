@@ -151,9 +151,9 @@ def trace_to_csv(trace: TransportTrace) -> str:
         cells += list(trace.e1[idx])
         cells += list(trace.e2[idx])
         cells += list(trace.normals[idx])
-        cells += list(trace.lifts[idx]) if trace.lifts else [0.0] * 4
-        cells += list(trace.spinors[idx]) if trace.spinors else [0.0] * 4
+        cells += list(trace.lifts[idx])
+        cells += list(trace.spinors[idx])
         row = ",".join(_fmt_float(c) for c in cells)
-        ok = (trace.ok[idx] if trace.ok else True) and all(map(math.isfinite, cells))
+        ok = trace.ok[idx] and all(map(math.isfinite, cells))
         lines.append(f"{row},{1 if ok else 0}")
     return "\n".join(lines) + "\n"

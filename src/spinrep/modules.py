@@ -119,28 +119,6 @@ class SpinorModule:
     def volume_operator(self) -> QMat:
         return self.blade_operator((1 << self.signature.n) - 1)
 
-    def k_metric(self, x: list[Fraction], y: list[Fraction]) -> KElement:
-        """K-valued metric  sum_a unit_a * g_S(x . unit_a, y)  refining the
-        real spin metric; reduces to conj(x) * y on the quaternion models."""
-        images = [x] + [u.apply(x) for u in self.right_units]
-        coords = []
-        for img in images:
-            mx = self.spin_metric.apply(img)
-            coords.append(sum((a * b for a, b in zip(mx, y)), ZERO))
-        return KElement(self.field, tuple(coords))
-
-    def right_scalar(self, x: list[Fraction], c: KElement) -> list[Fraction]:
-        """Right action of a K-scalar on a realified module vector."""
-        if c.algebra != self.field:
-            raise InputError("scalar algebra does not match module field")
-        out = [co * c.coeffs[0] for co in x]
-        for t, u in enumerate(self.right_units):
-            coef = c.coeffs[t + 1]
-            if coef:
-                ux = u.apply(x)
-                out = [a + coef * b for a, b in zip(out, ux)]
-        return out
-
     def describe(self) -> str:
         return (
             f"{self.signature} module, family={self.family}, variant={self.variant}, "

@@ -1,6 +1,6 @@
 """Spin groups as even multivectors: reflections, the twisted adjoint,
-constructive lifts of rotation matrices, and continuous path lifting from
-SO(3) to the unit quaternions.
+constructive lifts of rotation matrices, and the floating-point unit
+quaternion helpers that surface transport uses.
 
 Exactness note.  A rational rotation matrix rarely lifts to a *unit* even
 multivector with rational coefficients (half-angle cosines are irrational),
@@ -285,22 +285,8 @@ def verify_spin_coordinate_system(
 
 
 # ---------------------------------------------------------------------------
-# Floating-point path lifting SO(3) -> S^3
+# Floating-point unit quaternions (the spin frames of surface transport)
 # ---------------------------------------------------------------------------
-
-ORTHO_TOL = 1e-9
-LIFT_DOT_MIN = math.sqrt(0.5)  # neighbor rotation angle below pi/2
-
-
-def _frobenius_orthogonality_defect(r) -> float:
-    total = 0.0
-    for i in range(3):
-        for j in range(3):
-            dot = sum(r[k][i] * r[k][j] for k in range(3))
-            target = 1.0 if i == j else 0.0
-            total += (dot - target) ** 2
-    return math.sqrt(total)
-
 
 def rotation_to_quaternion(r) -> tuple[float, float, float, float]:
     """Unit quaternion (w, x, y, z) with q v conj(q) = R v, max-diagonal
@@ -356,59 +342,3 @@ def quat_rotate(q, v):
     p = (0.0, v[0], v[1], v[2])
     w = quat_mul(quat_mul(q, p), quat_conj(q))
     return (w[1], w[2], w[3])
-
-
-def lift_residual(q, r) -> float:
-    """Max deviation of q v conj(q) from R v over the three axis vectors."""
-    worst = 0.0
-    for axis in range(3):
-        v = [1.0 if i == axis else 0.0 for i in range(3)]
-        got = quat_rotate(q, v)
-        want = [r[i][axis] for i in range(3)]
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
-    return worst
-
-
-def quaternion_lift_path(
-    rotations, initial_sign: int = 1, strict: bool = True
-):
-    """Continuous lift of a sampled SO(3) path to unit quaternions.
-
-    Consecutive samples must be close (neighbor quaternion dot above
-    sqrt(1/2), i.e. rotation angle below pi/2) for the lift to be
-    unambiguous; with ``strict`` a violation raises, otherwise the lift
-    continues with the nonnegative-dot choice and the caller is expected to
-    flag the output.  The first sample's sign is ``initial_sign`` times the
-    conversion branch.
-    """
-    if initial_sign not in (1, -1):
-        raise InputError("initial_sign must be +1 or -1")
-    lifted = []
-    prev = None
-    ambiguous = []
-    for idx, r in enumerate(rotations):
-        defect = _frobenius_orthogonality_defect(r)
-        if defect > ORTHO_TOL:
-            raise InputError(
-                f"sample {idx} is not orthogonal within {ORTHO_TOL:g} (defect {defect:g})"
-            )
-        q = rotation_to_quaternion(r)
-        if prev is None:
-            if initial_sign < 0:
-                q = tuple(-c for c in q)
-        else:
-            dot = sum(a * b for a, b in zip(prev, q))
-            if abs(dot) < LIFT_DOT_MIN:
-                if strict:
-                    raise InputError(
-                        f"samples {idx - 1} and {idx} are too far apart for an "
-                        "unambiguous lift"
-                    )
-                ambiguous.append(idx)
-            if dot < 0:
-                q = tuple(-c for c in q)
-        lifted.append(q)
-        prev = q
-    if strict:
-        return lifted
-    return lifted, ambiguous

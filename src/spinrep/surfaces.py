@@ -1,12 +1,13 @@
-"""Parametric surfaces in R^3 with the quaternionic spinor model: frame
-parallel transport along curves and its lift to spin parallel transport.
+"""Parametric surfaces in R^3 with the quaternionic spinor model: spin
+parallel transport along curves.
 
-The pipeline follows the moving-frame construction: integrate the parallel
-frame ODE  dV/dt = -(V . dn/dt) n  with fixed-step RK4 (re-orthonormalizing
-each step), collect the rotations R(t) [i j k] = [e1(t) e2(t) n(t)], lift the
-rotation path continuously to unit quaternions, and move the initial spinor
-by left multiplication.  Everything here is floating point; the exact
-algebraic layer is not involved.
+The spin frame g(t) is one unit quaternion whose rotation carries [i j k]
+to [e1(t) e2(t) n(t)].  Transport integrates its ODE  dg/dt = 1/2 (n x dn/dt) g
+with fixed-step RK4 (normalizing g once per step), reads the parallel frame
+off g as e1 = g i conj(g), e2 = g j conj(g), and moves the initial spinor by
+left multiplication.  The sign of g is carried continuously, so no path
+lifting is needed.  Everything here is floating point; the exact algebraic
+layer is not involved.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InputError, IntegrationError
-from .spin import lift_residual, quat_mul, quaternion_lift_path
+from .spin import quat_mul, quat_rotate, rotation_to_quaternion
 
 FD_STEP = 1e-6  # central-difference step for a curve given without its velocity
 
@@ -136,10 +137,10 @@ def surface_frame(surface: ParametricSurface, u: float, v: float) -> tuple[Vec3,
 class TransportTrace:
     """Sampled transport data along a curve.
 
-    ``rotations`` hold R(t) with columns (e1, e2, normal); ``lifts`` the
-    continuous unit-quaternion lift; ``spinors`` the transported spinor
-    values; ``ok`` per-sample tolerance flags (frame orthonormality and lift
-    residual within bounds).
+    ``lifts`` hold the spin frame g(t), a unit quaternion with
+    g i conj(g) = e1, g j conj(g) = e2 and g k conj(g) = normal; ``spinors``
+    the transported spinor values; ``ok`` per-sample flags (every value
+    finite and g k conj(g) within FRAME_TOL of the exact surface normal).
     """
 
     times: list[float] = field(default_factory=list)
@@ -147,7 +148,6 @@ class TransportTrace:
     e1: list[Vec3] = field(default_factory=list)
     e2: list[Vec3] = field(default_factory=list)
     normals: list[Vec3] = field(default_factory=list)
-    rotations: list[list[list[float]]] = field(default_factory=list)
     lifts: list[tuple[float, float, float, float]] = field(default_factory=list)
     spinors: list[tuple[float, float, float, float]] = field(default_factory=list)
     ok: list[bool] = field(default_factory=list)
@@ -155,16 +155,23 @@ class TransportTrace:
     def __len__(self):
         return len(self.times)
 
+    @property
+    def rotations(self) -> list[list[list[float]]]:
+        """R(t) with columns (e1, e2, normal), one per sample."""
+        return [
+            [[e1[i], e2[i], n[i]] for i in range(3)]
+            for e1, e2, n in zip(self.e1, self.e2, self.normals)
+        ]
+
 
 FRAME_TOL = 1e-9
-LIFT_TOL = 1e-8
 # what evaluating a chart, a curve or their derivatives raises at a bad point
 # (math domain errors, division by zero, overflow, a degenerate chart)
 _EVAL_ERRORS = (InputError, ArithmeticError, ValueError)
 
 
 def _normal_and_velocity(surface, curve, velocity, t):
-    """Unit normal n and dn/dt at curve(t), by the chain rule.
+    """(u, v) = curve(t), the unit normal n there and dn/dt, by the chain rule.
 
     ``velocity(t)`` gives (du/dt, dv/dt); without it the curve is
     differenced centrally with step FD_STEP."""
@@ -188,108 +195,8 @@ def _normal_and_velocity(surface, curve, velocity, t):
     dxv = _add(_scale(xuv, du), _scale(xvv, dv))
     dn_raw = _add(_cross(dxu, xv), _cross(xu, dxv))
     # derivative of n_raw/|n_raw|
-    return n_hat, _scale(_sub(dn_raw, _scale(n_hat, _dot(n_hat, dn_raw))), 1.0 / n_len)
-
-
-def parallel_transport_frame(
-    surface: ParametricSurface,
-    curve: Callable[[float], tuple[float, float]],
-    frame0: tuple[Vec3, Vec3] | None = None,
-    steps: int = 10000,
-    t0: float = 0.0,
-    t1: float = 1.0,
-    velocity: Callable[[float], tuple[float, float]] | None = None,
-) -> TransportTrace:
-    """Parallel-transport an initial tangent frame along the curve.
-
-    Integrates dV/dt = -(V . dn/dt) n with fixed-step RK4 and per-step
-    Gram-Schmidt re-orthonormalization; fills times, positions, frames and
-    rotations of the returned trace.  ``velocity(t)``, when given, is the
-    curve's exact (du/dt, dv/dt); otherwise the curve is differenced.
-    """
-    if steps < 2:
-        raise InputError("steps must be at least 2")
-
-    def at(t):
-        """(u, v), the unit normal and the point at curve parameter t."""
-        uv = curve(t)
-        return uv, surface.normal(*uv), surface.point(*uv)
-
-    try:
-        (u0, v0), nu0, x0 = at(t0)
-    except (ArithmeticError, ValueError) as exc:  # InputError at t0 stays an input error
-        raise IntegrationError(str(exc), t0) from exc
-    if frame0 is None:
-        e1, e2, _ = surface_frame(surface, u0, v0)
-    else:
-        e1, e2 = tuple(map(float, frame0[0])), tuple(map(float, frame0[1]))
-        for name, vec in (("e1", e1), ("e2", e2)):
-            if abs(_dot(vec, nu0)) > FRAME_TOL:
-                raise InputError(f"initial {name} is not tangent")
-        if abs(_dot(e1, e1) - 1) > FRAME_TOL or abs(_dot(e2, e2) - 1) > FRAME_TOL:
-            raise InputError("initial frame is not orthonormal")
-        if abs(_dot(e1, e2)) > FRAME_TOL:
-            raise InputError("initial frame is not orthonormal")
-
-    dt = (t1 - t0) / steps
-    trace = TransportTrace()
-
-    def rhs(t, state):
-        try:
-            n, dn = _normal_and_velocity(surface, curve, velocity, t)
-        except _EVAL_ERRORS as exc:
-            raise IntegrationError(str(exc), t) from exc
-        return [_scale(n, -_dot(vec, dn)) for vec in state]
-
-    def record(t, x, n, e1, e2):
-        trace.times.append(t)
-        trace.positions.append(x)
-        trace.e1.append(e1)
-        trace.e2.append(e2)
-        trace.normals.append(n)
-        trace.rotations.append(
-            [[e1[i], e2[i], n[i]] for i in range(3)]
-        )
-
-    state = (e1, e2)
-    record(t0, x0, nu0, e1, e2)
-    for step in range(steps):
-        t = t0 + step * dt
-        k1 = rhs(t, state)
-        s2 = tuple(_add(v, _scale(k, dt / 2)) for v, k in zip(state, k1))
-        k2 = rhs(t + dt / 2, s2)
-        s3 = tuple(_add(v, _scale(k, dt / 2)) for v, k in zip(state, k2))
-        k3 = rhs(t + dt / 2, s3)
-        s4 = tuple(_add(v, _scale(k, dt)) for v, k in zip(state, k3))
-        k4 = rhs(t + dt, s4)
-        state = tuple(
-            _add(v, _scale(_add(_add(a, _scale(_add(b, c), 2.0)), d), dt / 6))
-            for v, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
-        t = t1 if step == steps - 1 else t0 + (step + 1) * dt
-        # re-orthonormalize against the exact normal at the new point
-        try:
-            _, n, x = at(t)
-            v1 = _sub(state[0], _scale(n, _dot(state[0], n)))
-            v1 = _normalize(v1)
-            v2 = _sub(state[1], _scale(n, _dot(state[1], n)))
-            v2 = _sub(v2, _scale(v1, _dot(v2, v1)))
-            v2 = _normalize(v2)
-        except _EVAL_ERRORS as exc:
-            raise IntegrationError(str(exc), t) from exc
-        state = (v1, v2)
-        record(t, x, n, v1, v2)
-    return trace
-
-
-def _frame_defect(e1, e2, n) -> float:
-    worst = 0.0
-    vecs = (e1, e2, n)
-    for i in range(3):
-        for j in range(i, 3):
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(_dot(vecs[i], vecs[j]) - target))
-    return worst
+    dn = _scale(_sub(dn_raw, _scale(n_hat, _dot(n_hat, dn_raw))), 1.0 / n_len)
+    return (u, v), n_hat, dn
 
 
 def spin_parallel_transport(
@@ -301,35 +208,97 @@ def spin_parallel_transport(
     t0: float = 0.0,
     t1: float = 1.0,
     frame0: tuple[Vec3, Vec3] | None = None,
-    strict: bool = True,
     velocity: Callable[[float], tuple[float, float]] | None = None,
 ) -> TransportTrace:
     """Spin parallel transport of the spinor q0 given at the initial time.
 
-    Composes frame transport, continuous path lifting g(t), and left
-    quaternion multiplication: q(t) = g(t) * q0 with q0 the model-space
-    spinor (the value in the fiber at t0 is g(t0) * q0; for curves starting
-    at the standard frame g(t0) = +-1).  ``initial_sign`` selects between
-    the two lifts; the other lift negates the whole trace."""
-    trace = parallel_transport_frame(surface, curve, frame0, steps, t0, t1, velocity)
-    lifted = quaternion_lift_path(trace.rotations, initial_sign, strict=strict)
-    if strict:
-        lifts, ambiguous = lifted, []
+    Integrates the spin frame g(t) directly: dg/dt = 1/2 w g with the pure
+    quaternion w = n x dn/dt, by fixed-step RK4 with one normalization per
+    step.  g(t0) lifts the oriented frame (e1, e2, normal) at t0, which is
+    ``frame0`` when given and ``surface_frame`` otherwise; ``initial_sign``
+    (+1 or -1) picks one of its two lifts, and the other negates the whole
+    trace.  The frame is e1 = g i conj(g), e2 = g j conj(g) and the spinor
+    q(t) = g(t) * q0.  ``velocity(t)``, when given, is the curve's exact
+    (du/dt, dv/dt); otherwise the curve is differenced."""
+    if steps < 2:
+        raise InputError("steps must be at least 2")
+    if initial_sign not in (1, -1):
+        raise InputError("initial_sign must be +1 or -1")
+    try:
+        uv = curve(t0)
+        nu0, x0 = surface.normal(*uv), surface.point(*uv)
+    except (ArithmeticError, ValueError) as exc:  # InputError at t0 stays an input error
+        raise IntegrationError(str(exc), t0) from exc
+    if frame0 is None:
+        e1, e2, _ = surface_frame(surface, *uv)
     else:
-        lifts, ambiguous = lifted
-    trace.lifts = list(lifts)
+        e1, e2 = tuple(map(float, frame0[0])), tuple(map(float, frame0[1]))
+        for name, vec in (("e1", e1), ("e2", e2)):
+            if abs(_dot(vec, nu0)) > FRAME_TOL:
+                raise InputError(f"initial {name} is not tangent")
+        if abs(_dot(e1, e1) - 1) > FRAME_TOL or abs(_dot(e2, e2) - 1) > FRAME_TOL:
+            raise InputError("initial frame is not orthonormal")
+        if abs(_dot(e1, e2)) > FRAME_TOL:
+            raise InputError("initial frame is not orthonormal")
+        if _dot(_cross(e1, e2), nu0) < 0:
+            raise InputError("initial frame is left-handed: e1 x e2 must be the normal")
+    g = rotation_to_quaternion([[e1[i], e2[i], nu0[i]] for i in range(3)])
+    g = tuple(initial_sign * c for c in g)
     q_model = tuple(map(float, q0))
-    ambiguous_set = set(ambiguous)
-    for idx in range(len(trace)):
-        g = lifts[idx]
+    dt = (t1 - t0) / steps
+    trace = TransportTrace()
+
+    def half_rate(t):
+        """(u, v), the unit normal and 1/2 (0, n x dn/dt) at t."""
+        try:
+            uv, n, dn = _normal_and_velocity(surface, curve, velocity, t)
+        except _EVAL_ERRORS as exc:
+            raise IntegrationError(str(exc), t) from exc
+        return uv, n, (0.0, *_scale(_cross(n, dn), 0.5))
+
+    def record(t, x, n, g):
+        e1 = quat_rotate(g, (1.0, 0.0, 0.0))
+        e2 = quat_rotate(g, (0.0, 1.0, 0.0))
+        e3 = quat_rotate(g, (0.0, 0.0, 1.0))
         q = quat_mul(g, q_model)
+        trace.times.append(t)
+        trace.positions.append(x)
+        trace.e1.append(e1)
+        trace.e2.append(e2)
+        trace.normals.append(n)
+        trace.lifts.append(g)
         trace.spinors.append(q)
-        e1, e2, n = trace.e1[idx], trace.e2[idx], trace.normals[idx]
-        values = (trace.times[idx], *trace.positions[idx], *e1, *e2, *n, *g, *q)
-        finite = all(map(math.isfinite, values))
-        frame_ok = _frame_defect(e1, e2, n) <= FRAME_TOL
-        lift_ok = lift_residual(g, trace.rotations[idx]) <= LIFT_TOL
-        trace.ok.append(finite and frame_ok and lift_ok and idx not in ambiguous_set)
+        values = (t, *x, *e1, *e2, *n, *g, *q)
+        defect = max(abs(a - b) for a, b in zip(e3, n))
+        trace.ok.append(all(map(math.isfinite, values)) and defect <= FRAME_TOL)
+
+    def step_by(g, h, k):
+        return tuple(a + h * b for a, b in zip(g, k))
+
+    record(t0, x0, nu0, g)
+    w_start = half_rate(t0)[2]
+    for step in range(steps):
+        t = t0 + step * dt
+        t_next = t1 if step == steps - 1 else t0 + (step + 1) * dt
+        # w depends on t alone: the midpoint serves k2 and k3, and the end
+        # point serves k4, the sample's normal and the next step's k1
+        w_mid = half_rate(t + dt / 2)[2]
+        uv, n, w_end = half_rate(t_next)
+        k1 = quat_mul(w_start, g)
+        k2 = quat_mul(w_mid, step_by(g, dt / 2, k1))
+        k3 = quat_mul(w_mid, step_by(g, dt / 2, k2))
+        k4 = quat_mul(w_end, step_by(g, dt, k3))
+        g = tuple(
+            gc + (a + 2.0 * (b + c) + d) * (dt / 6) for gc, a, b, c, d in zip(g, k1, k2, k3, k4)
+        )
+        norm = math.sqrt(sum(c * c for c in g))
+        g = tuple(c / norm for c in g)
+        try:
+            x = surface.point(*uv)
+        except _EVAL_ERRORS as exc:
+            raise IntegrationError(str(exc), t_next) from exc
+        record(t_next, x, n, g)
+        w_start = w_end
     return trace
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spinrep.expressions import compile_curve, compile_surface
 from spinrep.errors import InputError
-from spinrep.surfaces import parallel_transport_frame, unit_sphere
+from spinrep.surfaces import spin_parallel_transport, unit_sphere
 
 SPHERE = "x=sin(u)*cos(v); y=sin(v); z=cos(u)*cos(v)"
 
@@ -157,5 +157,7 @@ def test_latitude_holonomy_gate(sphere, phi):
     area 2 pi (1 - sin phi); with exact derivatives RK4 reaches it to 1e-13
     at 10k steps on the builtin and on the expression sphere alike."""
     curve, velocity = compile_curve(f"u=2*pi*t; v={phi}")
-    trace = parallel_transport_frame(sphere(), curve, steps=10000, velocity=velocity)
+    trace = spin_parallel_transport(
+        sphere(), curve, (1.0, 0.0, 0.0, 0.0), steps=10000, velocity=velocity
+    )
     assert _holonomy_error(trace, phi) <= 1e-13

@@ -1,4 +1,4 @@
-"""Reflections, twisted adjoint, rotation lifts and quaternion path lifting."""
+"""Reflections, twisted adjoint, rotation lifts and float quaternion conversion."""
 
 import dataclasses
 import math
@@ -15,7 +15,6 @@ from spinrep.modules import assemble_euclidean, assemble_signature
 from spinrep.spin import (
     SpinElement,
     double_cover_check,
-    quaternion_lift_path,
     reflection,
     rotation_to_quaternion,
     spin_action,
@@ -191,12 +190,7 @@ def test_spin_coordinate_system_even_commutant_checked_on_summand():
     ]
 
 
-# -- float path lifting -------------------------------------------------------
-
-
-def _sphere_rotation(t):
-    c, s = math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)
-    return [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]
+# -- float quaternions ---------------------------------------------------------
 
 
 def test_rotation_to_quaternion_branches():
@@ -217,46 +211,3 @@ def test_rotation_to_quaternion_branches():
         q = rotation_to_quaternion(r)
         dot = abs(q[0] * w + q[1] * x + q[2] * y + q[3] * z)
         assert abs(dot - 1.0) < 1e-12
-
-
-def test_quaternion_lift_sphere_family():
-    samples = 10000
-    ts = [i / samples for i in range(samples + 1)]
-    lifts = quaternion_lift_path([_sphere_rotation(t) for t in ts])
-    worst = 0.0
-    for t, q in zip(ts, lifts):
-        expect = (math.cos(math.pi * t), 0.0, math.sin(math.pi * t), 0.0)
-        worst = max(worst, max(abs(a - b) for a, b in zip(q, expect)))
-    assert worst <= 1e-9
-    # full loop flips the sign
-    assert abs(lifts[-1][0] + 1.0) < 1e-12
-
-
-def test_quaternion_lift_constant_and_signs():
-    rots = [_sphere_rotation(0.0)] * 10
-    lifts = quaternion_lift_path(rots)
-    assert all(q == lifts[0] for q in lifts)
-    neg = quaternion_lift_path(rots, initial_sign=-1)
-    assert all(abs(a + b) < 1e-15 for q, p in zip(lifts, neg) for a, b in zip(q, p))
-
-
-def test_quaternion_lift_null_homotopic_loop():
-    # rotation about the z axis by an angle that rises to pi and returns to
-    # zero: a contractible loop in SO(3), so the lift comes back to +1
-    def rot(t):
-        a = math.pi * math.sin(math.pi * t) ** 2
-        c, s = math.cos(a), math.sin(a)
-        return [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
-
-    ts = [i / 4000 for i in range(4001)]
-    lifts = quaternion_lift_path([rot(t) for t in ts])
-    assert max(abs(a - b) for a, b in zip(lifts[0], lifts[-1])) < 1e-9
-    assert abs(lifts[0][0] - 1.0) < 1e-12
-
-
-def test_quaternion_lift_rejects_ambiguous_and_nonorthogonal():
-    with pytest.raises(InputError):
-        quaternion_lift_path([_sphere_rotation(0.0), _sphere_rotation(0.5)])
-    bad = [[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    with pytest.raises(InputError):
-        quaternion_lift_path([bad])

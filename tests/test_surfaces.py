@@ -1,5 +1,5 @@
-"""Frame transport and spin parallel transport on surfaces; the hypersurface
-action in dimension 4."""
+"""Spin parallel transport on surfaces (the spin frame and the parallel frame
+it carries); the hypersurface action in dimension 4."""
 
 import math
 from fractions import Fraction
@@ -9,9 +9,9 @@ import pytest
 from spinrep import algebras as alg
 from spinrep.errors import InputError
 from spinrep.files import trace_to_csv
+from spinrep.spin import quat_conj, quat_mul
 from spinrep.surfaces import (
     hypersurface4_action,
-    parallel_transport_frame,
     plane,
     spin_parallel_transport,
     surface_frame,
@@ -21,6 +21,15 @@ from spinrep.surfaces import (
 
 def great_circle(t):
     return (2 * math.pi * t, 0.0)
+
+
+def loop_velocity(t):
+    """(du/dt, dv/dt) of u = 2 pi t at constant v: the great circle and the
+    latitudes."""
+    return (2 * math.pi, 0.0)
+
+
+ONE = (1.0, 0.0, 0.0, 0.0)
 
 
 def _closed_rotation(t):
@@ -64,7 +73,7 @@ def test_frame_orthonormality_random_points():
 
 def test_frame_transport_great_circle():
     sph = unit_sphere()
-    trace = parallel_transport_frame(sph, great_circle, steps=10000)
+    trace = spin_parallel_transport(sph, great_circle, ONE, steps=10000)
     worst_r = 0.0
     worst_e2 = 0.0
     worst_norm = 0.0
@@ -87,7 +96,7 @@ def test_frame_transport_constant_curve():
     def still(t):
         return (0.7, 0.2)
 
-    trace = parallel_transport_frame(sph, still, steps=100)
+    trace = spin_parallel_transport(sph, still, ONE, steps=100)
     first_e1, first_e2 = trace.e1[0], trace.e2[0]
     for e1, e2 in zip(trace.e1, trace.e2):
         assert max(abs(a - b) for a, b in zip(e1, first_e1)) < 1e-12
@@ -97,11 +106,59 @@ def test_frame_transport_constant_curve():
 def test_frame_transport_input_errors():
     sph = unit_sphere()
     with pytest.raises(InputError):
-        parallel_transport_frame(sph, great_circle, steps=1)
+        spin_parallel_transport(sph, great_circle, ONE, steps=1)
     with pytest.raises(InputError):
-        parallel_transport_frame(
-            sph, great_circle, frame0=((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)), steps=10
+        spin_parallel_transport(
+            sph, great_circle, ONE, frame0=((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)), steps=10
         )
+    with pytest.raises(InputError, match="initial_sign"):
+        spin_parallel_transport(sph, great_circle, ONE, initial_sign=0, steps=10)
+
+
+def test_left_handed_frame0_is_rejected():
+    # tangent and orthonormal, but e1 x e2 = -n at the start (0, 0, 1)
+    with pytest.raises(InputError, match="left-handed"):
+        spin_parallel_transport(
+            unit_sphere(), great_circle, ONE, frame0=((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)),
+            steps=10,
+        )
+    # the right-handed frame0 with the same axes transports cleanly
+    trace = spin_parallel_transport(
+        unit_sphere(), great_circle, ONE, frame0=((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)),
+        steps=1000, velocity=loop_velocity,
+    )
+    assert all(trace.ok)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_great_circle_spinor_returns_negated(sign):
+    # one loop of the frame in SO(3) is the generator of pi_1(SO(3)): the
+    # spin frame, and every spinor with it, comes back negated
+    q0 = (0.3, 0.5, -0.1, 0.8)
+    trace = spin_parallel_transport(
+        unit_sphere(), great_circle, q0, initial_sign=sign, steps=2000,
+        velocity=loop_velocity,
+    )
+    assert max(abs(a + b) for a, b in zip(trace.spinors[-1], trace.spinors[0])) <= 1e-12
+    assert max(abs(a + b) for a, b in zip(trace.lifts[-1], trace.lifts[0])) <= 1e-12
+    assert all(trace.ok)
+
+
+@pytest.mark.parametrize("phi", [0.3, 0.7])
+def test_latitude_spin_holonomy_sign(phi):
+    # the frame turns by the enclosed area A = 2 pi (1 - sin phi) about the
+    # normal, so conj(g(0)) g(1) = cos(A/2) + sin(A/2) k; its scalar part is
+    # negative at phi = 0.3 and positive at 0.7, the sign only a continuous
+    # lift fixes
+    area = 2 * math.pi * (1 - math.sin(phi))
+    want = (math.cos(area / 2), 0.0, 0.0, math.sin(area / 2))
+    for sign in (1, -1):
+        trace = spin_parallel_transport(
+            unit_sphere(), lambda t: (2 * math.pi * t, phi), ONE, initial_sign=sign,
+            steps=10000, velocity=loop_velocity,
+        )
+        holonomy = quat_mul(quat_conj(trace.lifts[0]), trace.lifts[-1])
+        assert max(abs(a - b) for a, b in zip(holonomy, want)) <= 1e-12
 
 
 def test_spin_transport_sphere_example():
@@ -207,19 +264,17 @@ def test_non_finite_rows_are_not_ok():
     def escaping(t):
         return (t, math.nan) if t > 0.55 else (t, 0.0)
 
-    trace = spin_parallel_transport(
-        plane(), escaping, (1.0, 0.0, 0.0, 0.0), steps=10, strict=False
-    )
+    trace = spin_parallel_transport(plane(), escaping, ONE, steps=10)
     assert trace.ok == [t < 0.55 for t in trace.times]
 
 
 def test_csv_flags_non_finite_rows_without_trace_flags():
-    # a frame trace carries no ok flags; its CSV must still flag NaN rows 0
+    # the CSV flags NaN rows 0 by itself, even where the trace flags say ok
     def escaping(t):
         return (t, math.nan) if t > 0.5 else (t, 0.0)
 
-    trace = parallel_transport_frame(plane(), escaping, steps=4)
-    assert not trace.ok
+    trace = spin_parallel_transport(plane(), escaping, ONE, steps=4)
+    trace.ok = [True] * len(trace)
     rows = trace_to_csv(trace).splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["1", "1", "0", "0", "0"]
     assert "nan" in rows[-1]
