@@ -83,13 +83,13 @@ def generate(sig_text: str, family: str, variant: str, out_path: str) -> None:
         module = _build_module(sig, family, variant)
     except InputError as exc:
         _fail(EXIT_INPUT, str(exc))
-    checks = verify_module(module).checks
-    bad = [(name, detail) for name, ok, detail in checks if not ok]
+    report = verify_module(module)
+    bad = [(name, detail) for name, ok, detail in report.checks if not ok]
     if bad:
         for name, detail in bad:
             click.echo(f"FAIL {name}: {detail}", err=True)
         sys.exit(EXIT_VERIFY_FAILED)
-    payload = module_to_payload(module)
+    payload = module_to_payload(module, report.volume_sign)
     text = dump_gamma_json(payload)
     try:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -14,16 +14,20 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import CONVENTION, Signature
 from .errors import InputError
 from .linalg import QMat
-from .modules import SpinorModule
+from .modules import FAMILIES, SpinorModule
 from .surfaces import TransportTrace
 
 FORMAT_VERSION = 1
+FIELDS = ("R", "C", "H")
+VARIANTS = ("plus", "minus")
+_CELL = r"-?[0-9]+(/[0-9]+)?"  # compiled on first use, not at import
 
 CSV_HEADER = (
     "t,gamma_x,gamma_y,gamma_z,"
@@ -37,11 +41,24 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _parse_frac(s) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
-    if not isinstance(s, str):
-        raise InputError(f"rational entries must be strings, got {type(s).__name__}")
+    if not isinstance(s, str) or not re.fullmatch(_CELL, s):
+        raise InputError(f'matrix cells must be integers or "p/q" strings, got {s!r}')
     return Fraction(s)
+
+
+def _int(value, what: str) -> int:
+    """A JSON integer; booleans, floats and strings are refused."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _choice(value, allowed: tuple[str, ...], what: str) -> str:
+    if not isinstance(value, str) or value not in allowed:
+        raise InputError(f"{what} must be one of {', '.join(allowed)}, got {value!r}")
+    return value
 
 
 def _matrix_to_rows(m: QMat) -> list[list[str]]:
@@ -49,7 +66,8 @@ def _matrix_to_rows(m: QMat) -> list[list[str]]:
 
 
 def _matrix_from_rows(rows, size: int) -> QMat:
-    if len(rows) != size or any(len(r) != size for r in rows):
+    if (not isinstance(rows, list) or len(rows) != size
+            or any(not isinstance(r, list) or len(r) != size for r in rows)):
         raise InputError("matrix rows have the wrong shape")
     entries = {}
     for i, row in enumerate(rows):
@@ -62,7 +80,16 @@ def _matrix_from_rows(rows, size: int) -> QMat:
     return QMat.from_entries(size, size, entries)
 
 
-def module_to_payload(module: SpinorModule) -> dict:
+def _matrices(value, size: int, what: str) -> list[QMat]:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list of matrices")
+    return [_matrix_from_rows(rows, size) for rows in value]
+
+
+def module_to_payload(module: SpinorModule, volume_sign: int | None = None) -> dict:
+    """The v1 payload of a module.  ``volume_sign`` is the sign ``audit``
+    computed (``ModuleReport.volume_sign``); without it the volume element
+    is multiplied out here."""
     payload = {
         "format_version": FORMAT_VERSION,
         "signature": [module.signature.r, module.signature.s],
@@ -81,9 +108,9 @@ def module_to_payload(module: SpinorModule) -> dict:
         payload["grading"] = list(grading)
     sig = module.signature
     if (sig.s - sig.r) % 4 == 3:
-        vol = module.volume_operator()
-        ident = QMat.identity(module.real_dim)
-        payload["volume_sign"] = 1 if vol == ident else -1
+        if volume_sign is None:
+            volume_sign = 1 if module.volume_operator() == QMat.identity(module.real_dim) else -1
+        payload["volume_sign"] = volume_sign
     return payload
 
 
@@ -101,37 +128,46 @@ class LoadedGammaFile:
     volume_sign: int | None
 
 
-def payload_to_gamma(payload: dict) -> LoadedGammaFile:
+def payload_to_gamma(payload) -> LoadedGammaFile:
+    """Read a parsed v1 gamma file, checking every field against the format:
+    integers are JSON integers (never booleans), ``field``, ``family`` and
+    ``variant`` come from their fixed sets, and every matrix is a real_dim x
+    real_dim list of lists of integer or ``"p/q"`` cells.  Anything else
+    raises InputError."""
+    if not isinstance(payload, dict):
+        raise InputError("malformed gamma file: expected one JSON object")
     try:
-        if payload["format_version"] != FORMAT_VERSION:
+        if _int(payload["format_version"], "format_version") != FORMAT_VERSION:
             raise InputError(f"unsupported format_version {payload['format_version']}")
-        r, s = payload["signature"]
-        sig = Signature(int(r), int(s))
-        d = int(payload["real_dim"])
-        gens = [_matrix_from_rows(rows, d) for rows in payload["generators"]]
-        metric = _matrix_from_rows(payload["spin_metric"], d)
-        cbasis = [_matrix_from_rows(rows, d) for rows in payload.get("commutant_basis", [])]
+        sig_pair = payload["signature"]
+        if not isinstance(sig_pair, list) or len(sig_pair) != 2:
+            raise InputError("signature must be a list [r, s]")
+        sig = Signature(*(_int(x, "signature") for x in sig_pair))
+        d = _int(payload["real_dim"], "real_dim")
+        if d < 1:
+            raise InputError("real_dim must be positive")
         grading = payload.get("grading")
-        if grading is not None:
-            grading = [int(g) for g in grading]
-            if len(grading) != d or any(g not in (1, -1) for g in grading):
-                raise InputError("grading must be a list of +-1 of length real_dim")
+        if grading is not None and (not isinstance(grading, list) or len(grading) != d
+                                    or any(type(g) is not int or g not in (1, -1) for g in grading)):
+            raise InputError("grading must be a list of +-1 of length real_dim")
         vol_sign = payload.get("volume_sign")
-        if vol_sign is not None:
-            vol_sign = int(vol_sign)
+        if vol_sign is not None and (type(vol_sign) is not int or vol_sign not in (1, -1)):
+            raise InputError("volume_sign must be 1 or -1")
         return LoadedGammaFile(
             signature=sig,
-            field=str(payload["field"]),
+            field=_choice(payload["field"], FIELDS, "field"),
             real_dim=d,
-            family=str(payload["family"]),
-            variant=str(payload["variant"]),
-            generators=gens,
-            spin_metric=metric,
-            commutant_basis=cbasis,
+            family=_choice(payload["family"], FAMILIES, "family"),
+            variant=_choice(payload["variant"], VARIANTS, "variant"),
+            generators=_matrices(payload["generators"], d, "generators"),
+            spin_metric=_matrix_from_rows(payload["spin_metric"], d),
+            commutant_basis=_matrices(payload.get("commutant_basis", []), d, "commutant_basis"),
             grading=grading,
             volume_sign=vol_sign,
         )
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except KeyError as exc:
+        raise InputError(f"malformed gamma file: missing {exc}") from exc
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed gamma file: {exc}") from exc
 
 

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import random
+from math import isqrt
 
 from . import algebras as alg
 from .algebras import ALGEBRA_DIM, KElement
 from .clifford import Signature
 from .errors import InputError
-from .linalg import QMat, Rref, intertwiner_space, sparse_solve
+from .linalg import QMat, Rref, intertwiner_space
 
 ZERO = Fraction(0)
 
@@ -296,127 +296,159 @@ def verify_clifford_condition(generators: list[QMat], sig: Signature) -> Cliffor
 
 @dataclass
 class Commutant:
-    """Intertwiner algebra of a generator set: exact basis plus a structure tag."""
+    """Intertwiner algebra of a generator set: exact basis plus its name."""
 
     real_dimension: int
     division_algebra: str
     basis: list[QMat]
 
 
-def _coords_in_basis(x: QMat, basis: list[QMat]) -> list[Fraction] | None:
-    """Exact coordinates of x in the span of ``basis`` or None."""
-    cols = []
-    for b in basis:
-        cols.append({(i, j): v for i, j, v in b.entries()})
-    keys: set[tuple[int, int]] = set()
-    for c in cols:
-        keys.update(c)
-    keys.update((i, j) for i, j, _ in x.entries())
-    key_list = sorted(keys)
-    rows = []
-    rhs = []
-    for key in key_list:
-        row = {t: c[key] for t, c in enumerate(cols) if key in c}
-        rows.append(row)
-        rhs.append(x.get(*key))
-    sol, _ = sparse_solve(rows, rhs, len(basis))
-    if sol is None:
-        return None
-    return [sol.get(t, ZERO) for t in range(len(basis))]
+def _inertia(gram: list[list[Fraction]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) counts of a rational symmetric form, by
+    symmetric elimination (LDL^T with Sylvester's law of inertia)."""
+    g = [list(row) for row in gram]
+    live = list(range(len(g)))
+    pos = neg = 0
+    while live:
+        piv = next((i for i in live if g[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in live for j in live if g[i][j]), None)
+            if pair is None:
+                break
+            piv, j = pair
+            # the congruence e_piv -> e_piv + e_j puts 2 g[piv][j] != 0 on the diagonal
+            for t in live:
+                g[piv][t] += g[j][t]
+            for t in live:
+                g[t][piv] += g[t][j]
+        d = g[piv][piv]
+        pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+        live.remove(piv)
+        for a in live:
+            f = g[a][piv] / d
+            if f:
+                for b in live:
+                    g[a][b] -= f * g[piv][b]
+    return pos, neg, len(live)
 
 
-def _left_mult_table(basis: list[QMat]) -> list[list[list[Fraction]]] | None:
-    """table[i][j] = coordinates of basis[i]*basis[j] in ``basis``."""
-    table = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            coords = _coords_in_basis(bi * bj, basis)
-            if coords is None:
-                return None
-            row.append(coords)
-        table.append(row)
-    return table
-
-
-def _division_test(basis: list[QMat], table) -> bool:
-    """Deterministic invertibility probe: 2^k signed basis sums, one dense
-    rational combination, and 32 seeded random samples must all act
-    invertibly by left multiplication."""
-    k = len(basis)
-
-    def left_mult_matrix(coords: list[Fraction]) -> QMat:
-        entries = {}
-        for i, ci in enumerate(coords):
-            if not ci:
-                continue
-            for j in range(k):
-                for t, v in enumerate(table[i][j]):
-                    if v:
-                        entries[(t, j)] = entries.get((t, j), ZERO) + ci * v
-        return QMat.from_entries(k, k, entries)
-
-    def invertible(coords) -> bool:
-        lm = left_mult_matrix([Fraction(c) for c in coords])
-        rr = Rref()
-        for row in lm.rows:
-            rr.add_row(dict(row))
-        return rr.rank == k
-
-    samples = []
-    for signs in range(1 << k):
-        samples.append([(-1 if signs >> i & 1 else 1) for i in range(k)])
-    samples.append([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)][:k])
-    rng = random.Random(20240809)
-    for _ in range(32):
-        samples.append([Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(k)])
-    for coords in samples:
-        if all(c == 0 for c in coords):
-            continue
-        if not invertible(coords):
-            return False
-    return True
-
-
-def _center_dimension(basis: list[QMat]) -> int:
-    """Dimension of {x in span(basis) : x commutes with every basis element}."""
-    k = len(basis)
-    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-    for j, bj in enumerate(basis):
-        for t, bt in enumerate(basis):
-            comm = bt.commutator(bj)
-            for i, jj, v in comm.entries():
-                rows.setdefault((j, i, jj), {})[t] = v
-    rr = Rref()
-    for row in rows.values():
-        rr.add_row(row)
-    return k - rr.rank
+def _simple_label(k: int, pos: int, neg: int) -> tuple[int, int, str] | None:
+    """(k, field rank, name) of the M_n(D) with real dimension k whose trace
+    form tr(XY) has inertia (pos, neg), or None when there is none."""
+    for rank, (field, dim) in enumerate((("R", 1), ("C", 2), ("H", 4))):
+        n = isqrt(k // dim)
+        want = {"R": n * (n + 1) // 2, "C": n * n, "H": n * (2 * n - 1)}[field]
+        if dim * n * n == k and (pos, neg) == (want, k - want):
+            return k, rank, field if n == 1 else f"M{n}({field})"
+    return None
 
 
 def classify_commutant(basis: list[QMat]) -> str:
-    dim = len(basis)
-    if dim == 1:
-        return "R"
-    table = _left_mult_table(basis)
-    if table is None:
-        return f"A({dim})"
-    division = _division_test(basis, table) if dim <= 4 else False
-    if dim == 2:
-        return "C" if division else "R+R"
-    if dim == 4:
-        return "H" if division else "M2(R)"
-    if dim == 8 and _center_dimension(basis) == 2:
-        return "M2(C)"
-    return f"A({dim})"
+    """Exact name of the real algebra spanned by ``basis`` (closed under
+    products and holding the identity, as a commutant is).
+
+    The name follows from three exact facts.  The trace form tr(XY) is
+    nondegenerate exactly when the algebra is semisimple.  Its center is then
+    R (one simple summand), C (one ``Mn(C)``) or R+R, which the central
+    idempotents (1 +- z)/2 split into two simple summands.  A simple summand
+    M_n(D) of real dimension k = n^2 dim D is fixed by the inertia of the
+    trace form: (n(n+1)/2, n(n-1)/2) for R, (n^2, n^2) for C and
+    (n(2n-1), n(2n+1)) for H.  Anything else, or a split that needs an
+    irrational idempotent, is named ``A(k)``.
+
+    Coordinates are read, not solved: each basis element gets an entry at
+    which no other element is nonzero (the first entry of an orbit-walk
+    element, the free variable of a nullspace vector); other bases are
+    brought to reduced echelon form first.
+    """
+    k = len(basis)
+    undecided = f"A({k})"
+    at: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}  # entry -> [(element, value)]
+    for t, b in enumerate(basis):
+        for i, j, v in b.entries():
+            at.setdefault((i, j), []).append((t, v))
+    keys = [next(((i, j) for i, j, _ in b.entries() if len(at[i, j]) == 1), None) for b in basis]
+    if None in keys:
+        rr = Rref()
+        for b in basis:
+            rr.add_row({i * b.ncols + j: v for i, j, v in b.entries()})
+        return classify_commutant(
+            [QMat.from_entries(b.nrows, b.ncols, {divmod(c, b.ncols): v for c, v in row.items()})
+             for row in rr.pivots.values()])
+    # mult[i][j]: the coordinates {t: value} of basis[i] * basis[j], read at keys[t]
+    mult: list[list[dict[int, Fraction]]] = [[{} for _ in range(k)] for _ in range(k)]
+    for t, (r, c) in enumerate(keys):
+        inv = 1 / at[r, c][0][1]
+        for i, bi in enumerate(basis):
+            for m, x in bi.rows[r].items():
+                for j, y in at.get((m, c), ()):
+                    mult[i][j][t] = mult[i][j].get(t, ZERO) + x * y * inv
+    traces = [b.trace() for b in basis]
+
+    def gram(w: list[Fraction]) -> list[list[Fraction]]:
+        """The form (x, y) -> w(xy) on basis pairs, for a linear functional w."""
+        return [[sum((v * w[t] for t, v in mult[i][j].items()), ZERO) for j in range(k)] for i in range(k)]
+
+    form = gram(traces)
+    pos, neg, zero = _inertia(form)
+    if zero:
+        return undecided
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}  # x central: sum_t x_t [b_t, b_j] = 0
+    for t in range(k):
+        for j in range(k):
+            for u in mult[t][j].keys() | mult[j][t].keys():
+                v = mult[t][j].get(u, ZERO) - mult[j][t].get(u, ZERO)
+                if v:
+                    rows.setdefault((j, u), {})[t] = v
+    rr = Rref()
+    for row in rows.values():
+        rr.add_row(row)
+    center = rr.nullspace(k)
+    simple = _simple_label(k, pos, neg)
+    if len(center) == 1:
+        return simple[2] if simple else undecided
+    if len(center) != 2:
+        return undecided
+    # w: a central element with trace 0, so w^2 = alpha + beta w
+    one = [1 / at[i, j][0][1] if i == j else ZERO for i, j in keys]
+    tau = sum(a * b for a, b in zip(one, traces))
+    for vec in center:
+        z = [vec.get(t, ZERO) for t in range(k)]
+        shift = sum(a * b for a, b in zip(z, traces)) / tau
+        w = [a - shift * b for a, b in zip(z, one)]
+        if any(w):
+            break
+    w2 = [ZERO] * k
+    for i, j in ((i, j) for i in range(k) for j in range(k) if w[i] and w[j]):
+        for t, v in mult[i][j].items():
+            w2[t] += w[i] * w[j] * v
+    alpha = sum(a * b for a, b in zip(w2, traces)) / tau
+    t = next(t for t in range(k) if w[t])
+    beta = (w2[t] - alpha * one[t]) / w[t]
+    disc = beta * beta + 4 * alpha
+    if disc < 0:  # center C
+        return simple[2] if simple else undecided
+    root = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
+    if not root or root * root != disc:  # not semisimple, or the idempotents are irrational
+        return undecided
+    # e = (w - lambda_-) / (lambda_+ - lambda_-), a central idempotent; its summand
+    # carries the trace form x, y -> tr(e x y) = (e form)(xy)
+    low = (beta - root) / 2
+    e = [(a - low * b) / root for a, b in zip(w, one)]
+    pos1, neg1, _ = _inertia(gram([sum(e[i] * form[i][s] for i in range(k) if e[i]) for s in range(k)]))
+    parts = [_simple_label(pos1 + neg1, pos1, neg1), _simple_label(k - pos1 - neg1, pos - pos1, neg - neg1)]
+    if None in parts:
+        return undecided
+    return "+".join(name for _, _, name in sorted(parts))
 
 
 def commutant(generators: list[QMat], size: int) -> Commutant:
-    """Exact basis and classification of {X : X G = G X for all generators}.
+    """Exact basis and name of {X : X G = G X for all generators}.
 
-    The classification follows the dimension: 1 is R, 2 is C (after a
-    division probe), 4 is H when the division probe passes and M2(R)
-    otherwise, larger dimensions are tagged as matrix algebras.  The probe is
-    deterministic-plus-seeded sampling: a pass is strong evidence, not proof.
+    The name is decided exactly by ``classify_commutant`` from the
+    dimension, the center and the inertia of the trace form: ``R``, ``C``,
+    ``H``, ``Mn(D)`` or a ``+``-sum of these, and ``A(k)`` for an algebra it
+    cannot name (not semisimple, or not split over the rationals).
     """
     if not generators:
         raise InputError("commutant of an empty generator list is undefined")

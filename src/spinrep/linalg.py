@@ -11,10 +11,11 @@ Two solvers live here:
 
 * an incremental reduced-row-echelon form over Fraction entries, used for
   nullspaces and exact linear solves, and
-* a union-find solver for intertwiner spaces ``{X : X A_k = B_k X}`` when
-  every ``A_k`` and ``B_k`` is a signed permutation.  In that case each
-  constraint relates exactly two entries of ``X`` up to sign, so the whole
-  solution space falls out of a weighted union-find in near-linear time.
+* an orbit walk for intertwiner spaces ``{X : X A_k = B_k X}`` when every
+  ``A_k`` and ``B_k`` is a signed permutation.  In that case each constraint
+  relates exactly two entries of ``X`` up to sign, so the solution space is
+  one basis element per sign-consistent orbit of entries, found in one pass
+  over the d_out * d_in entries.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 def _frac(x) -> Fraction:
@@ -86,9 +88,6 @@ class QMat:
     def get(self, i: int, j: int) -> Fraction:
         return self.rows[i].get(j, ZERO)
 
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
 
@@ -104,9 +103,6 @@ class QMat:
         if not isinstance(other, QMat):
             return NotImplemented
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.rows == other.rows
-
-    def __hash__(self):
-        raise TypeError("QMat is not hashable")
 
     def __repr__(self):
         return f"QMat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
@@ -174,9 +170,6 @@ class QMat:
 
     def anticommutator(self, other: "QMat") -> "QMat":
         return self * other + other * self
-
-    def commutator(self, other: "QMat") -> "QMat":
-        return self * other - other * self
 
     def is_signed_perm(self):
         """Return ``(sigma, signs)`` with column j mapping to row sigma[j]
@@ -312,92 +305,60 @@ def sparse_solve(rows: list[dict[int, Fraction]], rhs: list, ncols: int):
 # ---------------------------------------------------------------------------
 
 
-class _SignedUnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.sign = [1] * n
-        self.dead: set[int] = set()
-
-    def find(self, x: int) -> tuple[int, int]:
-        root = x
-        s = 1
-        while self.parent[root] != root:
-            s *= self.sign[root]
-            root = self.parent[root]
-        # path compression; acc = sign from `node` to root
-        node = x
-        acc = s
-        while self.parent[node] != node:
-            nxt = self.parent[node]
-            nsign = self.sign[node]
-            self.parent[node] = root
-            self.sign[node] = acc
-            acc *= nsign  # signs are +-1, so 1/nsign == nsign
-            node = nxt
-        return root, s
-
-    def union(self, x: int, y: int, rel: int) -> None:
-        """Impose ``val[x] = rel * val[y]``."""
-        rx, sx = self.find(x)
-        ry, sy = self.find(y)
-        if rx == ry:
-            if sx != rel * sy:
-                self.dead.add(rx)
-            return
-        # val[rx] = (rel*sy*sx) * val[ry]
-        self.parent[rx] = ry
-        self.sign[rx] = rel * sy * sx
-        if rx in self.dead:
-            self.dead.discard(rx)
-            self.dead.add(ry)
-
-
 def signed_perm_intertwiners(pairs: list[tuple[QMat, QMat]], d_in: int, d_out: int) -> list[QMat] | None:
     """Basis of ``{X : X A_k = B_k X}`` for signed-permutation pairs.
 
     ``X`` has shape ``d_out x d_in``.  Returns None when some matrix in
     ``pairs`` is not a signed permutation (caller should fall back to the
     generic solver).
+
+    Each pair ``(A, B)`` sends entry ``(a, b)`` of ``X`` to entry
+    ``(sigma_B(a), sigma_A(b))`` with the sign ``sign_B[a] * sign_A[b]``.  A
+    walk from the smallest unvisited entry gives every entry of its orbit a
+    sign relative to that start; an orbit that reaches an entry with both
+    signs is forced to zero.  Each live orbit is one basis element, +1 at its
+    smallest flat index, and the elements come in the order of that index.
     """
-    decomposed = []
+    maps = []
     for a, b in pairs:
         pa = a.is_signed_perm()
         pb = b.is_signed_perm()
         if pa is None or pb is None:
             return None
-        decomposed.append((pa, pb))
+        maps.append((pb[0], pb[1], pa[0], pa[1]))
 
-    nvar = d_out * d_in
-    uf = _SignedUnionFind(nvar)
-    for (sigma_a, sign_a), (sigma_b, sign_b) in decomposed:
-        # X[sigma_b(a), sigma_a(b)] * sign_a[b] = sign_b[a] * X[a, b]
-        for a in range(d_out):
-            sa = sigma_b[a]
-            sgn_row = sign_b[a]
-            base_to = sa * d_in
-            base_from = a * d_in
-            for b in range(d_in):
-                uf.union(base_to + sigma_a[b], base_from + b, sgn_row * sign_a[b])
-
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for v in range(nvar):
-        root, s = uf.find(v)
-        if root in uf.dead:
-            continue
-        classes.setdefault(root, []).append((v, s))
+    slot = [0] * (d_out * d_in)  # sign of an entry relative to its orbit's start, 0 = unvisited
     basis = []
-    for root in sorted(classes):
-        entries = {}
-        for v, s in classes[root]:
-            entries[divmod(v, d_in)] = Fraction(s)
-        basis.append(QMat.from_entries(d_out, d_in, entries))
+    for start in range(d_out * d_in):
+        if slot[start]:
+            continue
+        slot[start] = 1
+        orbit = [start]
+        live = True
+        for p in orbit:  # the list grows while it is walked
+            a, b = divmod(p, d_in)
+            s = slot[p]
+            for sigma_b, sign_b, sigma_a, sign_a in maps:
+                q = sigma_b[a] * d_in + sigma_a[b]
+                t = s * sign_b[a] * sign_a[b]
+                if not slot[q]:
+                    slot[q] = t
+                    orbit.append(q)
+                elif slot[q] != t:
+                    live = False
+        if live:
+            rows: list[dict[int, Fraction]] = [dict() for _ in range(d_out)]
+            for p in sorted(orbit):
+                a, b = divmod(p, d_in)
+                rows[a][b] = ONE if slot[p] == 1 else MINUS_ONE
+            basis.append(QMat(d_out, d_in, rows))
     return basis
 
 
 def intertwiner_space(pairs: list[tuple[QMat, QMat]], d_in: int, d_out: int) -> list[QMat]:
     """Exact basis of ``{X : X A_k = B_k X}`` for arbitrary rational matrices.
 
-    Uses the union-find fast path when every matrix is a signed permutation,
+    Uses the orbit-walk fast path when every matrix is a signed permutation,
     otherwise reduces the (sparse) commutation constraints directly.
     """
     fast = signed_perm_intertwiners(pairs, d_in, d_out)

@@ -63,6 +63,8 @@ FAMILY_SPLIT = "split-exterior"
 FAMILY_SQRT = "sqrt-space"
 FAMILY_OCTONION = "octonion"
 FAMILY_ASSEMBLED = "assembled"
+FAMILIES = (FAMILY_QUATERNIONIC, FAMILY_POSITIVE, FAMILY_SPLIT, FAMILY_SQRT, FAMILY_OCTONION,
+            FAMILY_ASSEMBLED)
 
 
 @dataclass(eq=False)
@@ -842,6 +844,7 @@ def expected_irreducible_dim(r: int, s: int) -> int:
 @dataclass
 class ModuleReport:
     checks: list[tuple[str, bool, str]]
+    volume_sign: int | None = None  # computed when s - r = 3 mod 4: 1, -1, or 0 (not central)
 
     @property
     def ok(self) -> bool:
@@ -870,6 +873,7 @@ def audit(
     generator), odd generators when a ``grading`` is given, and for
     s - r = 3 mod 4 a central volume element whose sign matches the
     recorded ``volume_sign`` and, on definite signatures, the ``variant``.
+    The report carries the computed sign, which ``generate`` writes.
     """
     checks: list[tuple[str, bool, str]] = []
     if len(generators) != sig.n:
@@ -912,6 +916,7 @@ def audit(
             plus_sign = -1 if sig.r == 0 else 1
             expect = plus_sign if variant == "plus" else -plus_sign
             checks.append(("volume-variant", sign == expect, f"variant {variant}"))
+        return ModuleReport(checks, sign)
     return ModuleReport(checks)
 
 

@@ -1,0 +1,230 @@
+"""The signed-permutation intertwiner solve and the exact commutant labels."""
+
+import hashlib
+from unittest import mock
+
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinrep import linalg
+from spinrep.cli import main
+from spinrep.kmatrix import GradedSpace, classify_commutant, commutant, joint_intertwiners
+from spinrep.linalg import QMat, Rref, signed_perm_intertwiners
+from spinrep.modules import SpinorModule, assemble_signature, intertwiners
+
+# ---------------------------------------------------------------------------
+# The orbit walk against the RREF solve
+# ---------------------------------------------------------------------------
+
+
+def _signed_perm(perm, signs) -> QMat:
+    """Column j goes to row perm[j] with sign signs[j]."""
+    return QMat.from_entries(len(perm), len(perm), {(i, j): s for j, (i, s) in enumerate(zip(perm, signs))})
+
+
+@st.composite
+def signed_perms(draw, d):
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d))
+    return _signed_perm(perm, signs)
+
+
+@st.composite
+def signed_perm_problems(draw):
+    """(d_in, d_out, pairs): one to three pairs (A, B) with A on d_in and B on d_out."""
+    d_in = draw(st.integers(1, 5))
+    d_out = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 3))
+    return d_in, d_out, [(draw(signed_perms(d_in)), draw(signed_perms(d_out))) for _ in range(count)]
+
+
+def _rank(mats) -> int:
+    rr = Rref()
+    for m in mats:
+        rr.add_row({i * m.ncols + j: v for i, j, v in m.entries()})
+    return rr.rank
+
+
+def _rref_branch(pairs, d_in, d_out):
+    with mock.patch.object(linalg, "signed_perm_intertwiners", lambda *args: None):
+        return linalg.intertwiner_space(pairs, d_in, d_out)
+
+
+def _assert_canonical(basis, d_in):
+    """Entries +-1 on disjoint supports, +1 at each element's smallest flat
+    index, elements sorted by that index."""
+    firsts, seen = [], set()
+    for x in basis:
+        flat = sorted((i * d_in + j, v) for i, j, v in x.entries())
+        assert flat and flat[0][1] == 1
+        assert all(v in (1, -1) for _, v in flat)
+        support = {p for p, _ in flat}
+        assert not support & seen
+        seen |= support
+        firsts.append(flat[0][0])
+    assert firsts == sorted(firsts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_perm_problems())
+def test_orbit_walk_matches_rref_solve(problem):
+    d_in, d_out, pairs = problem
+    fast = signed_perm_intertwiners(pairs, d_in, d_out)
+    slow = _rref_branch(pairs, d_in, d_out)
+    assert len(fast) == len(slow) == _rank(fast) == _rank(fast + slow)
+    for x in fast:
+        assert (x.nrows, x.ncols) == (d_out, d_in)
+        assert all(x * a == b * x for a, b in pairs)
+    _assert_canonical(fast, d_in)
+
+
+def test_orbit_walk_drops_sign_inconsistent_orbits():
+    minus = QMat.from_dense([[-1]])
+    one = QMat.identity(1)
+    assert signed_perm_intertwiners([(minus, one)], 1, 1) == []
+    assert signed_perm_intertwiners([(one, one)], 1, 1) == [one]
+    # the swap with a sign flip: X[0,1] = X[1,0] and X[0,1] = -X[1,0] kill that orbit
+    swap = _signed_perm([1, 0], [1, 1])
+    flip = _signed_perm([1, 0], [1, -1])
+    basis = signed_perm_intertwiners([(swap, flip)], 2, 2)
+    assert basis == _rref_branch([(swap, flip)], 2, 2) == []
+
+
+def test_orbit_walk_canonical_form_on_modules():
+    m = assemble_signature(0, 3)
+    basis = signed_perm_intertwiners([(g, g) for g in m.generators], 4, 4)
+    assert len(basis) == 4 and basis[0] == QMat.identity(4)
+    _assert_canonical(basis, 4)
+    assert signed_perm_intertwiners([(QMat.from_dense([[1, 1], [0, 1]]), QMat.identity(2))], 2, 2) is None
+
+
+def _direct_sum(mats) -> QMat:
+    d = sum(m.nrows for m in mats)
+    entries, off = {}, 0
+    for m in mats:
+        entries.update({(i + off, j + off): v for i, j, v in m.entries()})
+        off += m.nrows
+    return QMat.from_entries(d, d, entries)
+
+
+def test_rectangular_intertwiners_between_modules():
+    plus = assemble_signature(0, 3, "plus")
+    minus = assemble_signature(0, 3, "minus")
+    double = [_direct_sum([g, g]) for g in plus.generators]
+    into = joint_intertwiners(list(plus.generators), double)
+    assert len(into) == 8 and all((x.nrows, x.ncols) == (8, 4) for x in into)
+    pairs = list(zip(plus.generators, double))
+    assert _rank(into + _rref_branch(pairs, 4, 8)) == 8
+    _assert_canonical(into, 4)
+    # S3+ and S3- are inequivalent: every orbit is sign-inconsistent
+    assert joint_intertwiners(list(plus.generators), list(minus.generators)) == []
+
+
+# ---------------------------------------------------------------------------
+# Exact labels
+# ---------------------------------------------------------------------------
+
+
+def sum_module(modules) -> SpinorModule:
+    """The direct sum of modules of one signature, with block generators."""
+    first = modules[0]
+    gens = tuple(_direct_sum(gs) for gs in zip(*(m.generators for m in modules)))
+    d = gens[0].nrows
+    return SpinorModule(first.signature, first.field, gens, GradedSpace("R", d), QMat.identity(d),
+                        "assembled", first.variant, ())
+
+
+def test_direct_sum_labels():
+    plus = assemble_signature(0, 3, "plus")
+    minus = assemble_signature(0, 3, "minus")
+    assert intertwiners(sum_module([plus, minus])).division_algebra == "H+H"
+    assert intertwiners(sum_module([plus, plus])).division_algebra == "M2(H)"
+    assert intertwiners(sum_module([plus, plus, minus])).division_algebra == "H+M2(H)"
+
+
+def test_non_semisimple_commutant_is_not_named():
+    nilpotent = QMat.from_dense([[0, 1], [0, 0]])
+    com = commutant([nilpotent], 2)
+    assert com.real_dimension == 2 and com.division_algebra == "A(2)"
+
+
+def test_label_does_not_depend_on_the_basis():
+    # span{I, J} with J^2 = -1 and span{I, D} with D^2 = 1, both given in bases
+    # with no entry owned by a single element
+    j = QMat.from_dense([[0, -1], [1, 0]])
+    diag = QMat.from_dense([[1, 0], [0, -1]])
+    ident = QMat.identity(2)
+    assert classify_commutant([ident + j, ident - j]) == "C"
+    assert classify_commutant([ident + diag, ident.scale(2) - diag]) == "R+R"
+
+
+def _algebra_type(p: int, q: int) -> tuple[int, str, bool]:
+    """Cl(p,q) with p generators squaring to +1 is M_m(F) or M_m(F) + M_m(F):
+    (m, F, doubled), from (p - q) mod 8."""
+    n = p + q
+    k = (p - q) % 8
+    if k in (0, 2):
+        return 2 ** (n // 2), "R", False
+    if k == 1:
+        return 2 ** ((n - 1) // 2), "R", True
+    if k in (3, 7):
+        return 2 ** ((n - 1) // 2), "C", False
+    if k in (4, 6):
+        return 2 ** ((n - 2) // 2), "H", False
+    return 2 ** ((n - 3) // 2), "H", True
+
+
+FIELD_DIM = {"R": 1, "C": 2, "H": 4}
+
+
+def _label(blocks) -> str:
+    """Name of a sum of M_n(F) blocks given as (n, F)."""
+    parts = sorted((n * n * FIELD_DIM[f], "RCH".index(f), f if n == 1 else f"M{n}({f})") for n, f in blocks)
+    return "+".join(name for _, _, name in parts)
+
+
+def _volume_sign(module) -> int:
+    vol = module.generators[0]
+    for g in module.generators[1:]:
+        vol = vol * g
+    return 1 if vol == QMat.identity(module.real_dim) else -1
+
+
+SIGNATURES = [(r, n - r) for n in range(1, 6) for r in range(n + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SIGNATURES), st.sampled_from(["plus", "minus"]), st.sampled_from(["plus", "minus"]),
+       st.integers(1, 2), st.integers(0, 2))
+def test_direct_sum_labels_follow_the_mod8_table(sig, va, vb, p, q):
+    """Commutants of S_a^p + S_b^q, full and even, against the table."""
+    r, s = sig
+    if (s - r) % 4 != 3:
+        va = vb = "plus"
+    a, b = assemble_signature(r, s, va), assemble_signature(r, s, vb)
+    module = sum_module([a] * p + [b] * q)
+    m, field, doubled = _algebra_type(r, s)
+    # S+ and S- (volume +1 / -1) are inequivalent modules of the full algebra
+    if doubled and _volume_sign(a) != _volume_sign(b):
+        full = [(p, field)] + ([(q, field)] if q else [])
+    else:
+        full = [(p + q, field)]
+    # the even subalgebra Cl(r,s-1) or Cl(s,r-1) sees p + q copies of the same
+    # module; when it is doubled the commutant is taken on one volume half
+    even_m, even_field, even_doubled = _algebra_type(r, s - 1) if s else _algebra_type(s, r - 1)
+    d = m * FIELD_DIM[field] // (2 if even_doubled else 1)
+    copies = d // (even_m * FIELD_DIM[even_field]) * (p + q)
+    assert intertwiners(module).division_algebra == _label(full)
+    assert intertwiners(module, even_only=True).division_algebra == _label([(copies, even_field)])
+
+
+# SHA-256 of `spinrep classify --max-n 16` stdout, recorded before the labels
+# became exact; the irreducible modules' labels must not move.
+CLASSIFY_16_SHA256 = "cb12879461734f0345211a2ddba2f9a12092c669a8431637142bc5fbdf45c362"
+
+
+def test_classify_16_stdout_is_pinned():
+    result = CliRunner().invoke(main, ["classify", "--max-n", "16"])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == CLASSIFY_16_SHA256
