@@ -5,123 +5,45 @@ The algebraic layer (division algebras, blade arithmetic, module assembly,
 commutants, Spin lifts) is exact over the rationals; the geometric layer
 (spin parallel transport of unit quaternion frames) is floating point.  See the CLI
 entry point ``spinrep`` for the file-producing commands.
+
+The names below are imported from their submodules on first access, so that
+``import spinrep`` (and every ``spinrep`` command) loads only what it uses.
 """
 
-from .algebras import KElement, conj, kelem, mul, norm_sq
-from .clifford import (
-    CONVENTION,
-    Multivector,
-    Signature,
-    blade_product,
-    euclidean,
-    hodge_star,
-    psi_embed,
-    volume_element,
-)
-from .errors import InputError, IntegrationError, SpinrepError, StructureError
-from .kmatrix import (
-    Commutant,
-    GradedSpace,
-    KMatrix,
-    commutant,
-    graded_tensor_operator,
-    tensor_module,
-    verify_clifford_condition,
-)
-from .linalg import QMat
-from .modules import (
-    SpinorModule,
-    assemble_euclidean,
-    assemble_positive,
-    assemble_signature,
-    c4_action,
-    expected_irreducible_dim,
-    grading_from_volume,
-    intertwiners,
-    octonion_module,
-    spin_metric_verify,
-    spinor_square,
-    split_clifford_action,
-    split_signature_module,
-    sqrt_space_module,
-    verify_module,
-)
-from .spin import (
-    SpinCoordinateSystem,
-    SpinElement,
-    double_cover_check,
-    reflection,
-    spin_action,
-    spin_coordinate_system,
-    spin_lift,
-    twisted_adjoint,
-    twisted_adjoint_matrix,
-)
-from .surfaces import (
-    ParametricSurface,
-    TransportTrace,
-    hypersurface4_action,
-    spin_parallel_transport,
-    surface_frame,
-    unit_sphere,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONVENTION",
-    "Commutant",
-    "GradedSpace",
-    "InputError",
-    "IntegrationError",
-    "KElement",
-    "KMatrix",
-    "Multivector",
-    "ParametricSurface",
-    "QMat",
-    "Signature",
-    "SpinCoordinateSystem",
-    "SpinElement",
-    "SpinorModule",
-    "SpinrepError",
-    "StructureError",
-    "TransportTrace",
-    "assemble_euclidean",
-    "assemble_positive",
-    "assemble_signature",
-    "blade_product",
-    "c4_action",
-    "commutant",
-    "conj",
-    "double_cover_check",
-    "euclidean",
-    "expected_irreducible_dim",
-    "graded_tensor_operator",
-    "grading_from_volume",
-    "hodge_star",
-    "hypersurface4_action",
-    "intertwiners",
-    "kelem",
-    "mul",
-    "norm_sq",
-    "octonion_module",
-    "psi_embed",
-    "reflection",
-    "spin_action",
-    "spin_coordinate_system",
-    "spin_lift",
-    "spin_metric_verify",
-    "spin_parallel_transport",
-    "spinor_square",
-    "split_clifford_action",
-    "split_signature_module",
-    "sqrt_space_module",
-    "surface_frame",
-    "tensor_module",
-    "twisted_adjoint",
-    "twisted_adjoint_matrix",
-    "unit_sphere",
-    "verify_clifford_condition",
-    "verify_module",
-    "volume_element",
-]
+_EXPORTS = {
+    "algebras": ("KElement", "conj", "kelem", "mul", "norm_sq"),
+    "clifford": ("CONVENTION", "Multivector", "Signature", "blade_product", "euclidean", "hodge_star",
+                 "psi_embed", "volume_element"),
+    "errors": ("InputError", "IntegrationError", "SpinrepError", "StructureError"),
+    "kmatrix": ("Commutant", "GradedSpace", "KMatrix", "commutant", "graded_tensor_operator",
+                "tensor_module", "verify_clifford_condition"),
+    "linalg": ("QMat",),
+    "modules": ("SpinorModule", "assemble_euclidean", "assemble_positive", "assemble_signature",
+                "c4_action", "expected_irreducible_dim", "grading_from_volume", "intertwiners",
+                "octonion_module", "spin_metric_verify", "spinor_square", "split_clifford_action",
+                "split_signature_module", "sqrt_space_module", "verify_module"),
+    "spin": ("SpinCoordinateSystem", "SpinElement", "double_cover_check", "reflection", "spin_action",
+             "spin_coordinate_system", "spin_lift", "twisted_adjoint", "twisted_adjoint_matrix"),
+    "surfaces": ("ParametricSurface", "TransportTrace", "hypersurface4_action", "spin_parallel_transport",
+                 "surface_frame", "unit_sphere"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Looked up on every access, not cached here, so the package attribute
+    # always agrees with the submodule's (which may be rebound, e.g. wrapped).
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

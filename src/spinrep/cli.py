@@ -10,22 +10,19 @@ from __future__ import annotations
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
-from .clifford import Signature
 from .errors import InputError, IntegrationError, SpinrepError
-from .files import dump_gamma_json, module_to_payload, payload_to_gamma, trace_to_csv
-from .modules import (
-    assemble_signature,
-    audit,
-    expected_irreducible_dim,
-    intertwiners,
-    octonion_module,
-    sqrt_space_module,
-    verify_module,
-)
-from .surfaces import BUILTIN_SURFACES, ParametricSurface, spin_parallel_transport
+
+if TYPE_CHECKING:
+    from .clifford import Signature
+    from .surfaces import ParametricSurface
+
+# Each command imports the layers it uses (clifford, modules, files,
+# surfaces), so that a command loads only its own code and ``--help`` loads
+# none of it.
 
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
@@ -41,6 +38,8 @@ def _fail(code: int, message: str):
 
 
 def _parse_sig(text: str) -> Signature:
+    from .clifford import Signature
+
     try:
         r_str, s_str = text.split(",")
         return Signature(int(r_str), int(s_str))
@@ -49,6 +48,8 @@ def _parse_sig(text: str) -> Signature:
 
 
 def _build_module(sig: Signature, family: str, variant: str):
+    from .modules import assemble_signature, octonion_module, sqrt_space_module
+
     if family == "recipe":
         return assemble_signature(sig.r, sig.s, variant)
     if family == "sqrt-space":
@@ -78,6 +79,9 @@ def main() -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def generate(sig_text: str, family: str, variant: str, out_path: str) -> None:
     """Build a module, self-verify it, and write the gamma JSON file."""
+    from .files import dump_gamma_json, module_to_payload
+    from .modules import verify_module
+
     try:
         sig = _parse_sig(sig_text)
         module = _build_module(sig, family, variant)
@@ -106,6 +110,9 @@ def generate(sig_text: str, family: str, variant: str, out_path: str) -> None:
 @click.argument("path", type=click.Path(exists=False))
 def verify(path: str) -> None:
     """Re-verify a gamma JSON file; exit 0 only when every check passes."""
+    from .files import payload_to_gamma
+    from .modules import audit
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -137,6 +144,8 @@ _K0_DIMS = [4, 8, 4, 4, 4, 2, 1, 1]
 @click.option("--max-n", default=8, show_default=True, help="Largest Euclidean dimension (<= 16).")
 def classify(max_n: int) -> None:
     """Compute dims and intertwiner algebras for Cl(0,n) against the tables."""
+    from .modules import assemble_signature, expected_irreducible_dim, intertwiners
+
     if not 1 <= max_n <= 16:
         _fail(EXIT_INPUT, "--max-n must be between 1 and 16")
     header = f"{'n':>3} {'variant':>8} {'dim':>5} {'K':>6} {'K0':>6} {'expected':>16} match"
@@ -178,6 +187,8 @@ def _parse_curve(spec: str):
 
 
 def _parse_surface(spec: str) -> ParametricSurface:
+    from .surfaces import BUILTIN_SURFACES
+
     if spec in BUILTIN_SURFACES:
         return BUILTIN_SURFACES[spec]()
     from .expressions import compile_surface
@@ -221,6 +232,9 @@ def _parse_q0(text: str):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def transport(surface_spec, curve_spec, q0_text, steps, sign, t0, t1, out_path) -> None:
     """Spin-parallel-transport a spinor along a surface curve; write CSV."""
+    from .files import trace_to_csv
+    from .surfaces import spin_parallel_transport
+
     try:
         surface = _parse_surface(surface_spec)
         curve, velocity = _parse_curve(curve_spec)

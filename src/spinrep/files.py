@@ -17,14 +17,20 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .clifford import CONVENTION, Signature
 from .errors import InputError
 from .linalg import QMat
-from .modules import FAMILIES, SpinorModule
-from .surfaces import TransportTrace
+
+if TYPE_CHECKING:
+    from .modules import SpinorModule
+    from .surfaces import TransportTrace
 
 FORMAT_VERSION = 1
+# every top-level key the v1 writer emits; grading and volume_sign only where they apply
+PAYLOAD_KEYS = ("format_version", "signature", "convention", "field", "real_dim", "family", "variant",
+                "generators", "spin_metric", "commutant_basis", "grading", "volume_sign")
 FIELDS = ("R", "C", "H")
 VARIANTS = ("plus", "minus")
 _CELL = r"-?[0-9]+(/[0-9]+)?"  # compiled on first use, not at import
@@ -62,7 +68,14 @@ def _choice(value, allowed: tuple[str, ...], what: str) -> str:
 
 
 def _matrix_to_rows(m: QMat) -> list[list[str]]:
-    return [[_frac_str(m.get(i, j)) for j in range(m.ncols)] for i in range(m.nrows)]
+    zero = ["0"] * m.ncols
+    rows = []
+    for r in m.rows:
+        row = zero.copy()
+        for j, v in r.items():
+            row[j] = _frac_str(v)
+        rows.append(row)
+    return rows
 
 
 def _matrix_from_rows(rows, size: int) -> QMat:
@@ -130,15 +143,23 @@ class LoadedGammaFile:
 
 def payload_to_gamma(payload) -> LoadedGammaFile:
     """Read a parsed v1 gamma file, checking every field against the format:
-    integers are JSON integers (never booleans), ``field``, ``family`` and
-    ``variant`` come from their fixed sets, and every matrix is a real_dim x
-    real_dim list of lists of integer or ``"p/q"`` cells.  Anything else
-    raises InputError."""
+    only the writer's keys appear, the ``convention`` is spinrep's, integers
+    are JSON integers (never booleans), ``field``, ``family`` and ``variant``
+    come from their fixed sets, and every matrix is a real_dim x real_dim list
+    of lists of integer or ``"p/q"`` cells.  Anything else raises
+    InputError."""
+    from .modules import FAMILIES  # here, so that writing a transport CSV never loads the module layer
+
     if not isinstance(payload, dict):
         raise InputError("malformed gamma file: expected one JSON object")
+    unknown = [key for key in payload if key not in PAYLOAD_KEYS]
+    if unknown:
+        raise InputError(f"malformed gamma file: unknown key {unknown[0]!r}")
     try:
         if _int(payload["format_version"], "format_version") != FORMAT_VERSION:
             raise InputError(f"unsupported format_version {payload['format_version']}")
+        if payload["convention"] != CONVENTION:
+            raise InputError(f"unsupported convention {payload['convention']!r}")
         sig_pair = payload["signature"]
         if not isinstance(sig_pair, list) or len(sig_pair) != 2:
             raise InputError("signature must be a list [r, s]")
@@ -171,8 +192,25 @@ def payload_to_gamma(payload) -> LoadedGammaFile:
         raise InputError(f"malformed gamma file: {exc}") from exc
 
 
+def _json_block(value, depth: int) -> str:
+    """``json.dumps(value, indent=1)`` of a payload value (a number, a string
+    or a list of those or of lists) nested ``depth`` levels deep.  A list of
+    strings is a matrix row, whose cells (``_frac_str``: digits, ``-`` and
+    ``/``) JSON writes as they are, so the row is one join; ``json``'s
+    indenting encoder would write it one chunk per cell."""
+    if type(value) is not list or not value:
+        return json.dumps(value)
+    pad = "\n" + " " * (depth + 1)
+    if type(value[0]) is str:
+        return "[" + pad + '"' + ('",' + pad + '"').join(value) + '"' + pad[:-1] + "]"
+    return "[" + pad + ("," + pad).join(_json_block(v, depth + 1) for v in value) + pad[:-1] + "]"
+
+
 def dump_gamma_json(payload: dict) -> str:
-    return json.dumps(payload, indent=1, sort_keys=False) + "\n"
+    """The v1 file text: the bytes of ``json.dumps(payload, indent=1)`` and a
+    newline."""
+    items = ",\n".join(f" {json.dumps(key)}: {_json_block(value, 1)}" for key, value in payload.items())
+    return "{\n" + items + "\n}\n"
 
 
 def _fmt_float(x: float) -> str:

@@ -269,22 +269,24 @@ class CliffordReport:
         return self.ok
 
 
-def verify_clifford_condition(generators: list[QMat], sig: Signature) -> CliffordReport:
-    """Check G_i G_j + G_j G_i = -2 g_ij I exactly; violations are reported,
-    not raised."""
+def verify_clifford_condition(generators: list, sig: Signature) -> CliffordReport:
+    """Check G_i G_i = -g_ii I and G_i G_j = -G_j G_i (i != j) exactly, which
+    together are G_i G_j + G_j G_i = -2 g_ij I; violations are reported, not
+    raised.  The generators are all ``QMat``s or all ``SignedPerm``s."""
     if len(generators) != sig.n:
         raise InputError(f"{sig} needs {sig.n} generators, got {len(generators)}")
     d = generators[0].nrows
     for g in generators:
         if g.nrows != d or g.ncols != d:
             raise InputError("generators must be square and of equal size")
-    ident = QMat.identity(d)
+    ident = type(generators[0]).identity(d)
     violations = []
-    for i in range(sig.n):
-        for j in range(i, sig.n):
-            anti = generators[i].anticommutator(generators[j])
-            expected = ident.scale(-2 * sig.form(i)) if i == j else QMat.zeros(d, d)
-            if anti != expected:
+    for i, a in enumerate(generators):
+        if a * a != ident.scale(-sig.form(i)):
+            violations.append((i + 1, i + 1))
+        for j in range(i + 1, sig.n):
+            b = generators[j]
+            if a * b != -(b * a):
                 violations.append((i + 1, j + 1))
     return CliffordReport(not violations, d, violations)
 

@@ -1,11 +1,15 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, with a separate exact
+type for signed permutation matrices.
 
-Everything in the algebraic layer of this package runs on ``Fraction``
-arithmetic: module dimensions, commutant dimensions and Clifford-condition
-checks are exact statements, never floating-point estimates.  Matrices are
+The algebraic layer of this package makes exact statements: module
+dimensions, commutant dimensions and Clifford-condition checks are never
+floating-point estimates.  General matrices are ``QMat``s over ``Fraction``s,
 stored sparsely (one dict per row) because nearly every operator we build is
 a signed permutation matrix or close to one, and the few that are not stay
-very sparse.
+very sparse.  A matrix with one entry +1 or -1 in every row and column is
+exactly a ``SignedPerm``: products, transposes and comparisons of those are
+index lookups and integer sign products, so the structural audit and the
+even commutant run on them whenever every operand is monomial.
 
 Two solvers live here:
 
@@ -168,29 +172,97 @@ class QMat:
             out.append(sum((v * vec[j] for j, v in r.items()), ZERO))
         return out
 
-    def anticommutator(self, other: "QMat") -> "QMat":
-        return self * other + other * self
 
-    def is_signed_perm(self):
-        """Return ``(sigma, signs)`` with column j mapping to row sigma[j]
-        with sign signs[j], or None if this is not a signed permutation."""
-        if self.nrows != self.ncols:
+class SignedPerm:
+    """Exact signed permutation matrix: column j holds ``signs[j]`` (+1 or
+    -1) in row ``perm[j]``, so basis vector j goes to ``signs[j] e_perm[j]``.
+
+    It equals the ``QMat`` it was made from (``of``) entry for entry, and its
+    operations give the same results as ``QMat``'s on equal inputs: a product
+    is one index lookup and one sign product per column.  Instances are
+    immutable, like ``QMat``s.
+    """
+
+    __slots__ = ("perm", "signs")
+
+    def __init__(self, perm: list[int], signs: list[int]):
+        self.perm = perm
+        self.signs = signs
+
+    @property
+    def nrows(self) -> int:
+        return len(self.perm)
+
+    ncols = nrows
+
+    @staticmethod
+    def of(m) -> "SignedPerm | None":
+        """``m`` as a signed permutation, or None unless ``m`` is square with
+        exactly one entry, +1 or -1, in every row and column."""
+        if isinstance(m, SignedPerm):
+            return m
+        if m.nrows != m.ncols:
             return None
-        sigma = [-1] * self.ncols
-        signs = [0] * self.ncols
-        for i, r in enumerate(self.rows):
+        perm = [-1] * m.ncols
+        signs = [0] * m.ncols
+        for i, r in enumerate(m.rows):
             if len(r) != 1:
                 return None
             ((j, v),) = r.items()
-            if v != 1 and v != -1:
+            if perm[j] != -1:
                 return None
-            if sigma[j] != -1:
+            if v == 1:
+                signs[j] = 1
+            elif v == -1:
+                signs[j] = -1
+            else:
                 return None
-            sigma[j] = i
-            signs[j] = 1 if v == 1 else -1
-        if any(s == -1 for s in sigma):
-            return None
-        return sigma, signs
+            perm[j] = i
+        # n rows with one entry each in distinct columns cover all n columns
+        return SignedPerm(perm, signs)
+
+    @staticmethod
+    def identity(n: int) -> "SignedPerm":
+        return SignedPerm(list(range(n)), [1] * n)
+
+    @staticmethod
+    def diag(values: Iterable) -> "SignedPerm":
+        signs = [int(v) for v in values]
+        if any(v != 1 and v != -1 for v in signs):
+            raise ValueError("a signed permutation has diagonal entries +1 or -1 only")
+        return SignedPerm(list(range(len(signs))), signs)
+
+    def __mul__(self, other: "SignedPerm") -> "SignedPerm":
+        assert len(self.perm) == len(other.perm), "matrix size mismatch"
+        perm, signs = self.perm, self.signs
+        return SignedPerm([perm[k] for k in other.perm],
+                          [s * signs[k] for k, s in zip(other.perm, other.signs)])
+
+    def __neg__(self) -> "SignedPerm":
+        return SignedPerm(self.perm, [-s for s in self.signs])
+
+    def scale(self, c) -> "SignedPerm":
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
+        raise ValueError("a signed permutation scales by +1 or -1 only")
+
+    def transpose(self) -> "SignedPerm":
+        perm = [0] * len(self.perm)
+        signs = [0] * len(self.perm)
+        for j, (i, s) in enumerate(zip(self.perm, self.signs)):
+            perm[i] = j
+            signs[i] = s
+        return SignedPerm(perm, signs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SignedPerm):
+            return NotImplemented
+        return self.perm == other.perm and self.signs == other.signs
+
+    def __repr__(self):
+        return f"SignedPerm({len(self.perm)}x{len(self.perm)})"
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +377,12 @@ def sparse_solve(rows: list[dict[int, Fraction]], rhs: list, ncols: int):
 # ---------------------------------------------------------------------------
 
 
-def signed_perm_intertwiners(pairs: list[tuple[QMat, QMat]], d_in: int, d_out: int) -> list[QMat] | None:
+def signed_perm_intertwiners(pairs: list[tuple], d_in: int, d_out: int) -> list[QMat] | None:
     """Basis of ``{X : X A_k = B_k X}`` for signed-permutation pairs.
 
-    ``X`` has shape ``d_out x d_in``.  Returns None when some matrix in
-    ``pairs`` is not a signed permutation (caller should fall back to the
-    generic solver).
+    ``X`` has shape ``d_out x d_in``.  The matrices are ``QMat``s or
+    ``SignedPerm``s.  Returns None when some matrix in ``pairs`` is not a
+    signed permutation (caller should fall back to the generic solver).
 
     Each pair ``(A, B)`` sends entry ``(a, b)`` of ``X`` to entry
     ``(sigma_B(a), sigma_A(b))`` with the sign ``sign_B[a] * sign_A[b]``.  A
@@ -321,11 +393,11 @@ def signed_perm_intertwiners(pairs: list[tuple[QMat, QMat]], d_in: int, d_out: i
     """
     maps = []
     for a, b in pairs:
-        pa = a.is_signed_perm()
-        pb = b.is_signed_perm()
+        pa = SignedPerm.of(a)
+        pb = pa if b is a else SignedPerm.of(b)
         if pa is None or pb is None:
             return None
-        maps.append((pb[0], pb[1], pa[0], pa[1]))
+        maps.append((pb.perm, pb.signs, pa.perm, pa.signs))
 
     slot = [0] * (d_out * d_in)  # sign of an entry relative to its orbit's start, 0 = unvisited
     basis = []

@@ -52,7 +52,7 @@ from .kmatrix import (
     tensor_op_right,
     verify_clifford_condition,
 )
-from .linalg import QMat, Rref, intertwiner_space, sparse_solve
+from .linalg import QMat, Rref, SignedPerm, intertwiner_space, sparse_solve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -730,8 +730,23 @@ def spin_metric_verify(module: SpinorModule, metric: QMat | None = None) -> Metr
     return MetricReport(not failures, failures)
 
 
-def _submatrix(m: QMat, idxs: list[int]) -> QMat:
+def _monomial(mats, d: int) -> list[SignedPerm] | None:
+    """``mats`` as d x d signed permutations, or None if one is not."""
+    perms = []
+    for m in mats:
+        p = SignedPerm.of(m)
+        if p is None or p.nrows != d:
+            return None
+        perms.append(p)
+    return perms
+
+
+def _submatrix(m, idxs: list[int]):
+    """The block of ``m`` on rows and columns ``idxs``.  A ``SignedPerm``
+    must map ``idxs`` to itself, and its block is one too."""
     pos = {v: t for t, v in enumerate(idxs)}
+    if isinstance(m, SignedPerm):
+        return SignedPerm([pos[m.perm[j]] for j in idxs], [m.signs[j] for j in idxs])
     entries = {}
     for i, j, v in m.entries():
         if i in pos and j in pos:
@@ -745,13 +760,17 @@ def even_summand(module: SpinorModule) -> list[int] | None:
     module), else None.  The volume operator must be diagonal there."""
     if module.signature.n % 2:
         return None
-    vol = module.volume_operator()
     d = module.real_dim
-    if vol * vol != QMat.identity(d):
+    gens = _monomial(module.generators, d) or list(module.generators)
+    vol = gens[0]
+    for g in gens[1:]:
+        vol = vol * g
+    if vol * vol != type(vol).identity(d):
         return None
-    if not all(set(row) == {i} for i, row in enumerate(vol.rows)):
+    diag = SignedPerm.of(vol)  # a diagonal square root of 1 has entries +-1
+    if diag is None or diag.perm != list(range(d)):
         raise StructureError("even commutant on a split module needs a diagonal volume operator")
-    return [i for i in range(d) if vol.get(i, i) == 1]
+    return [i for i in range(d) if diag.signs[i] == 1]
 
 
 def intertwiners(module: SpinorModule, even_only: bool = False) -> Commutant:
@@ -767,13 +786,12 @@ def intertwiners(module: SpinorModule, even_only: bool = False) -> Commutant:
     """
     if not even_only:
         return commutant(list(module.generators), module.real_dim)
-    gens = [module.generators[0] * g for g in module.generators[1:]]
-    if not gens:
-        gens = [QMat.identity(module.real_dim)]
+    gens = _monomial(module.generators, module.real_dim) or list(module.generators)
+    even = [gens[0] * g for g in gens[1:]] or [type(gens[0]).identity(module.real_dim)]
     plus = even_summand(module)
     if plus is not None:
-        gens = [_submatrix(g, plus) for g in gens]
-    return commutant(gens, gens[0].nrows)
+        even = [_submatrix(g, plus) for g in even]
+    return commutant(even, even[0].nrows)
 
 
 def spinor_square(module: SpinorModule, s1: list, s2: list) -> Multivector:
@@ -874,11 +892,20 @@ def audit(
     s - r = 3 mod 4 a central volume element whose sign matches the
     recorded ``volume_sign`` and, on definite signatures, the ``variant``.
     The report carries the computed sign, which ``generate`` writes.
+
+    When every matrix operand is a d x d signed permutation, as every recipe
+    module's is, the checks run on ``SignedPerm``s; otherwise on ``QMat``s.
+    Both types give the same answers on equal matrices.
     """
     checks: list[tuple[str, bool, str]] = []
     if len(generators) != sig.n:
         checks.append(("generator-count", False, f"{len(generators)} != {sig.n}"))
         return ModuleReport(checks)
+    d = metric.nrows
+    perms = _monomial([*generators, metric, *commutant_basis], d)
+    mat = QMat if perms is None else SignedPerm
+    if perms is not None:
+        generators, metric, commutant_basis = perms[:sig.n], perms[sig.n], perms[sig.n + 1:]
     rep = verify_clifford_condition(list(generators), sig)
     detail = "" if rep.ok else f"violating pairs {rep.violations}"
     checks.append(("clifford-condition", rep.ok, detail))
@@ -886,7 +913,7 @@ def audit(
     failures = _metric_failures(sig, generators, metric, commutant_basis[1:])
     checks.append(("spin-metric", not failures, "; ".join(failures)))
 
-    ident = QMat.identity(metric.nrows)
+    ident = mat.identity(d)
     failures = []
     if not commutant_basis or commutant_basis[0] != ident:
         failures.append("first commutant basis element is not the identity")
@@ -898,7 +925,7 @@ def audit(
     checks.append(("commutant-basis", not failures, "; ".join(failures)))
 
     if grading is not None:
-        eps = QMat.diag(grading)
+        eps = mat.diag(grading)
         odd_ok = all((eps * g) == (g * eps).scale(-1) for g in generators)
         checks.append(("generators-odd", odd_ok, ""))
 

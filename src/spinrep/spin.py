@@ -16,11 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .clifford import Multivector, Signature, euclidean
 from .errors import InputError, StructureError
 from .linalg import QMat
-from .modules import SpinorModule, _submatrix, even_summand, intertwiners
+
+if TYPE_CHECKING:
+    from .modules import SpinorModule
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -258,6 +261,10 @@ def verify_spin_coordinate_system(
     covered frame, is a scaled isometry of the spin metric, and commutes
     with the even commutant (the right action of K0), on the +1 volume
     summand where ``intertwiners(module, even_only=True)`` takes it."""
+    # imported here: surface transport uses this module's quaternion helpers
+    # and never loads the module layer
+    from .modules import _submatrix, even_summand, intertwiners
+
     failures = []
     n = module.signature.n
     phi = system.iso

@@ -1,11 +1,16 @@
 """CLI contract: round trips, exit codes, determinism, table output."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import spinrep
 from spinrep.cli import main
 
 
@@ -259,3 +264,27 @@ def test_transport_rejects_python_escape(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "not allowed" in result.output
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The spinrep modules a fresh interpreter has loaded after ``code``."""
+    src = str(Path(spinrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = code + "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('spinrep')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return set(done.stdout.split())
+
+
+def test_commands_load_only_the_layers_they_use(tmp_path):
+    assert _loaded_after("import spinrep.cli") == {"spinrep", "spinrep.cli", "spinrep.errors"}
+    out = tmp_path / "g.json"
+    loaded = _loaded_after("from spinrep.cli import main\n"
+                           f"main(['generate', '--sig', '1,1', '--out', {str(out)!r}], standalone_mode=False)")
+    assert out.is_file() and "spinrep.modules" in loaded
+    assert not loaded & {"spinrep.spin", "spinrep.surfaces", "spinrep.expressions"}
+    out = tmp_path / "t.csv"
+    loaded = _loaded_after("from spinrep.cli import main\n"
+                           f"main(['transport', '--steps', '50', '--out', {str(out)!r}], standalone_mode=False)")
+    assert out.is_file() and "spinrep.surfaces" in loaded
+    assert not loaded & {"spinrep.modules", "spinrep.kmatrix", "spinrep.expressions"}

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from spinrep.cli import main
 from spinrep.errors import InputError
-from spinrep.files import FIELDS, VARIANTS, module_to_payload, payload_to_gamma
+from spinrep.files import FIELDS, PAYLOAD_KEYS, VARIANTS, dump_gamma_json, module_to_payload, payload_to_gamma
 from spinrep.modules import FAMILIES, assemble_signature
+
+from test_gamma_manifest import sweep_jobs
 
 # Cl(1,1) carries a grading, Cl(0,3) a volume sign
 PAYLOADS = {sig: module_to_payload(assemble_signature(*sig)) for sig in ((1, 1), (0, 3))}
@@ -57,6 +59,10 @@ def _set(payload, path, value):
     ("variant", 7),
     ("volume_sign", True),
     ("volume_sign", 2),
+    ("convention", "e_i^2 = +1 for all"),
+    ("convention", None),
+    ("extra", 5),
+    ("Generators", []),
 ])
 def test_loader_rejects_bad_fields(key, value):
     payload = copy.deepcopy(PAYLOADS[(1, 1)])
@@ -86,6 +92,37 @@ def test_loader_accepts_integer_cells_and_what_the_writer_writes():
     payload = copy.deepcopy(PAYLOADS[(0, 3)])
     payload["generators"] = [[[int(c.split("/")[0]) for c in row] for row in g] for g in payload["generators"]]
     assert _verify_exit(payload) == 0
+
+
+def test_loader_accepts_every_key_the_writer_writes():
+    assert sorted(PAYLOADS[(1, 1)].keys() | PAYLOADS[(0, 3)].keys()) == sorted(PAYLOAD_KEYS)
+
+
+# ---------------------------------------------------------------------------
+# The writer against json's indenting encoder
+# ---------------------------------------------------------------------------
+
+
+def _writer_payloads():
+    jobs = sweep_jobs() + [(f"recipe {r},{s} plus", lambda r=r, s=s: assemble_signature(r, s))
+                           for r, s in ((0, 15), (3, 9))]
+    return [(key, lambda build=build: module_to_payload(build())) for key, build in jobs]
+
+
+def _odd_cells():
+    payload = copy.deepcopy(PAYLOADS[(0, 3)])
+    payload["generators"][0][0][1] = "1/2"
+    payload["generators"][1][2][3] = "-2"
+    payload["spin_metric"] = [[int(c) for c in row] for row in payload["spin_metric"]]
+    payload["commutant_basis"] = []
+    return payload
+
+
+@pytest.mark.parametrize("key, make", _writer_payloads() + [("odd cells", _odd_cells)],
+                         ids=[key for key, _ in _writer_payloads()] + ["odd cells"])
+def test_writer_matches_json_indent_encoder(key, make):
+    payload = make()
+    assert dump_gamma_json(payload) == json.dumps(payload, indent=1) + "\n"
 
 
 # ---------------------------------------------------------------------------
