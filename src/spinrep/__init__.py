@@ -19,6 +19,7 @@ _EXPORTS = {
     "clifford": ("CONVENTION", "Multivector", "Signature", "blade_product", "euclidean", "hodge_star",
                  "psi_embed", "volume_element"),
     "errors": ("InputError", "IntegrationError", "SpinrepError", "StructureError"),
+    "expressions": ("ParametricSurface",),
     "kmatrix": ("Commutant", "GradedSpace", "KMatrix", "commutant", "graded_tensor_operator",
                 "tensor_module", "verify_clifford_condition"),
     "linalg": ("QMat",),
@@ -28,7 +29,7 @@ _EXPORTS = {
                 "split_signature_module", "sqrt_space_module", "verify_module"),
     "spin": ("SpinCoordinateSystem", "SpinElement", "double_cover_check", "reflection", "spin_action",
              "spin_coordinate_system", "spin_lift", "twisted_adjoint", "twisted_adjoint_matrix"),
-    "surfaces": ("ParametricSurface", "TransportTrace", "hypersurface4_action", "spin_parallel_transport",
+    "surfaces": ("TransportTrace", "hypersurface4_action", "spin_parallel_transport",
                  "surface_frame", "unit_sphere"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

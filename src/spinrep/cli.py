@@ -18,11 +18,10 @@ from .errors import InputError, IntegrationError, SpinrepError
 
 if TYPE_CHECKING:
     from .clifford import Signature
-    from .surfaces import ParametricSurface
 
 # Each command imports the layers it uses (clifford, modules, files,
-# surfaces), so that a command loads only its own code and ``--help`` loads
-# none of it.
+# surfaces, expressions), so that a command loads only its own code and
+# ``--help`` loads none of it.
 
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
@@ -176,26 +175,6 @@ def classify(max_n: int) -> None:
     sys.exit(0 if all_match else EXIT_VERIFY_FAILED)
 
 
-def _parse_curve(spec: str):
-    """(curve, velocity): t -> (u, v) and t -> (du/dt, dv/dt)."""
-    if spec == "great-circle":
-        return (lambda t: (2 * math.pi * t, 0.0)), (lambda t: (2 * math.pi, 0.0))
-    # imported here so that commands without an expression never load the compiler
-    from .expressions import compile_curve
-
-    return compile_curve(spec)
-
-
-def _parse_surface(spec: str) -> ParametricSurface:
-    from .surfaces import BUILTIN_SURFACES
-
-    if spec in BUILTIN_SURFACES:
-        return BUILTIN_SURFACES[spec]()
-    from .expressions import compile_surface
-
-    return compile_surface(spec)
-
-
 _Q0_SHORTHAND = {
     "1": (1.0, 0.0, 0.0, 0.0),
     "i": (0.0, 1.0, 0.0, 0.0),
@@ -232,12 +211,13 @@ def _parse_q0(text: str):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def transport(surface_spec, curve_spec, q0_text, steps, sign, t0, t1, out_path) -> None:
     """Spin-parallel-transport a spinor along a surface curve; write CSV."""
+    from .expressions import compile_curve, compile_surface
     from .files import trace_to_csv
-    from .surfaces import spin_parallel_transport
+    from .surfaces import BUILTIN_CURVES, BUILTIN_SURFACES, spin_parallel_transport
 
     try:
-        surface = _parse_surface(surface_spec)
-        curve, velocity = _parse_curve(curve_spec)
+        surface = compile_surface(BUILTIN_SURFACES.get(surface_spec, surface_spec))
+        curve, velocity = compile_curve(BUILTIN_CURVES.get(curve_spec, curve_spec))
         q0 = _parse_q0(q0_text)
         if steps < 2:
             raise InputError("steps must be at least 2")

@@ -185,9 +185,6 @@ class Multivector:
         return Multivector.make(sig, {mask: Fraction(c)})
 
     # -- inspection ---------------------------------------------------------
-    def coeff(self, mask: int) -> Fraction:
-        return self.terms.get(mask, ZERO)
-
     def is_zero(self) -> bool:
         return not self.terms
 

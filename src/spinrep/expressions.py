@@ -1,4 +1,5 @@
-"""The expression language of ``transport --surface`` and ``--curve``.
+"""The expression language of ``transport --surface`` and ``--curve``: the
+one evaluator of the surfaces and curves the CLI transports along.
 
 A surface spec is ``x=EXPR; y=EXPR; z=EXPR`` in the variables u, v; a curve
 spec is ``u=EXPR; v=EXPR`` in t.  An expression may hold only numbers, the
@@ -6,18 +7,22 @@ variables, the constant ``pi``, ``+ - * / **``, unary ``+``/``-`` and the
 functions below called with one positional argument; anything else raises
 InputError before anything is evaluated.  Each spec is parsed with ``ast``
 against that whitelist, differentiated symbolically, and compiled once into
-straight-line Python: the chart with its first and second partials, or the
-curve with its velocity (du/dt, dv/dt).
+straight-line Python: the chart with its first and second partials (a
+``ParametricSurface``), or the curve with its velocity (du/dt, dv/dt).  The
+builtin surfaces and curves of ``spinrep.surfaces`` are specs too.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 from .errors import InputError
-from .surfaces import ParametricSurface
+
+Vec3 = tuple[float, float, float]
 
 _FUNCTIONS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
@@ -29,6 +34,19 @@ _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**
 # derivatives; no user name reaches them.  ``math.pow`` raises ValueError for
 # a negative base with a fractional exponent, where ``**`` turns complex.
 _RUNTIME = dict(_FUNCTIONS, log=math.log, sign=partial(math.copysign, 1.0), power=math.pow)
+
+
+@dataclass
+class ParametricSurface:
+    """Chart (u,v) -> R^3 with its exact derivatives: ``partials`` returns
+    (X_u, X_v) and ``second_partials`` returns (X_uu, X_uv, X_vv)."""
+
+    chart: Callable[[float, float], Vec3]
+    partials: Callable[[float, float], tuple[Vec3, Vec3]]
+    second_partials: Callable[[float, float], tuple[Vec3, Vec3, Vec3]]
+
+    def point(self, u: float, v: float) -> Vec3:
+        return tuple(map(float, self.chart(u, v)))
 
 
 class _Graph:
@@ -237,5 +255,5 @@ def compile_surface(spec: str) -> ParametricSurface:
     second = [graph.derivative(xu, "u"), graph.derivative(xu, "v"), graph.derivative(xv, "v")]
     return ParametricSurface(
         graph.function("u, v", xyz), graph.function("u, v", [xu, xv]),
-        graph.function("u, v", second), name="custom",
+        graph.function("u, v", second),
     )

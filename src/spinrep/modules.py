@@ -18,8 +18,9 @@ base modules in dimensions 1..4 through mixed-field tensor products
   with the leftover definite factor.
 
 Two alternative Euclidean families are included: the square-roots-of-space
-modules built by halving the exterior algebra through the Hodge star
-(dimensions 1..4), and the octonion modules (dimensions 4..8).
+modules, which are the volume-element half of the exterior algebra of R^n
+under wedge-minus-contraction (dimensions 1..4; the whole algebra for n = 1,
+2), and the octonion modules (dimensions 4..8).
 
 All modules come with an exact rational spin metric, the realified right
 action of their intertwiner algebra, and odd generators where a grading
@@ -38,6 +39,7 @@ from .algebras import ALGEBRA_DIM, KElement
 from .clifford import (
     Multivector,
     Signature,
+    blade_product,
     euclidean,
     reorder_sign,
 )
@@ -453,84 +455,42 @@ def assemble_signature(r: int, s: int, variant: str = "plus") -> SpinorModule:
 # Square roots of space (Euclidean, dimensions 1..4)
 # ---------------------------------------------------------------------------
 
-# anti-self-dual basis 2-forms in dimension 4, as (mask, mask, sign) pairs:
-# f_a = e_(1,a+1) - star e_(1,a+1)
-_ASD_BASIS = (
-    ((0b0011, 1), (0b1100, -1)),  # e12 - e34
-    ((0b0101, 1), (0b1010, 1)),   # e13 + e24
-    ((0b1001, 1), (0b0110, -1)),  # e14 - e23
-)
-
-
 def _sqrt_gens(n: int) -> list[QMat]:
-    if n in (1, 2):
-        # the full exterior algebra with wedge-minus-contraction
-        return [_wedge_matrix(n, j) - _contract_matrix(n, j) for j in range(n)]
-    if n == 3:
-        # basis (1; e1,e2,e3): c(v)(l, w) = (-<v,w>, l v + star(v ^ w))
-        gens = []
-        for j in range(3):
-            entries: dict[tuple[int, int], Fraction] = {}
-            entries[(1 + j, 0)] = ONE           # l -> l e_j
-            entries[(0, 1 + j)] = -ONE          # w -> -<e_j, w>
-            for t in range(3):
-                if t == j:
-                    continue
-                # star(e_j ^ e_t) is the remaining basis vector with the
-                # cyclic sign of the 3-dimensional cross product
-                u = 3 - j - t
-                sgn = reorder_sign(1 << j, 1 << t) * reorder_sign((1 << j) | (1 << t), 1 << u)
-                entries[(1 + u, 1 + t)] = Fraction(sgn)
-            gens.append(QMat.from_entries(4, 4, entries))
+    """Wedge-minus-contraction on the exterior algebra of R^n, which is left
+    multiplication in Cl(0,n).  Where the volume element squares to +1
+    (n = 3, 4) the action is restricted to the eps = (-1)^n eigenspace of
+    right multiplication x -> x vol, which commutes with it; where it squares
+    to -1 (n = 1, 2) the whole algebra is the module.
+
+    The half has one basis vector per key blade x: (x + eps x vol)/2 for x
+    below the middle degree and x + eps x vol for a middle-degree x that
+    contains e_1, ordered by (grade, mask).  x vol is never a key blade, so
+    coordinates are read off at the key blades."""
+    gens = [_wedge_matrix(n, j) - _contract_matrix(n, j) for j in range(n)]
+    sig, vol = euclidean(n), (1 << n) - 1
+    if blade_product(sig, vol, vol)[0] < 0:
         return gens
-    if n == 4:
-        # basis (1; e1..e4; f1,f2,f3) with f the anti-self-dual 2-forms
-        gens = []
-        for j in range(4):
-            entries = {}
-            entries[(1 + j, 0)] = ONE
-            entries[(0, 1 + j)] = -ONE
-            # tau column: P_asd(e_j ^ e_t) expressed in the f basis
-            for t in range(4):
-                if t == j:
-                    continue
-                wedge = {}
-                sgn = reorder_sign(1 << j, 1 << t)
-                wedge[(1 << j) | (1 << t)] = Fraction(sgn)
-                # project: coordinates in f_a of (omega - star omega)/2
-                for a, pairs in enumerate(_ASD_BASIS):
-                    (m1, s1), (m2, s2) = pairs
-                    # f_a has norm^2 = 2 in the plain 2-form metric, and
-                    # P(e_jt) = <e_jt, f_a>/2 f_a summed over a
-                    coef = (wedge.get(m1, ZERO) * s1 + wedge.get(m2, ZERO) * s2) / 2
-                    if coef:
-                        entries[(5 + a, 1 + t)] = coef
-            # w column of tau input: star(e_j ^ f_a) - contract(e_j, f_a)
-            for a, pairs in enumerate(_ASD_BASIS):
-                acc: dict[int, Fraction] = {}
-                for m, s in pairs:
-                    # star(e_j ^ e_m)
-                    if not m >> j & 1:
-                        w_mask = (1 << j) | m
-                        sgn = reorder_sign(1 << j, m)
-                        comp = 0b1111 ^ w_mask
-                        sgn *= reorder_sign(w_mask, comp)
-                        acc[comp] = acc.get(comp, ZERO) + s * sgn
-                    # - contract e_j into e_m
-                    if m >> j & 1:
-                        pos = bin(m & ((1 << j) - 1)).count("1")
-                        sgn = -1 if pos & 1 else 1
-                        rest = m & ~(1 << j)
-                        acc[rest] = acc.get(rest, ZERO) - s * sgn
-                for mask, coef in acc.items():
-                    if coef and mask.bit_count() == 1:
-                        gens_idx = mask.bit_length()  # 1..4 -> rows 1..4
-                        entries[(gens_idx, 5 + a)] = entries.get((gens_idx, 5 + a), ZERO) + coef
-                    elif coef:
-                        raise StructureError("sqrt-space column left the model space")
-            gens.append(QMat.from_entries(8, 8, entries))
-        return gens
-    raise InputError("sqrt-space modules exist for dimensions 1..4 only")
+    eps = -1 if n % 2 else 1
+    key = sorted(
+        (x for x in range(vol + 1) if 2 * x.bit_count() < n or 2 * x.bit_count() == n and x & 1),
+        key=lambda x: (x.bit_count(), x),
+    )
+    span, read = {}, {}
+    for k, x in enumerate(key):
+        weight = ONE if 2 * x.bit_count() == n else Fraction(1, 2)
+        sign, partner = blade_product(sig, x, vol)
+        span[(x, k)], span[(partner, k)] = weight, eps * sign * weight
+        read[(k, x)] = 1 / weight
+    span = QMat.from_entries(vol + 1, len(key), span)
+    read = QMat.from_entries(len(key), vol + 1, read)
+    halves = []
+    for g in gens:
+        image = g * span
+        half = read * image
+        if span * half != image:
+            raise StructureError("sqrt-space image left the volume-element eigenspace")
+        halves.append(half)
+    return halves
 
 
 def _solve_invariant_metric(gens, sig: Signature, right_units) -> QMat:
@@ -583,9 +543,10 @@ def _invert(m: QMat) -> QMat:
 
 @lru_cache(maxsize=None)
 def sqrt_space_module(n: int) -> SpinorModule:
-    """Euclidean modules built by halving the exterior algebra with the
-    Hodge star; available in dimensions 1..4 only (the halving undershoots
-    the irreducible dimension beyond 4)."""
+    """Euclidean modules on the exterior algebra of R^n, halved by right
+    multiplication with the volume element (the Hodge star up to sign) where
+    it squares to +1, see ``_sqrt_gens``; available in dimensions 1..4 only
+    (beyond 4 the construction exceeds the irreducible dimension)."""
     if not 1 <= n <= 4:
         raise InputError("sqrt-space modules exist for dimensions 1..4 only")
     gens = _sqrt_gens(n)

@@ -111,41 +111,16 @@ def twisted_adjoint_matrix(g: Multivector) -> list[list[Fraction]]:
     return [[cols[j][i] for j in range(sig.n)] for i in range(sig.n)]
 
 
-def _is_special_orthogonal(rows: list[list[Fraction]], sig: Signature) -> bool:
-    n = sig.n
+def _is_orthogonal(rows: list[list[Fraction]], n: int) -> bool:
+    """R^T R = I, checked exactly."""
     if len(rows) != n or any(len(r) != n for r in rows):
         return False
-    # R^T R = I (Euclidean) checked exactly
     for i in range(n):
         for j in range(n):
             dot = sum(rows[k][i] * rows[k][j] for k in range(n))
             if dot != (1 if i == j else 0):
                 return False
-    return _det(rows) == 1
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = ONE
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return ZERO
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = ONE / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
+    return True
 
 
 def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement:
@@ -154,8 +129,9 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
     Requires an exactly orthogonal rational matrix with determinant 1 over a
     Euclidean signature.  The lift is a product of reflection vectors found
     by column reduction (map column j to e_j, one reflection or none per
-    column); determinant 1 forces the reflection count to be even.  The
-    returned element is one of the two lifts; negate for the other.
+    column).  k reflections H_k ... H_1 R = I give det R = (-1)^k, so an odd
+    count is a determinant -1 and is refused.  The returned element is one
+    of the two lifts; negate for the other.
     """
     rows = [[Fraction(c) for c in r] for r in rotation]
     n = len(rows)
@@ -165,7 +141,7 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
         raise InputError("spin_lift expects a Euclidean signature")
     if sig.n != n:
         raise InputError("matrix size does not match signature")
-    if not _is_special_orthogonal(rows, sig):
+    if not _is_orthogonal(rows, n):
         raise InputError("input is not an exact special orthogonal matrix")
 
     mirrors: list[list[Fraction]] = []
@@ -188,7 +164,7 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
     if any(work[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
         raise StructureError("reflection reduction did not reach the identity")
     if len(mirrors) % 2 != 0:
-        raise StructureError("odd reflection count for a rotation")
+        raise InputError("input is not an exact special orthogonal matrix")
     g = Multivector.scalar(sig, 1)
     for w in mirrors:
         g = g * Multivector.vector(sig, w)

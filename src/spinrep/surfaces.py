@@ -8,6 +8,10 @@ off g as e1 = g i conj(g), e2 = g j conj(g), and moves the initial spinor by
 left multiplication.  The sign of g is carried continuously, so no path
 lifting is needed.  Everything here is floating point; the exact algebraic
 layer is not involved.
+
+Every surface is a chart compiled by ``spinrep.expressions`` with its exact
+partials; the builtin names (``unit-sphere``, ``plane``, ``great-circle``)
+are shorthands for the specs in BUILTIN_SURFACES and BUILTIN_CURVES.
 """
 
 from __future__ import annotations
@@ -17,11 +21,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InputError, IntegrationError
+from .expressions import ParametricSurface, Vec3, compile_surface
 from .spin import quat_mul, quat_rotate, rotation_to_quaternion
 
 FD_STEP = 1e-6  # central-difference step for a curve given without its velocity
-
-Vec3 = tuple[float, float, float]
 
 
 def _add(a, b):
@@ -59,63 +62,32 @@ def _normalize(a):
     return _scale(a, 1.0 / n)
 
 
-@dataclass
-class ParametricSurface:
-    """Chart (u,v) -> R^3 with its analytic derivatives: ``partials``
-    returns (X_u, X_v) and ``second_partials`` returns (X_uu, X_uv, X_vv)."""
-
-    chart: Callable[[float, float], Vec3]
-    partials: Callable[[float, float], tuple[Vec3, Vec3]]
-    second_partials: Callable[[float, float], tuple[Vec3, Vec3, Vec3]]
-    name: str = "surface"
-
-    def point(self, u: float, v: float) -> Vec3:
-        return tuple(map(float, self.chart(u, v)))
-
-    def normal(self, u: float, v: float) -> Vec3:
-        xu, xv = self.partials(u, v)
-        n = _cross(xu, xv)
-        if _norm(n) < 1e-14:
-            raise InputError(f"chart is not an immersion at (u,v)=({u},{v})")
-        return _normalize(n)
+# The builtin surfaces and curves of ``transport``: each name is shorthand
+# for a spec, compiled like any other.
+BUILTIN_SURFACES = {
+    "unit-sphere": "x=sin(u)*cos(v); y=sin(v); z=cos(u)*cos(v)",
+    "plane": "x=u; y=v; z=0",
+}
+BUILTIN_CURVES = {"great-circle": "u=2*pi*t; v=0"}
 
 
 def unit_sphere() -> ParametricSurface:
     """Unit sphere chart covering the prime great circle without degeneracy:
     X(u, v) = (sin u cos v, sin v, cos u cos v), outward normal."""
-
-    def chart(u, v):
-        return (math.sin(u) * math.cos(v), math.sin(v), math.cos(u) * math.cos(v))
-
-    def partials(u, v):
-        xu = (math.cos(u) * math.cos(v), 0.0, -math.sin(u) * math.cos(v))
-        xv = (-math.sin(u) * math.sin(v), math.cos(v), -math.cos(u) * math.sin(v))
-        return xu, xv
-
-    def second(u, v):
-        xuu = (-math.sin(u) * math.cos(v), 0.0, -math.cos(u) * math.cos(v))
-        xuv = (-math.cos(u) * math.sin(v), 0.0, math.sin(u) * math.sin(v))
-        xvv = (-math.sin(u) * math.cos(v), -math.sin(v), -math.cos(u) * math.cos(v))
-        return xuu, xuv, xvv
-
-    return ParametricSurface(chart, partials, second, name="unit-sphere")
+    return compile_surface(BUILTIN_SURFACES["unit-sphere"])
 
 
 def plane() -> ParametricSurface:
-    def chart(u, v):
-        return (u, v, 0.0)
-
-    def partials(u, v):
-        return (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
-
-    def second(u, v):
-        z = (0.0, 0.0, 0.0)
-        return z, z, z
-
-    return ParametricSurface(chart, partials, second, name="plane")
+    """The plane z = 0: X(u, v) = (u, v, 0), normal e3."""
+    return compile_surface(BUILTIN_SURFACES["plane"])
 
 
-BUILTIN_SURFACES = {"unit-sphere": unit_sphere, "plane": plane}
+def _unit_normal(surface: ParametricSurface, u: float, v: float) -> Vec3:
+    xu, xv = surface.partials(u, v)
+    n = _cross(xu, xv)
+    if _norm(n) < 1e-14:
+        raise InputError(f"chart is not an immersion at (u,v)=({u},{v})")
+    return _normalize(n)
 
 
 def surface_frame(surface: ParametricSurface, u: float, v: float) -> tuple[Vec3, Vec3, Vec3]:
@@ -226,7 +198,7 @@ def spin_parallel_transport(
         raise InputError("initial_sign must be +1 or -1")
     try:
         uv = curve(t0)
-        nu0, x0 = surface.normal(*uv), surface.point(*uv)
+        nu0, x0 = _unit_normal(surface, *uv), surface.point(*uv)
     except (ArithmeticError, ValueError) as exc:  # InputError at t0 stays an input error
         raise IntegrationError(str(exc), t0) from exc
     if frame0 is None:

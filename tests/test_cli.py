@@ -1,5 +1,6 @@
 """CLI contract: round trips, exit codes, determinism, table output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -223,6 +224,46 @@ def test_transport_custom_surface_and_curve(runner, tmp_path):
         assert abs(float(a) - float(b)) < 1e-9
 
 
+SPHERE_SPEC = "x=sin(u)*cos(v); y=sin(v); z=cos(u)*cos(v)"
+LATITUDE = "u=2*pi*t; v=0.4"
+
+# SHA-256 of `spinrep transport` CSVs, recorded when the builtin surfaces and
+# the great circle were still hand-coded; compiling them must not move a byte.
+TRANSPORT_SHA256 = {
+    ("unit-sphere", "great-circle", "0.3,0.1,-0.5,2", "2000"):
+        "2563cb72fd083ec7f9a8bafd01ec37cad880729ca237921f0946ef4c0c536b3d",
+    ("unit-sphere", LATITUDE, "i", "2000"):
+        "193aaf7906b36f82e00192a534e40470602c223b155c246f69d2d18af09da91e",
+    (SPHERE_SPEC, LATITUDE, "i", "2000"):
+        "193aaf7906b36f82e00192a534e40470602c223b155c246f69d2d18af09da91e",
+    ("plane", "u=cos(t); v=sin(2*t)", "1", "500"):
+        "cdeedc4bdeb861971535a1fef084ce4b1cf7f62347f3737f212bbf28ba0a4abe",
+}
+
+
+def _transport_bytes(runner, tmp_path, surface, curve, q0, steps) -> bytes:
+    out = tmp_path / "pinned.csv"
+    result = runner.invoke(main, ["transport", "--surface", surface, "--curve", curve,
+                                  "--q0", q0, "--steps", steps, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(TRANSPORT_SHA256))
+def test_transport_csv_is_pinned(runner, tmp_path, case):
+    data = _transport_bytes(runner, tmp_path, *case)
+    assert hashlib.sha256(data).hexdigest() == TRANSPORT_SHA256[case]
+
+
+@pytest.mark.parametrize("named, spelled", [
+    (("unit-sphere", "great-circle"), (SPHERE_SPEC, "u=2*pi*t; v=0")),
+    (("plane", "u=cos(t); v=sin(2*t)"), ("x=u; y=v; z=0", "u=cos(t); v=sin(2*t)")),
+])
+def test_transport_builtin_names_are_their_specs(runner, tmp_path, named, spelled):
+    assert (_transport_bytes(runner, tmp_path, *named, "0.3,0.1,-0.5,2", "300")
+            == _transport_bytes(runner, tmp_path, *spelled, "0.3,0.1,-0.5,2", "300"))
+
+
 @pytest.mark.parametrize("curve", ["u=t; v=sqrt(0.5-t)", "u=t; v=1/(t-0.5)"])
 def test_transport_domain_error_exit_4(runner, tmp_path, curve):
     out = tmp_path / "domain.csv"
@@ -286,5 +327,5 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
     out = tmp_path / "t.csv"
     loaded = _loaded_after("from spinrep.cli import main\n"
                            f"main(['transport', '--steps', '50', '--out', {str(out)!r}], standalone_mode=False)")
-    assert out.is_file() and "spinrep.surfaces" in loaded
-    assert not loaded & {"spinrep.modules", "spinrep.kmatrix", "spinrep.expressions"}
+    assert out.is_file() and {"spinrep.surfaces", "spinrep.expressions"} <= loaded
+    assert not loaded & {"spinrep.modules", "spinrep.kmatrix"}

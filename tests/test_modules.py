@@ -13,6 +13,7 @@ from spinrep.errors import InputError, StructureError
 from spinrep.files import module_to_payload, payload_to_gamma
 from spinrep.kmatrix import joint_intertwiners, verify_clifford_condition
 from spinrep.linalg import QMat, intertwiner_space
+from spinrep import modules
 from spinrep.modules import (
     _invert,
     assemble_euclidean,
@@ -265,6 +266,17 @@ def test_sqrt_space_structure(n):
 def test_sqrt_space_range():
     with pytest.raises(InputError):
         sqrt_space_module(5)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sqrt_space_refuses_a_span_that_is_not_invariant(monkeypatch, n):
+    """Pairing each key blade with the wrong partner spans no submodule; the
+    images are then not reproduced by their key-blade coordinates."""
+    real = modules.blade_product
+    monkeypatch.setattr(modules, "blade_product",
+                        lambda sig, a, b: (real(sig, a, b)[0], a ^ b ^ (1 << n - 1)))
+    with pytest.raises(StructureError, match="eigenspace"):
+        modules._sqrt_gens(n)
 
 
 def test_invert_reduces_once_and_rejects_singular():

@@ -101,6 +101,11 @@ def test_spin_lift_rejects_bad_input():
     refl = [[Fraction(-1), 0], [0, Fraction(1)]]
     with pytest.raises(InputError):
         spin_lift(refl)
+    # an odd signed permutation that the reduction takes three mirrors to undo
+    cycle = [[Fraction(int(i == (j + 1) % 4)) if max(i, j) < 4 else Fraction(int(i == j))
+              for j in range(5)] for i in range(5)]
+    with pytest.raises(InputError, match="special orthogonal"):
+        spin_lift(cycle)
 
 
 def test_covering_parity_and_composition():
