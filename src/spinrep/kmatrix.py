@@ -376,7 +376,7 @@ def classify_commutant(basis: list[QMat]) -> str:
             rr.add_row({i * b.ncols + j: v for i, j, v in b.entries()})
         return classify_commutant(
             [QMat.from_entries(b.nrows, b.ncols, {divmod(c, b.ncols): v for c, v in row.items()})
-             for row in rr.pivots.values()])
+             for row in rr.reduced().values()])
     # mult[i][j]: the coordinates {t: value} of basis[i] * basis[j], read at keys[t]
     mult: list[list[dict[int, Fraction]]] = [[{} for _ in range(k)] for _ in range(k)]
     for t, (r, c) in enumerate(keys):

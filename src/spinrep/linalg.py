@@ -13,8 +13,10 @@ even commutant run on them whenever every operand is monomial.
 
 Two solvers live here:
 
-* an incremental reduced-row-echelon form over Fraction entries, used for
-  nullspaces and exact linear solves, and
+* an incremental reduced-row-echelon form for nullspaces and exact linear
+  solves, which takes Fraction or int rows and returns Fractions but
+  eliminates over the integers (no Fraction is built inside the
+  elimination), and
 * an orbit walk for intertwiner spaces ``{X : X A_k = B_k X}`` when every
   ``A_k`` and ``B_k`` is a signed permutation.  In that case each constraint
   relates exactly two entries of ``X`` up to sign, so the solution space is
@@ -25,6 +27,7 @@ Two solvers live here:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 ZERO = Fraction(0)
@@ -270,79 +273,120 @@ class SignedPerm:
 # ---------------------------------------------------------------------------
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
 class Rref:
-    """Incremental reduced row echelon form over Fraction rows (sparse dicts)."""
+    """Incremental reduced row echelon form of rational rows, eliminated over
+    the integers: fraction-free elimination (Bareiss, Math. Comp. 22, 1968),
+    with each row divided by the gcd of its entries in place of Bareiss's
+    exact division by the previous pivot.
+
+    Rows are sparse dicts ``{column: value}`` with ``int`` or ``Fraction``
+    values.  Each pivot row is kept as a primitive integer vector whose pivot
+    coefficient is positive, so the elimination loops never build a
+    ``Fraction``.  The pivot of a new row is the smallest column left after
+    reducing it by the existing pivot rows, and the new pivot column is
+    eliminated from the older rows at once, so the form stays reduced.  A
+    reduced form is unique for its pivot set; ``reduced`` and ``nullspace``
+    read it out as ``Fraction``s.
+    """
 
     def __init__(self):
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+        self._rows: dict[int, dict[int, int]] = {}  # pivot column -> primitive integer row
         # which pivot rows currently contain a given column (for eager reduction)
         self._col_uses: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
 
-    def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        row = dict(row)
-        pivots = self.pivots
-        while True:
-            hit = None
-            for c in row:
-                if c in pivots:
-                    hit = c
-                    break
-            if hit is None:
-                return row
-            coef = row.pop(hit)
-            for j, v in pivots[hit].items():
-                if j == hit:
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """The primitive integer row left after eliminating every pivot column
+        from ``row``.  Pivot rows are zero at every other pivot column, so one
+        common multiplier and one subtraction per pivot row suffice."""
+        rows = self._rows
+        hits = [c for c in row if c in rows]
+        if not hits:
+            return row
+        mult = 1
+        for c in hits:
+            p = rows[c][c]
+            mult = lcm(mult, p // gcd(row[c], p))
+        if mult != 1:
+            row = {j: mult * v for j, v in row.items()}
+        for c in hits:
+            prow = rows[c]
+            f = row.pop(c) // prow[c]
+            for j, v in prow.items():
+                if j == c:
                     continue
-                s = row.get(j, ZERO) - coef * v
+                s = row.get(j, 0) - f * v
                 if s:
                     row[j] = s
                 elif j in row:
                     del row[j]
+        return _primitive(row)
 
-    def add_row(self, row: dict[int, Fraction]) -> int | None:
+    def add_row(self, row: dict[int, Fraction | int]) -> int | None:
         """Reduce ``row`` and install it as a new pivot; returns the pivot
         column or None if the row was dependent."""
-        row = self.reduce(row)
+        den = lcm(*(v.denominator for v in row.values()))
+        row = _primitive({j: v.numerator * (den // v.denominator) for j, v in row.items() if v})
+        row = self._reduce(row)
         if not row:
             return None
         piv = min(row)
-        inv = ONE / row[piv]
-        row = {j: v * inv for j, v in row.items()}
-        # eliminate the new pivot column from existing pivot rows
-        for p in list(self._col_uses.get(piv, ())):
-            prow = self.pivots[p]
-            coef = prow.pop(piv)
-            self._col_uses[piv].discard(p)
+        pn = row[piv]
+        if pn < 0:
+            row = {j: -v for j, v in row.items()}
+            pn = -pn
+        rows, uses = self._rows, self._col_uses
+        # eliminate the new pivot column from existing pivot rows:
+        # prow <- (pn/g) prow - (b/g) row, g = gcd(b, pn), keeps prow's pivot positive
+        for p in list(uses.get(piv, ())):
+            prow = rows[p]
+            b = prow.pop(piv)
+            uses[piv].discard(p)
+            g = gcd(b, pn)
+            m, f = pn // g, b // g
+            if m != 1:
+                prow = {j: m * v for j, v in prow.items()}
             for j, v in row.items():
                 if j == piv:
                     continue
-                s = prow.get(j, ZERO) - coef * v
+                s = prow.get(j, 0) - f * v
                 if s:
                     if j not in prow:
-                        self._col_uses.setdefault(j, set()).add(p)
+                        uses.setdefault(j, set()).add(p)
                     prow[j] = s
                 elif j in prow:
                     del prow[j]
-                    self._col_uses[j].discard(p)
-        self.pivots[piv] = row
+                    uses[j].discard(p)
+            rows[p] = _primitive(prow)
+        rows[piv] = row
         for j in row:
             if j != piv:
-                self._col_uses.setdefault(j, set()).add(piv)
+                uses.setdefault(j, set()).add(piv)
         return piv
 
+    def reduced(self) -> dict[int, dict[int, Fraction]]:
+        """The reduced rows, pivot column -> row with 1 at the pivot, in the
+        order the pivots were found."""
+        return {p: {j: Fraction(v, row[p]) for j, v in row.items()} for p, row in self._rows.items()}
+
     def nullspace(self, ncols: int) -> list[dict[int, Fraction]]:
-        free = [c for c in range(ncols) if c not in self.pivots]
+        rows = self._rows
         basis = []
-        for f in free:
+        for f in (c for c in range(ncols) if c not in rows):
             vec = {f: ONE}
-            for p, row in self.pivots.items():
+            for p, row in rows.items():
                 v = row.get(f)
                 if v:
-                    vec[p] = -v
+                    vec[p] = Fraction(-v, row[p])
             basis.append(vec)
         return basis
 
@@ -361,10 +405,11 @@ def sparse_solve(rows: list[dict[int, Fraction]], rhs: list, ncols: int):
         if fb:
             r[aug] = -fb
         rr.add_row(r)
-    if aug in rr.pivots:
+    reduced = rr.reduced()
+    if aug in reduced:
         return None, False
     sol = {}
-    for p, row in rr.pivots.items():
+    for p, row in reduced.items():
         v = row.get(aug)
         if v:
             sol[p] = -v
@@ -431,30 +476,30 @@ def intertwiner_space(pairs: list[tuple[QMat, QMat]], d_in: int, d_out: int) -> 
     """Exact basis of ``{X : X A_k = B_k X}`` for arbitrary rational matrices.
 
     Uses the orbit-walk fast path when every matrix is a signed permutation,
-    otherwise reduces the (sparse) commutation constraints directly.
+    otherwise reduces the (sparse) commutation constraints directly, built as
+    integer rows.
     """
     fast = signed_perm_intertwiners(pairs, d_in, d_out)
     if fast is not None:
         return fast
 
-    def var(i: int, j: int) -> int:
-        return i * d_in + j
-
     rr = Rref()
     for a, b in pairs:
-        acols: list[dict[int, Fraction]] = [dict() for _ in range(d_in)]
+        # scale the pair by the lcm of its denominators: same constraints, integer rows
+        den = lcm(*(v.denominator for m in (a, b) for r in m.rows for v in r.values()))
+        acols: list[dict[int, int]] = [dict() for _ in range(d_in)]
         for i, j, v in a.entries():
-            acols[j][i] = v
+            acols[j][i] = v.numerator * (den // v.denominator)
+        brows = [{k: v.numerator * (den // v.denominator) for k, v in r.items()} for r in b.rows]
         # constraint entry (i,j): sum_k X[i,k] A[k,j] - sum_k B[i,k] X[k,j] = 0
         for i in range(d_out):
-            brow = b.rows[i]
+            brow = brows[i]
+            base = i * d_in
             for j in range(d_in):
-                row: dict[int, Fraction] = {}
-                for k, v in acols[j].items():
-                    row[var(i, k)] = row.get(var(i, k), ZERO) + v
+                row: dict[int, int] = {base + k: v for k, v in acols[j].items()}
                 for k, v in brow.items():
-                    key = var(k, j)
-                    s = row.get(key, ZERO) - v
+                    key = k * d_in + j
+                    s = row.get(key, 0) - v
                     if s:
                         row[key] = s
                     elif key in row:

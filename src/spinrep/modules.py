@@ -536,9 +536,10 @@ def _invert(m: QMat) -> QMat:
     rr = Rref()
     for i, row in enumerate(m.rows):
         rr.add_row({**row, d + i: ONE})
-    if any(p >= d for p in rr.pivots):
+    reduced = rr.reduced()
+    if any(p >= d for p in reduced):
         raise StructureError("matrix is not invertible")
-    return QMat(d, d, [{j - d: v for j, v in rr.pivots[i].items() if j >= d} for i in range(d)])
+    return QMat(d, d, [{j - d: v for j, v in reduced[i].items() if j >= d} for i in range(d)])
 
 
 @lru_cache(maxsize=None)
