@@ -16,19 +16,18 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "algebras": ("KElement", "conj", "kelem", "mul", "norm_sq"),
-    "clifford": ("CONVENTION", "Multivector", "Signature", "blade_product", "euclidean", "hodge_star",
-                 "psi_embed", "volume_element"),
+    "clifford": ("Multivector", "blade_product", "euclidean", "hodge_star", "psi_embed", "volume_element"),
     "errors": ("InputError", "IntegrationError", "SpinrepError", "StructureError"),
     "expressions": ("ParametricSurface",),
-    "kmatrix": ("Commutant", "GradedSpace", "KMatrix", "commutant", "graded_tensor_operator",
-                "tensor_module", "verify_clifford_condition"),
+    "kmatrix": ("Commutant", "GradedSpace", "KMatrix", "commutant", "graded_tensor_operator", "tensor_module"),
     "linalg": ("QMat",),
     "modules": ("SpinorModule", "assemble_euclidean", "assemble_positive", "assemble_signature",
-                "c4_action", "expected_irreducible_dim", "grading_from_volume", "intertwiners",
-                "octonion_module", "spin_metric_verify", "spinor_square", "split_clifford_action",
-                "split_signature_module", "sqrt_space_module", "verify_module"),
+                "c4_action", "grading_from_volume", "intertwiners", "octonion_module", "spin_metric_verify",
+                "spinor_square", "split_clifford_action", "split_signature_module", "sqrt_space_module",
+                "verify_module"),
     "spin": ("SpinCoordinateSystem", "SpinElement", "double_cover_check", "reflection", "spin_action",
              "spin_coordinate_system", "spin_lift", "twisted_adjoint", "twisted_adjoint_matrix"),
+    "structure": ("CONVENTION", "Signature", "expected_irreducible_dim", "verify_clifford_condition"),
     "surfaces": ("TransportTrace", "hypersurface4_action", "spin_parallel_transport",
                  "surface_frame", "unit_sphere"),
 }

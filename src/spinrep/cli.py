@@ -7,19 +7,19 @@ Exit codes: 0 success, 1 verification failure, 2 input error, 3 I/O failure,
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
-
-import click
 
 from .errors import InputError, IntegrationError, SpinrepError
 
 if TYPE_CHECKING:
-    from .clifford import Signature
+    from .structure import Signature
 
-# Each command imports the layers it uses (clifford, modules, files,
+# Each command imports the layers it uses (structure, modules, files,
 # surfaces, expressions), so that a command loads only its own code and
 # ``--help`` loads none of it.
 
@@ -32,12 +32,12 @@ FAMILIES = ("recipe", "sqrt-space", "octonion")
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
 def _parse_sig(text: str) -> Signature:
-    from .clifford import Signature
+    from .structure import Signature
 
     try:
         r_str, s_str = text.split(",")
@@ -66,16 +66,6 @@ def _build_module(sig: Signature, family: str, variant: str):
     raise InputError(f"unknown family {family!r}")
 
 
-@click.group()
-def main() -> None:
-    """Exact spinor representations of Clifford algebras and spin transport."""
-
-
-@main.command()
-@click.option("--sig", "sig_text", required=True, help="Signature as R,S (e.g. 0,8).")
-@click.option("--family", type=click.Choice(FAMILIES), default="recipe", show_default=True)
-@click.option("--variant", type=click.Choice(["plus", "minus"]), default="plus", show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def generate(sig_text: str, family: str, variant: str, out_path: str) -> None:
     """Build a module, self-verify it, and write the gamma JSON file."""
     from .files import dump_gamma_json, module_to_payload
@@ -90,7 +80,7 @@ def generate(sig_text: str, family: str, variant: str, out_path: str) -> None:
     bad = [(name, detail) for name, ok, detail in report.checks if not ok]
     if bad:
         for name, detail in bad:
-            click.echo(f"FAIL {name}: {detail}", err=True)
+            print(f"FAIL {name}: {detail}", file=sys.stderr)
         sys.exit(EXIT_VERIFY_FAILED)
     payload = module_to_payload(module, report.volume_sign)
     text = dump_gamma_json(payload)
@@ -99,18 +89,16 @@ def generate(sig_text: str, family: str, variant: str, out_path: str) -> None:
             fh.write(text)
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write {out_path}: {exc}")
-    click.echo(
+    print(
         f"wrote {out_path}: {module.signature} family={module.family} "
         f"variant={module.variant} K={module.field} real_dim={module.real_dim}"
     )
 
 
-@main.command()
-@click.argument("path", type=click.Path(exists=False))
 def verify(path: str) -> None:
     """Re-verify a gamma JSON file; exit 0 only when every check passes."""
     from .files import payload_to_gamma
-    from .modules import audit
+    from .structure import audit
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -123,32 +111,29 @@ def verify(path: str) -> None:
     except (json.JSONDecodeError, InputError) as exc:
         _fail(EXIT_INPUT, f"malformed file: {exc}")
     report = audit(
-        loaded.signature, loaded.generators, loaded.spin_metric, loaded.commutant_basis,
+        loaded.signature, loaded.field, loaded.generators, loaded.spin_metric, loaded.commutant_basis,
         loaded.grading, loaded.variant, loaded.volume_sign,
     )
     for name, ok, detail in report.checks:
         status = "PASS" if ok else "FAIL"
         suffix = f" ({detail})" if detail and not ok else ""
-        click.echo(f"{status} {name}{suffix}")
+        print(f"{status} {name}{suffix}")
     sys.exit(0 if report.ok else EXIT_VERIFY_FAILED)
 
 
-_K_TAGS = ["C", "H", "H", "H", "C", "R", "R", "R"]
-_K_DIMS = [2, 4, 4, 4, 2, 1, 1, 1]
 _K0_TAGS = ["M2(R)", "M2(C)", "H", "H", "H", "C", "R", "R"]
 _K0_DIMS = [4, 8, 4, 4, 4, 2, 1, 1]
 
 
-@main.command()
-@click.option("--max-n", default=8, show_default=True, help="Largest Euclidean dimension (<= 16).")
 def classify(max_n: int) -> None:
     """Compute dims and intertwiner algebras for Cl(0,n) against the tables."""
-    from .modules import assemble_signature, expected_irreducible_dim, intertwiners
+    from .modules import assemble_signature, intertwiners
+    from .structure import expected_field, expected_irreducible_dim
 
     if not 1 <= max_n <= 16:
         _fail(EXIT_INPUT, "--max-n must be between 1 and 16")
     header = f"{'n':>3} {'variant':>8} {'dim':>5} {'K':>6} {'K0':>6} {'expected':>16} match"
-    click.echo(header)
+    print(header)
     all_match = True
     for n in range(1, max_n + 1):
         variants = ["plus", "minus"] if n % 4 == 3 else ["plus"]
@@ -157,17 +142,17 @@ def classify(max_n: int) -> None:
             full = intertwiners(module)
             even = intertwiners(module, even_only=True)
             idx = (n - 1) % 8
-            exp_dim = expected_irreducible_dim(0, n)
+            exp_dim, exp_k = expected_irreducible_dim(0, n), expected_field(0, n)
             ok = (
                 module.real_dim == exp_dim
-                and full.real_dimension == _K_DIMS[idx]
-                and full.division_algebra == _K_TAGS[idx]
+                and full.real_dimension == {"R": 1, "C": 2, "H": 4}[exp_k]
+                and full.division_algebra == exp_k
                 and even.real_dimension == _K0_DIMS[idx]
                 and even.division_algebra == _K0_TAGS[idx]
             )
             all_match &= ok
-            expected = f"{exp_dim},{_K_TAGS[idx]},{_K0_TAGS[idx]}"
-            click.echo(
+            expected = f"{exp_dim},{exp_k},{_K0_TAGS[idx]}"
+            print(
                 f"{n:>3} {variant:>8} {module.real_dim:>5} "
                 f"{full.division_algebra:>6} {even.division_algebra:>6} "
                 f"{expected:>16} {'MATCH' if ok else 'MISMATCH'}"
@@ -197,18 +182,6 @@ def _parse_q0(text: str):
     return tuple(parts)
 
 
-@main.command()
-@click.option("--surface", "surface_spec", default="unit-sphere", show_default=True,
-              help="Builtin (unit-sphere, plane) or 'x=..; y=..; z=..' in u,v.")
-@click.option("--curve", "curve_spec", default="great-circle", show_default=True,
-              help="Builtin great-circle or 'u=..; v=..' in t.")
-@click.option("--q0", "q0_text", default="i", show_default=True,
-              help="Initial spinor: w,x,y,z or one of 1,i,j,k.")
-@click.option("--steps", default=10000, show_default=True)
-@click.option("--sign", type=click.Choice(["+1", "-1"]), default="+1", show_default=True)
-@click.option("--t0", default=0.0, show_default=True)
-@click.option("--t1", default=1.0, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def transport(surface_spec, curve_spec, q0_text, steps, sign, t0, t1, out_path) -> None:
     """Spin-parallel-transport a spinor along a surface curve; write CSV."""
     from .expressions import compile_curve, compile_surface
@@ -245,7 +218,71 @@ def transport(surface_spec, curve_spec, q0_text, steps, sign, t0, t1, out_path) 
         _fail(EXIT_IO, f"cannot write {out_path}: {exc}")
     breaches = sum(1 for flag in trace.ok if not flag)
     suffix = f" ({breaches} rows breach tolerance)" if breaches else ""
-    click.echo(f"wrote {out_path}: {len(trace)} samples{suffix}")
+    print(f"wrote {out_path}: {len(trace)} samples{suffix}")
+
+
+def _out_path(text: str) -> str:
+    """``--out``: a file to write; an existing directory is a usage error."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
+    return text
+
+
+def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser, and the options that take a value (all but ``--help``)."""
+    parser = argparse.ArgumentParser(prog="spinrep", allow_abbrev=False, description=__doc__)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    takes_value = set()
+
+    def command(run):
+        sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+
+        def option(flag, **kwargs):
+            if "default" in kwargs:
+                kwargs["help"] = kwargs.get("help", "") + " (default: %(default)s)"
+            sub.add_argument(flag, **kwargs)
+            if flag.startswith("--"):
+                takes_value.add(flag)
+        return option
+
+    option = command(generate)
+    option("--sig", dest="sig_text", required=True, help="Signature as R,S (e.g. 0,8).")
+    option("--family", choices=FAMILIES, default="recipe")
+    option("--variant", choices=("plus", "minus"), default="plus")
+    option("--out", dest="out_path", required=True, type=_out_path)
+    command(verify)("path")
+    command(classify)("--max-n", type=int, default=8, help="Largest Euclidean dimension (<= 16).")
+    option = command(transport)
+    option("--surface", dest="surface_spec", default="unit-sphere",
+           help="Builtin (unit-sphere, plane) or 'x=..; y=..; z=..' in u,v.")
+    option("--curve", dest="curve_spec", default="great-circle", help="Builtin great-circle or 'u=..; v=..' in t.")
+    option("--q0", dest="q0_text", default="i", help="Initial spinor: w,x,y,z or one of 1,i,j,k.")
+    option("--steps", type=int, default=10000)
+    option("--sign", choices=("+1", "-1"), default="+1")
+    option("--t0", type=float, default=0.0)
+    option("--t1", type=float, default=1.0)
+    option("--out", dest="out_path", required=True, type=_out_path)
+    return parser, takes_value
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run one ``spinrep`` command on ``argv`` (default ``sys.argv[1:]``);
+    usage errors exit 2.  ``standalone_mode`` is accepted and ignored: the
+    benchmark's in-process runner passes it (ROADMAP item 1)."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser, takes_value = _parser()
+    # An option's value is the next token even when it starts with "-"
+    # (``--q0 -1,0,0,0``), which argparse would read as an option: pass it as
+    # ``--q0=-1,0,0,0``.
+    i = 0
+    while i < len(argv) - 1 and argv[i] != "--":
+        if argv[i] in takes_value:
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        i += 1
+    args = vars(parser.parse_args(argv))
+    del args["command"]
+    args.pop("run")(**args)
 
 
 if __name__ == "__main__":

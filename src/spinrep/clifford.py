@@ -7,8 +7,8 @@ Convention used everywhere in this package: the defining relation is
 with the bilinear form ``g = diag(-1 x r, +1 x s)``.  Consequently the first
 ``r`` generators square to +1 and the remaining ``s`` square to -1, and the
 signature (0, n) is the Euclidean case where every generator squares to -1.
-The convention is stated in every serialized file because conventions differ
-between sources.
+The convention is stated in every serialized file (``structure.CONVENTION``)
+because conventions differ between sources.
 
 Blades are bitmasks: bit ``i`` set means generator ``e_{i+1}`` is a factor,
 factors in ascending index order.  A multivector is a sparse map from blade
@@ -27,57 +27,10 @@ from math import lcm
 
 from .errors import InputError, StructureError
 from .linalg import sparse_solve
+from .structure import Signature
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-CONVENTION = (
-    "e_i e_j + e_j e_i = -2 g_ij with g = diag(-1 x r, +1 x s); "
-    "e_1..e_r square to +1, e_(r+1)..e_(r+s) square to -1"
-)
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Counts of generators squaring to +1 (r) and to -1 (s)."""
-
-    r: int
-    s: int
-
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0 or self.r + self.s < 1:
-            raise InputError(f"invalid signature ({self.r},{self.s})")
-
-    @property
-    def n(self) -> int:
-        return self.r + self.s
-
-    def gen_square(self, i: int) -> int:
-        """Square of generator e_{i+1}: +1 for i < r, else -1."""
-        if not 0 <= i < self.n:
-            raise InputError(f"generator index {i} out of range for {self}")
-        return 1 if i < self.r else -1
-
-    @property
-    def neg_mask(self) -> int:
-        """Blade mask of the generators squaring to -1: bits r..n-1."""
-        return ((1 << self.s) - 1) << self.r
-
-    def form(self, i: int) -> int:
-        """Diagonal entry g(e_{i+1}, e_{i+1}) = -e_{i+1}^2."""
-        return -self.gen_square(i)
-
-    def bilinear(self, v, w) -> Fraction:
-        """g(v, w) for coordinate vectors."""
-        if len(v) != self.n or len(w) != self.n:
-            raise InputError("vector length does not match signature dimension")
-        total = ZERO
-        for i, (a, b) in enumerate(zip(v, w)):
-            total += Fraction(a) * Fraction(b) * self.form(i)
-        return total
-
-    def __str__(self):
-        return f"Cl({self.r},{self.s})"
 
 
 def euclidean(n: int) -> Signature:

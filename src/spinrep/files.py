@@ -5,9 +5,10 @@ Rationals are serialized as "p/q" strings so exactness survives the round
 trip; geometry output uses 17-significant-digit floats.  Both writers are
 deterministic: identical inputs produce byte-identical files.  This module
 only reads and writes: the structural audit of a loaded gamma file is
-``modules.audit``, the same one ``generate`` runs before writing.  A CSV row
+``structure.audit``, the same one ``generate`` runs before writing.  A CSV row
 is flagged ok only when its trace flag (if any) is set and every value is
-finite.
+finite.  The gamma functions import the exact layers they use when called,
+so writing a transport CSV loads none of them.
 """
 
 from __future__ import annotations
@@ -16,15 +17,16 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .clifford import CONVENTION, Signature
 from .errors import InputError
-from .linalg import QMat
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .linalg import QMat
     from .modules import SpinorModule
+    from .structure import Signature
     from .surfaces import TransportTrace
 
 FORMAT_VERSION = 1
@@ -44,14 +46,6 @@ CSV_HEADER = (
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _parse_frac(s) -> Fraction:
-    if type(s) is int:
-        return Fraction(s)
-    if not isinstance(s, str) or not re.fullmatch(_CELL, s):
-        raise InputError(f'matrix cells must be integers or "p/q" strings, got {s!r}')
-    return Fraction(s)
 
 
 def _int(value, what: str) -> int:
@@ -79,6 +73,10 @@ def _matrix_to_rows(m: QMat) -> list[list[str]]:
 
 
 def _matrix_from_rows(rows, size: int) -> QMat:
+    from fractions import Fraction
+
+    from .linalg import QMat
+
     if (not isinstance(rows, list) or len(rows) != size
             or any(not isinstance(r, list) or len(r) != size for r in rows)):
         raise InputError("matrix rows have the wrong shape")
@@ -87,7 +85,9 @@ def _matrix_from_rows(rows, size: int) -> QMat:
         for j, cell in enumerate(row):
             if cell == "0":
                 continue
-            v = _parse_frac(cell)
+            if type(cell) is not int and not (isinstance(cell, str) and re.fullmatch(_CELL, cell)):
+                raise InputError(f'matrix cells must be integers or "p/q" strings, got {cell!r}')
+            v = Fraction(cell)
             if v:
                 entries[(i, j)] = v
     return QMat.from_entries(size, size, entries)
@@ -103,6 +103,9 @@ def module_to_payload(module: SpinorModule, volume_sign: int | None = None) -> d
     """The v1 payload of a module.  ``volume_sign`` is the sign ``audit``
     computed (``ModuleReport.volume_sign``); without it the volume element
     is multiplied out here."""
+    from .linalg import QMat
+    from .structure import CONVENTION
+
     payload = {
         "format_version": FORMAT_VERSION,
         "signature": [module.signature.r, module.signature.s],
@@ -148,7 +151,7 @@ def payload_to_gamma(payload) -> LoadedGammaFile:
     come from their fixed sets, and every matrix is a real_dim x real_dim list
     of lists of integer or ``"p/q"`` cells.  Anything else raises
     InputError."""
-    from .modules import FAMILIES  # here, so that writing a transport CSV never loads the module layer
+    from .structure import CONVENTION, FAMILIES, Signature
 
     if not isinstance(payload, dict):
         raise InputError("malformed gamma file: expected one JSON object")

@@ -27,7 +27,6 @@ from math import isqrt
 
 from . import algebras as alg
 from .algebras import ALGEBRA_DIM, KElement
-from .clifford import Signature
 from .errors import InputError
 from .linalg import QMat, Rref, intertwiner_space
 
@@ -252,43 +251,6 @@ def graded_tensor_operator(t: QMat, s, m: GradedSpace, n: GradedSpace, deg_s: in
     left = tensor_op_left(t, m, n)
     right = tensor_op_right(s, m, n, odd=bool(deg_s % 2))
     return left * right
-
-
-# ---------------------------------------------------------------------------
-# Clifford-condition verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CliffordReport:
-    ok: bool
-    dimension: int
-    violations: list[tuple[int, int]]
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_clifford_condition(generators: list, sig: Signature) -> CliffordReport:
-    """Check G_i G_i = -g_ii I and G_i G_j = -G_j G_i (i != j) exactly, which
-    together are G_i G_j + G_j G_i = -2 g_ij I; violations are reported, not
-    raised.  The generators are all ``QMat``s or all ``SignedPerm``s."""
-    if len(generators) != sig.n:
-        raise InputError(f"{sig} needs {sig.n} generators, got {len(generators)}")
-    d = generators[0].nrows
-    for g in generators:
-        if g.nrows != d or g.ncols != d:
-            raise InputError("generators must be square and of equal size")
-    ident = type(generators[0]).identity(d)
-    violations = []
-    for i, a in enumerate(generators):
-        if a * a != ident.scale(-sig.form(i)):
-            violations.append((i + 1, i + 1))
-        for j in range(i + 1, sig.n):
-            b = generators[j]
-            if a * b != -(b * a):
-                violations.append((i + 1, j + 1))
-    return CliffordReport(not violations, d, violations)
 
 
 # ---------------------------------------------------------------------------

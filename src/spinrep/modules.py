@@ -36,37 +36,15 @@ from functools import lru_cache
 
 from . import algebras as alg
 from .algebras import ALGEBRA_DIM, KElement
-from .clifford import (
-    Multivector,
-    Signature,
-    blade_product,
-    euclidean,
-    reorder_sign,
-)
+from .clifford import Multivector, blade_product, euclidean, reorder_sign
 from .errors import InputError, StructureError
-from .kmatrix import (
-    Commutant,
-    GradedSpace,
-    KMatrix,
-    commutant,
-    tensor_module,
-    tensor_op_left,
-    tensor_op_right,
-    verify_clifford_condition,
-)
+from .kmatrix import Commutant, GradedSpace, KMatrix, commutant, tensor_module, tensor_op_left, tensor_op_right
 from .linalg import QMat, Rref, SignedPerm, intertwiner_space, sparse_solve
+from .structure import (FAMILY_ASSEMBLED, FAMILY_OCTONION, FAMILY_POSITIVE, FAMILY_QUATERNIONIC, FAMILY_SPLIT,
+                        FAMILY_SQRT, ModuleReport, Signature, _metric_failures, _monomial, audit)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-FAMILY_QUATERNIONIC = "quaternionic-multivector"
-FAMILY_POSITIVE = "positive-multivector"
-FAMILY_SPLIT = "split-exterior"
-FAMILY_SQRT = "sqrt-space"
-FAMILY_OCTONION = "octonion"
-FAMILY_ASSEMBLED = "assembled"
-FAMILIES = (FAMILY_QUATERNIONIC, FAMILY_POSITIVE, FAMILY_SPLIT, FAMILY_SQRT, FAMILY_OCTONION,
-            FAMILY_ASSEMBLED)
 
 
 @dataclass(eq=False)
@@ -664,43 +642,12 @@ class MetricReport:
         return self.ok
 
 
-def _metric_failures(sig: Signature, generators, metric: QMat, units) -> list[str]:
-    """Exact adjointness audit of a spin metric: symmetric, generators
-    squaring to -1 skew-adjoint and to +1 self-adjoint, every right unit
-    (imaginary unit of K) skew-adjoint."""
-    failures = []
-    if metric.transpose() != metric:
-        failures.append("metric not symmetric")
-    for idx, g in enumerate(generators):
-        lhs = g.transpose() * metric
-        rhs = metric * g
-        want_skew = sig.gen_square(idx) == -1
-        if lhs != (rhs.scale(-1) if want_skew else rhs):
-            kind = "skew" if want_skew else "self"
-            failures.append(f"generator e_{idx + 1} fails {kind}-adjointness")
-    for t, u in enumerate(units, 1):
-        if u.transpose() * metric != (metric * u).scale(-1):
-            failures.append(f"right unit {t} fails skew-adjointness")
-    return failures
-
-
 def spin_metric_verify(module: SpinorModule, metric: QMat | None = None) -> MetricReport:
     """Metric part of the structural audit on a module, optionally against
     another candidate ``metric``.  Failures are reported, not raised."""
     m = module.spin_metric if metric is None else metric
     failures = _metric_failures(module.signature, module.generators, m, module.right_units)
     return MetricReport(not failures, failures)
-
-
-def _monomial(mats, d: int) -> list[SignedPerm] | None:
-    """``mats`` as d x d signed permutations, or None if one is not."""
-    perms = []
-    for m in mats:
-        p = SignedPerm.of(m)
-        if p is None or p.nrows != d:
-            return None
-        perms.append(p)
-    return perms
 
 
 def _submatrix(m, idxs: list[int]):
@@ -807,116 +754,8 @@ def spinor_square(module: SpinorModule, s1: list, s2: list) -> Multivector:
     return Multivector.make(sig, {masks[t]: c for t, c in sol.items()})
 
 
-def expected_irreducible_dim(r: int, s: int) -> int:
-    """Real dimension of the irreducible Cl(r,s) module, from the
-    classification tables (used as an independent cross-check)."""
-    euclid = [2, 4, 4, 8, 8, 8, 8, 16]
-    positive = [1, 2, 4, 8, 8, 16, 16, 16]
-    if r == 0 or s == 0:
-        n = r + s
-        k, rem = divmod(n - 1, 8)
-        table = euclid if r == 0 else positive
-        return table[rem] * 16**k
-    i = min(r, s)
-    return (1 << i) * expected_irreducible_dim(r - i, s - i) if r != s else 1 << i
-
-
-@dataclass
-class ModuleReport:
-    checks: list[tuple[str, bool, str]]
-    volume_sign: int | None = None  # computed when s - r = 3 mod 4: 1, -1, or 0 (not central)
-
-    @property
-    def ok(self) -> bool:
-        return all(okay for _, okay, _ in self.checks)
-
-    def __bool__(self):
-        return self.ok
-
-
-def audit(
-    sig: Signature,
-    generators,
-    metric: QMat,
-    commutant_basis,
-    grading,
-    variant: str,
-    volume_sign: int | None = None,
-) -> ModuleReport:
-    """The structural audit of a module given as plain data; ``generate``
-    runs it before writing a gamma file and ``verify`` after reading one.
-
-    Checks, in order: generator count (reported only when wrong), the
-    Clifford condition, the spin metric (symmetric, generators self- or
-    skew-adjoint, commutant basis elements 1.. skew-adjoint), the commutant
-    basis (element 0 is the identity, every element commutes with every
-    generator), odd generators when a ``grading`` is given, and for
-    s - r = 3 mod 4 a central volume element whose sign matches the
-    recorded ``volume_sign`` and, on definite signatures, the ``variant``.
-    The report carries the computed sign, which ``generate`` writes.
-
-    When every matrix operand is a d x d signed permutation, as every recipe
-    module's is, the checks run on ``SignedPerm``s; otherwise on ``QMat``s.
-    Both types give the same answers on equal matrices.
-    """
-    checks: list[tuple[str, bool, str]] = []
-    if len(generators) != sig.n:
-        checks.append(("generator-count", False, f"{len(generators)} != {sig.n}"))
-        return ModuleReport(checks)
-    d = metric.nrows
-    perms = _monomial([*generators, metric, *commutant_basis], d)
-    mat = QMat if perms is None else SignedPerm
-    if perms is not None:
-        generators, metric, commutant_basis = perms[:sig.n], perms[sig.n], perms[sig.n + 1:]
-    rep = verify_clifford_condition(list(generators), sig)
-    detail = "" if rep.ok else f"violating pairs {rep.violations}"
-    checks.append(("clifford-condition", rep.ok, detail))
-
-    failures = _metric_failures(sig, generators, metric, commutant_basis[1:])
-    checks.append(("spin-metric", not failures, "; ".join(failures)))
-
-    ident = mat.identity(d)
-    failures = []
-    if not commutant_basis or commutant_basis[0] != ident:
-        failures.append("first commutant basis element is not the identity")
-    for t, b in enumerate(commutant_basis[1:], 1):
-        for idx, g in enumerate(generators):
-            if b * g != g * b:
-                failures.append(f"basis element {t} vs e_{idx + 1}")
-                break
-    checks.append(("commutant-basis", not failures, "; ".join(failures)))
-
-    if grading is not None:
-        eps = mat.diag(grading)
-        odd_ok = all((eps * g) == (g * eps).scale(-1) for g in generators)
-        checks.append(("generators-odd", odd_ok, ""))
-
-    if (sig.s - sig.r) % 4 == 3:
-        vol = generators[0]
-        for g in generators[1:]:
-            vol = vol * g
-        sign = 1 if vol == ident else (-1 if vol == ident.scale(-1) else 0)
-        checks.append(("volume-central-sign", sign != 0, ""))
-        if volume_sign is not None:
-            checks.append(("volume-sign-recorded", sign == volume_sign,
-                           f"computed {sign}, recorded {volume_sign}"))
-        # the sign itself is pinned only for the definite signatures
-        if sig.r == 0 or sig.s == 0:
-            plus_sign = -1 if sig.r == 0 else 1
-            expect = plus_sign if variant == "plus" else -plus_sign
-            checks.append(("volume-variant", sign == expect, f"variant {variant}"))
-        return ModuleReport(checks, sign)
-    return ModuleReport(checks)
-
-
 def verify_module(module: SpinorModule) -> ModuleReport:
     """The structural audit on the module's own data, exactly as
     ``files.module_to_payload`` writes it."""
-    return audit(
-        module.signature,
-        module.generators,
-        module.spin_metric,
-        (QMat.identity(module.real_dim),) + module.right_units,
-        module.real_grading(),
-        module.variant,
-    )
+    return audit(module.signature, module.field, module.generators, module.spin_metric,
+                 (QMat.identity(module.real_dim),) + module.right_units, module.real_grading(), module.variant)

@@ -1,6 +1,5 @@
-"""Spin groups as even multivectors: reflections, the twisted adjoint,
-constructive lifts of rotation matrices, and the floating-point unit
-quaternion helpers that surface transport uses.
+"""Spin groups as even multivectors: reflections, the twisted adjoint and
+constructive lifts of rotation matrices.
 
 Exactness note.  A rational rotation matrix rarely lifts to a *unit* even
 multivector with rational coefficients (half-angle cosines are irrational),
@@ -8,22 +7,19 @@ so exact spin elements are stored as even versors together with the positive
 scalar ``value * reversion(value)``.  Every group-level statement (twisted
 adjoint, double-cover sign, action comparisons) is scale-invariant, which
 keeps the whole exact path free of square roots.  Sampled geometry uses the
-separate floating-point quaternion path; the two never mix.
+separate floating-point quaternions of ``surfaces``; the two never mix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from .clifford import Multivector, Signature, euclidean
+from .clifford import Multivector, euclidean
 from .errors import InputError, StructureError
 from .linalg import QMat
-
-if TYPE_CHECKING:
-    from .modules import SpinorModule
+from .modules import SpinorModule, _submatrix, even_summand, intertwiners
+from .structure import Signature
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -237,10 +233,6 @@ def verify_spin_coordinate_system(
     covered frame, is a scaled isometry of the spin metric, and commutes
     with the even commutant (the right action of K0), on the +1 volume
     summand where ``intertwiners(module, even_only=True)`` takes it."""
-    # imported here: surface transport uses this module's quaternion helpers
-    # and never loads the module layer
-    from .modules import _submatrix, even_summand, intertwiners
-
     failures = []
     n = module.signature.n
     phi = system.iso
@@ -265,63 +257,3 @@ def verify_spin_coordinate_system(
         if phi_even * b != b * phi_even:
             failures.append(f"does not commute with even intertwiner {t}")
     return failures
-
-
-# ---------------------------------------------------------------------------
-# Floating-point unit quaternions (the spin frames of surface transport)
-# ---------------------------------------------------------------------------
-
-def rotation_to_quaternion(r) -> tuple[float, float, float, float]:
-    """Unit quaternion (w, x, y, z) with q v conj(q) = R v, max-diagonal
-    branch for numerical stability.  The overall sign follows the branch."""
-    t = r[0][0] + r[1][1] + r[2][2]
-    candidates = [t, r[0][0], r[1][1], r[2][2]]
-    best = max(range(4), key=lambda i: candidates[i])
-    if best == 0:
-        s = math.sqrt(max(t + 1.0, 0.0)) * 2.0
-        w = 0.25 * s
-        x = (r[2][1] - r[1][2]) / s
-        y = (r[0][2] - r[2][0]) / s
-        z = (r[1][0] - r[0][1]) / s
-    elif best == 1:
-        s = math.sqrt(max(1.0 + r[0][0] - r[1][1] - r[2][2], 0.0)) * 2.0
-        w = (r[2][1] - r[1][2]) / s
-        x = 0.25 * s
-        y = (r[0][1] + r[1][0]) / s
-        z = (r[0][2] + r[2][0]) / s
-    elif best == 2:
-        s = math.sqrt(max(1.0 + r[1][1] - r[0][0] - r[2][2], 0.0)) * 2.0
-        w = (r[0][2] - r[2][0]) / s
-        x = (r[0][1] + r[1][0]) / s
-        y = 0.25 * s
-        z = (r[1][2] + r[2][1]) / s
-    else:
-        s = math.sqrt(max(1.0 + r[2][2] - r[0][0] - r[1][1], 0.0)) * 2.0
-        w = (r[1][0] - r[0][1]) / s
-        x = (r[0][2] + r[2][0]) / s
-        y = (r[1][2] + r[2][1]) / s
-        z = 0.25 * s
-    norm = math.sqrt(w * w + x * x + y * y + z * z)
-    return (w / norm, x / norm, y / norm, z / norm)
-
-
-def quat_mul(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
-def quat_conj(a):
-    return (a[0], -a[1], -a[2], -a[3])
-
-
-def quat_rotate(q, v):
-    """Rotate the 3-vector v by the unit quaternion q (q v conj(q))."""
-    p = (0.0, v[0], v[1], v[2])
-    w = quat_mul(quat_mul(q, p), quat_conj(q))
-    return (w[1], w[2], w[3])

@@ -22,7 +22,6 @@ from typing import Callable
 
 from .errors import InputError, IntegrationError
 from .expressions import ParametricSurface, Vec3, compile_surface
-from .spin import quat_mul, quat_rotate, rotation_to_quaternion
 
 FD_STEP = 1e-6  # central-difference step for a curve given without its velocity
 
@@ -60,6 +59,66 @@ def _normalize(a):
     if n == 0.0:
         raise InputError("cannot normalize a zero vector")
     return _scale(a, 1.0 / n)
+
+
+# ---------------------------------------------------------------------------
+# Floating-point unit quaternions (the spin frames of transport)
+# ---------------------------------------------------------------------------
+
+def rotation_to_quaternion(r) -> tuple[float, float, float, float]:
+    """Unit quaternion (w, x, y, z) with q v conj(q) = R v, max-diagonal
+    branch for numerical stability.  The overall sign follows the branch."""
+    t = r[0][0] + r[1][1] + r[2][2]
+    candidates = [t, r[0][0], r[1][1], r[2][2]]
+    best = max(range(4), key=lambda i: candidates[i])
+    if best == 0:
+        s = math.sqrt(max(t + 1.0, 0.0)) * 2.0
+        w = 0.25 * s
+        x = (r[2][1] - r[1][2]) / s
+        y = (r[0][2] - r[2][0]) / s
+        z = (r[1][0] - r[0][1]) / s
+    elif best == 1:
+        s = math.sqrt(max(1.0 + r[0][0] - r[1][1] - r[2][2], 0.0)) * 2.0
+        w = (r[2][1] - r[1][2]) / s
+        x = 0.25 * s
+        y = (r[0][1] + r[1][0]) / s
+        z = (r[0][2] + r[2][0]) / s
+    elif best == 2:
+        s = math.sqrt(max(1.0 + r[1][1] - r[0][0] - r[2][2], 0.0)) * 2.0
+        w = (r[0][2] - r[2][0]) / s
+        x = (r[0][1] + r[1][0]) / s
+        y = 0.25 * s
+        z = (r[1][2] + r[2][1]) / s
+    else:
+        s = math.sqrt(max(1.0 + r[2][2] - r[0][0] - r[1][1], 0.0)) * 2.0
+        w = (r[1][0] - r[0][1]) / s
+        x = (r[0][2] + r[2][0]) / s
+        y = (r[1][2] + r[2][1]) / s
+        z = 0.25 * s
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    return (w / norm, x / norm, y / norm, z / norm)
+
+
+def quat_mul(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def quat_conj(a):
+    return (a[0], -a[1], -a[2], -a[3])
+
+
+def quat_rotate(q, v):
+    """Rotate the 3-vector v by the unit quaternion q (q v conj(q))."""
+    p = (0.0, v[0], v[1], v[2])
+    w = quat_mul(quat_mul(q, p), quat_conj(q))
+    return (w[1], w[2], w[3])
 
 
 # The builtin surfaces and curves of ``transport``: each name is shorthand

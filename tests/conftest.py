@@ -1,8 +1,32 @@
+import contextlib
+import io
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from spinrep.cli import main
 from spinrep.linalg import QMat
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    output: str  # stdout, then stderr
+
+
+def run_cli(argv) -> CliResult:
+    """``spinrep <argv>`` in this process: exit code, stdout and all output."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(argv))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+    return CliResult(code, out.getvalue(), out.getvalue() + err.getvalue())
+
 
 # (cos, sin) pairs from Pythagorean triples: exact rational rotations
 PYTHAGOREAN = [

@@ -12,19 +12,16 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import random_rational_rotation
+from conftest import random_rational_rotation, run_cli
 
 from spinrep import algebras as alg
-from spinrep.cli import main as cli_main
 from spinrep.clifford import euclidean
-from spinrep.kmatrix import joint_intertwiners, verify_clifford_condition
+from spinrep.kmatrix import joint_intertwiners
 from spinrep.linalg import QMat
 from spinrep.modules import (
     assemble_euclidean,
     assemble_signature,
-    expected_irreducible_dim,
     grading_from_volume,
     intertwiners,
     octonion_module,
@@ -33,6 +30,7 @@ from spinrep.modules import (
     sqrt_space_module,
 )
 from spinrep.spin import double_cover_check, spin_action, spin_lift, twisted_adjoint_matrix
+from spinrep.structure import expected_irreducible_dim, verify_clifford_condition
 from spinrep.surfaces import spin_parallel_transport, unit_sphere
 
 
@@ -257,7 +255,6 @@ def test_criterion_9_spinor_square():
 
 
 def test_criterion_10_cli_round_trip(tmp_path):
-    runner = CliRunner()
     bad = []
     # generate -> verify across the sweep, every family in range, both variants
     jobs = []
@@ -273,25 +270,22 @@ def test_criterion_10_cli_round_trip(tmp_path):
         jobs.append((0, k, "octonion", "plus"))
     for idx, (r, s, family, variant) in enumerate(jobs):
         out = tmp_path / f"sweep_{idx}.json"
-        res = runner.invoke(
-            cli_main,
-            ["generate", "--sig", f"{r},{s}", "--family", family,
-             "--variant", variant, "--out", str(out)],
-        )
+        res = run_cli(["generate", "--sig", f"{r},{s}", "--family", family,
+                       "--variant", variant, "--out", str(out)])
         if res.exit_code != 0:
             bad.append(f"generate {r},{s} {family} {variant} -> {res.exit_code}")
             continue
-        ver = runner.invoke(cli_main, ["verify", str(out)])
+        ver = run_cli(["verify", str(out)])
         if ver.exit_code != 0:
             bad.append(f"verify {r},{s} {family} {variant} -> {ver.exit_code}")
 
-    res = runner.invoke(cli_main, ["classify", "--max-n", "16"])
+    res = run_cli(["classify", "--max-n", "16"])
     if res.exit_code != 0 or "MISMATCH" in res.output:
         bad.append("classify")
 
     t1, t2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
     for out in (t1, t2):
-        res = runner.invoke(cli_main, ["transport", "--steps", "500", "--out", str(out)])
+        res = run_cli(["transport", "--steps", "500", "--out", str(out)])
         if res.exit_code != 0:
             bad.append("transport")
     if t1.read_bytes() != t2.read_bytes():

@@ -9,53 +9,47 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import spinrep
-from spinrep.cli import main
+from conftest import run_cli
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def _generate(runner, tmp_path, name, *args):
+def _generate(tmp_path, name, *args):
     out = tmp_path / name
-    result = runner.invoke(main, ["generate", *args, "--out", str(out)])
+    result = run_cli(["generate", *args, "--out", str(out)])
     return result, out
 
 
-def test_generate_verify_round_trip(runner, tmp_path):
-    result, out = _generate(runner, tmp_path, "g08.json", "--sig", "0,8")
+def test_generate_verify_round_trip(tmp_path):
+    result, out = _generate(tmp_path, "g08.json", "--sig", "0,8")
     assert result.exit_code == 0, result.output
     payload = json.loads(out.read_text())
     assert payload["real_dim"] == 16
-    verify = runner.invoke(main, ["verify", str(out)])
+    verify = run_cli(["verify", str(out)])
     assert verify.exit_code == 0, verify.output
 
 
-def test_generate_minus_variant_volume(runner, tmp_path):
-    result, out = _generate(runner, tmp_path, "g03m.json", "--sig", "0,3", "--variant", "minus")
+def test_generate_minus_variant_volume(tmp_path):
+    result, out = _generate(tmp_path, "g03m.json", "--sig", "0,3", "--variant", "minus")
     assert result.exit_code == 0
     payload = json.loads(out.read_text())
     assert payload["volume_sign"] == 1
-    result, out = _generate(runner, tmp_path, "g03p.json", "--sig", "0,3")
+    result, out = _generate(tmp_path, "g03p.json", "--sig", "0,3")
     payload = json.loads(out.read_text())
     assert payload["volume_sign"] == -1
 
 
-def test_generate_rejects_bad_family_dimension(runner, tmp_path):
-    result, _ = _generate(runner, tmp_path, "bad.json", "--sig", "0,5", "--family", "sqrt-space")
+def test_generate_rejects_bad_family_dimension(tmp_path):
+    result, _ = _generate(tmp_path, "bad.json", "--sig", "0,5", "--family", "sqrt-space")
     assert result.exit_code == 2
-    result, _ = _generate(runner, tmp_path, "bad2.json", "--sig", "1,3", "--family", "octonion")
+    result, _ = _generate(tmp_path, "bad2.json", "--sig", "1,3", "--family", "octonion")
     assert result.exit_code == 2
-    result, _ = _generate(runner, tmp_path, "bad3.json", "--sig", "0,2", "--variant", "minus")
+    result, _ = _generate(tmp_path, "bad3.json", "--sig", "0,2", "--variant", "minus")
     assert result.exit_code == 2
 
 
-def test_verify_detects_corruption(runner, tmp_path):
-    result, out = _generate(runner, tmp_path, "g06.json", "--sig", "0,6")
+def test_verify_detects_corruption(tmp_path):
+    result, out = _generate(tmp_path, "g06.json", "--sig", "0,6")
     assert result.exit_code == 0
     payload = json.loads(out.read_text())
     # flip one generator entry
@@ -69,28 +63,28 @@ def test_verify_detects_corruption(runner, tmp_path):
             continue
         break
     out.write_text(json.dumps(payload))
-    verify = runner.invoke(main, ["verify", str(out)])
+    verify = run_cli(["verify", str(out)])
     assert verify.exit_code == 1
     assert "clifford-condition" in verify.output
     assert "1" in verify.output  # the violating pair names generator 1
 
 
-def test_verify_checks_definite_variant_sign(runner, tmp_path):
+def test_verify_checks_definite_variant_sign(tmp_path):
     # Cl(1,0): the recorded variant must match the sign of the volume element
-    result, out = _generate(runner, tmp_path, "g10.json", "--sig", "1,0")
+    result, out = _generate(tmp_path, "g10.json", "--sig", "1,0")
     assert result.exit_code == 0
-    assert "PASS volume-variant" in runner.invoke(main, ["verify", str(out)]).output
+    assert "PASS volume-variant" in run_cli(["verify", str(out)]).output
     payload = json.loads(out.read_text())
     payload["variant"] = "minus"
     out.write_text(json.dumps(payload))
-    verify = runner.invoke(main, ["verify", str(out)])
+    verify = run_cli(["verify", str(out)])
     assert verify.exit_code == 1
     assert "FAIL volume-variant (variant minus)" in verify.output
 
 
-def test_verify_checks_right_units_are_imaginary(runner, tmp_path):
+def test_verify_checks_right_units_are_imaginary(tmp_path):
     # 1 + J commutes with every generator but is not skew-adjoint
-    result, out = _generate(runner, tmp_path, "g05.json", "--sig", "0,5")
+    result, out = _generate(tmp_path, "g05.json", "--sig", "0,5")
     assert result.exit_code == 0
     payload = json.loads(out.read_text())
     ident, unit = payload["commutant_basis"][:2]
@@ -99,40 +93,38 @@ def test_verify_checks_right_units_are_imaginary(runner, tmp_path):
         for row_i, row_j in zip(ident, unit)
     ]
     out.write_text(json.dumps(payload))
-    verify = runner.invoke(main, ["verify", str(out)])
+    verify = run_cli(["verify", str(out)])
     assert verify.exit_code == 1
     assert "FAIL spin-metric (right unit 1 fails skew-adjointness)" in verify.output
     assert "PASS commutant-basis" in verify.output
 
 
-def test_verify_malformed_file(runner, tmp_path):
+def test_verify_malformed_file(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
-    result = runner.invoke(main, ["verify", str(bad)])
+    result = run_cli(["verify", str(bad)])
     assert result.exit_code == 2
     missing = tmp_path / "missing" / "nowhere.json"
-    result = runner.invoke(main, ["verify", str(missing)])
+    result = run_cli(["verify", str(missing)])
     assert result.exit_code == 3
 
 
-def test_octonion_file_round_trip(runner, tmp_path):
-    result, out = _generate(
-        runner, tmp_path, "oct8.json", "--sig", "0,8", "--family", "octonion"
-    )
+def test_octonion_file_round_trip(tmp_path):
+    result, out = _generate(tmp_path, "oct8.json", "--sig", "0,8", "--family", "octonion")
     assert result.exit_code == 0
-    verify = runner.invoke(main, ["verify", str(out)])
+    verify = run_cli(["verify", str(out)])
     assert verify.exit_code == 0
     assert "PASS spin-metric" in verify.output
 
 
-def test_file_determinism(runner, tmp_path):
-    _, out1 = _generate(runner, tmp_path, "a.json", "--sig", "2,3")
-    _, out2 = _generate(runner, tmp_path, "b.json", "--sig", "2,3")
+def test_file_determinism(tmp_path):
+    _, out1 = _generate(tmp_path, "a.json", "--sig", "2,3")
+    _, out2 = _generate(tmp_path, "b.json", "--sig", "2,3")
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_classify_matches(runner):
-    result = runner.invoke(main, ["classify", "--max-n", "8"])
+def test_classify_matches():
+    result = run_cli(["classify", "--max-n", "8"])
     assert result.exit_code == 0, result.output
     lines = [ln for ln in result.output.splitlines() if ln and not ln.startswith(" ")]
     assert all("MATCH" in ln for ln in lines if ln[0].isdigit() or ln.strip()[0].isdigit())
@@ -142,19 +134,16 @@ def test_classify_matches(runner):
     assert len(sevens) == 2
 
 
-def test_classify_rejects_out_of_range(runner):
-    result = runner.invoke(main, ["classify", "--max-n", "30"])
+def test_classify_rejects_out_of_range():
+    result = run_cli(["classify", "--max-n", "30"])
     assert result.exit_code == 2
 
 
-def test_transport_deterministic_and_correct(runner, tmp_path):
+def test_transport_deterministic_and_correct(tmp_path):
     out1 = tmp_path / "t1.csv"
     out2 = tmp_path / "t2.csv"
     for out in (out1, out2):
-        result = runner.invoke(
-            main,
-            ["transport", "--steps", "1000", "--q0", "i", "--out", str(out)],
-        )
+        result = run_cli(["transport", "--steps", "1000", "--q0", "i", "--out", str(out)])
         assert result.exit_code == 0, result.output
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
@@ -166,55 +155,49 @@ def test_transport_deterministic_and_correct(runner, tmp_path):
     assert last[-1] == "1"
 
 
-def test_transport_degraded_steps(runner, tmp_path):
+def test_transport_degraded_steps(tmp_path):
     out = tmp_path / "coarse.csv"
-    result = runner.invoke(main, ["transport", "--steps", "2", "--out", str(out)])
+    result = run_cli(["transport", "--steps", "2", "--out", str(out)])
     assert result.exit_code == 0
     rows = out.read_text().splitlines()[1:]
     flags = [row.rsplit(",", 1)[1] for row in rows]
     assert "0" in flags
 
 
-def test_transport_bad_specs(runner, tmp_path):
+def test_transport_bad_specs(tmp_path):
     out = tmp_path / "x.csv"
-    result = runner.invoke(main, ["transport", "--curve", "u=", "--out", str(out)])
+    result = run_cli(["transport", "--curve", "u=", "--out", str(out)])
     assert result.exit_code == 2
-    result = runner.invoke(main, ["transport", "--q0", "1,2", "--out", str(out)])
+    result = run_cli(["transport", "--q0", "1,2", "--out", str(out)])
     assert result.exit_code == 2
-    result = runner.invoke(main, ["transport", "--surface", "y=u", "--out", str(out)])
+    result = run_cli(["transport", "--surface", "y=u", "--out", str(out)])
     assert result.exit_code == 2
 
 
-def test_transport_integration_failure_exit_4(runner, tmp_path):
+def test_transport_integration_failure_exit_4(tmp_path):
     out = tmp_path / "pinch.csv"
     # folded chart: X_u vanishes along u = 0, crossed mid-curve
-    result = runner.invoke(
-        main,
-        [
-            "transport",
-            "--surface", "x=u*u; y=v; z=0",
-            "--curve", "u=t-0.5; v=0.3",
-            "--steps", "100",
-            "--out", str(out),
-        ],
-    )
+    result = run_cli([
+        "transport",
+        "--surface", "x=u*u; y=v; z=0",
+        "--curve", "u=t-0.5; v=0.3",
+        "--steps", "100",
+        "--out", str(out),
+    ])
     assert result.exit_code == 4
     assert "t=" in result.output
 
 
-def test_transport_custom_surface_and_curve(runner, tmp_path):
+def test_transport_custom_surface_and_curve(tmp_path):
     out = tmp_path / "plane.csv"
-    result = runner.invoke(
-        main,
-        [
-            "transport",
-            "--surface", "x=u; y=v; z=0",
-            "--curve", "u=cos(2*pi*t); v=sin(2*pi*t)",
-            "--q0", "1",
-            "--steps", "500",
-            "--out", str(out),
-        ],
-    )
+    result = run_cli([
+        "transport",
+        "--surface", "x=u; y=v; z=0",
+        "--curve", "u=cos(2*pi*t); v=sin(2*pi*t)",
+        "--q0", "1",
+        "--steps", "500",
+        "--out", str(out),
+    ])
     assert result.exit_code == 0, result.output
     rows = out.read_text().splitlines()
     first = rows[1].split(",")
@@ -241,17 +224,17 @@ TRANSPORT_SHA256 = {
 }
 
 
-def _transport_bytes(runner, tmp_path, surface, curve, q0, steps) -> bytes:
+def _transport_bytes(tmp_path, surface, curve, q0, steps) -> bytes:
     out = tmp_path / "pinned.csv"
-    result = runner.invoke(main, ["transport", "--surface", surface, "--curve", curve,
-                                  "--q0", q0, "--steps", steps, "--out", str(out)])
+    result = run_cli(["transport", "--surface", surface, "--curve", curve,
+                      "--q0", q0, "--steps", steps, "--out", str(out)])
     assert result.exit_code == 0, result.output
     return out.read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(TRANSPORT_SHA256))
-def test_transport_csv_is_pinned(runner, tmp_path, case):
-    data = _transport_bytes(runner, tmp_path, *case)
+def test_transport_csv_is_pinned(tmp_path, case):
+    data = _transport_bytes(tmp_path, *case)
     assert hashlib.sha256(data).hexdigest() == TRANSPORT_SHA256[case]
 
 
@@ -259,17 +242,15 @@ def test_transport_csv_is_pinned(runner, tmp_path, case):
     (("unit-sphere", "great-circle"), (SPHERE_SPEC, "u=2*pi*t; v=0")),
     (("plane", "u=cos(t); v=sin(2*t)"), ("x=u; y=v; z=0", "u=cos(t); v=sin(2*t)")),
 ])
-def test_transport_builtin_names_are_their_specs(runner, tmp_path, named, spelled):
-    assert (_transport_bytes(runner, tmp_path, *named, "0.3,0.1,-0.5,2", "300")
-            == _transport_bytes(runner, tmp_path, *spelled, "0.3,0.1,-0.5,2", "300"))
+def test_transport_builtin_names_are_their_specs(tmp_path, named, spelled):
+    assert (_transport_bytes(tmp_path, *named, "0.3,0.1,-0.5,2", "300")
+            == _transport_bytes(tmp_path, *spelled, "0.3,0.1,-0.5,2", "300"))
 
 
 @pytest.mark.parametrize("curve", ["u=t; v=sqrt(0.5-t)", "u=t; v=1/(t-0.5)"])
-def test_transport_domain_error_exit_4(runner, tmp_path, curve):
+def test_transport_domain_error_exit_4(tmp_path, curve):
     out = tmp_path / "domain.csv"
-    result = runner.invoke(
-        main, ["transport", "--curve", curve, "--steps", "100", "--out", str(out)]
-    )
+    result = run_cli(["transport", "--curve", curve, "--steps", "100", "--out", str(out)])
     assert result.exit_code == 4, result.output
     assert "t=0.5" in result.output
 
@@ -285,47 +266,137 @@ def test_transport_domain_error_exit_4(runner, tmp_path, curve):
         ["--t0", "1", "--t1", "1"],
     ],
 )
-def test_transport_rejects_non_finite_or_degenerate_input(runner, tmp_path, args):
+def test_transport_rejects_non_finite_or_degenerate_input(tmp_path, args):
     out = tmp_path / "bad.csv"
-    result = runner.invoke(main, ["transport", *args, "--steps", "10", "--out", str(out)])
+    result = run_cli(["transport", *args, "--steps", "10", "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert not out.exists()
 
 
-def test_transport_rejects_python_escape(runner, tmp_path):
+def test_transport_rejects_python_escape(tmp_path):
     out = tmp_path / "escape.csv"
-    result = runner.invoke(
-        main,
-        [
-            "transport",
-            "--surface", "x=u; y=v; z=0*().__class__.__mro__.__len__()",
-            "--steps", "10",
-            "--out", str(out),
-        ],
-    )
+    result = run_cli([
+        "transport",
+        "--surface", "x=u; y=v; z=0*().__class__.__mro__.__len__()",
+        "--steps", "10",
+        "--out", str(out),
+    ])
     assert result.exit_code == 2
     assert "not allowed" in result.output
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The spinrep modules a fresh interpreter has loaded after ``code``."""
+def _forge(payload: dict, how: str) -> dict:
+    """A Cl(0,3) file that misstates its field, or the reducible S + S."""
+    if how == "field":
+        return dict(payload, field="R")
+
+    def doubled(rows):
+        pad = ["0"] * len(rows)
+        return [row + pad for row in rows] + [pad + row for row in rows]
+
+    forged = dict(payload, real_dim=2 * payload["real_dim"], spin_metric=doubled(payload["spin_metric"]))
+    for key in ("generators", "commutant_basis"):
+        forged[key] = [doubled(m) for m in payload[key]]
+    return forged
+
+
+@pytest.mark.parametrize("how", ["field", "doubled"])
+def test_verify_checks_the_classification_table(tmp_path, how):
+    result, out = _generate(tmp_path, "g03.json", "--sig", "0,3")
+    assert result.exit_code == 0
+    assert "PASS classification-table" in run_cli(["verify", str(out)]).output
+    out.write_text(json.dumps(_forge(json.loads(out.read_text()), how)))
+    verify = run_cli(["verify", str(out)])
+    assert verify.exit_code == 1, verify.output
+    failed = [ln for ln in verify.output.splitlines() if ln.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL classification-table"), verify.output
+
+
+# Exit codes as the click-based CLI gave them; {out} is a new file and {dir}
+# an existing directory.
+PARSER_CASES = [
+    ("transport --steps 10 --sign -1 --out {out}", 0),
+    ("transport --steps 10 --sign=-1 --out {out}", 0),
+    ("transport --steps 10 --t0 -0.5 --t1 0.5 --out {out}", 0),
+    ("transport --steps 10 --q0 -1,0,0,0 --out {out}", 0),
+    ("generate --sig 0,3 --family bogus --out {out}", 2),
+    ("generate --sig 0,3 --variant bogus --out {out}", 2),
+    ("transport --steps 10 --sign 1 --out {out}", 2),
+    ("generate --sig 0,3", 2),
+    ("transport --steps 10", 2),
+    ("generate --sig 0,3 --out {dir}", 2),
+    ("transport --steps 10 --out {dir}", 2),
+    ("generate --sig -1,3 --out {out}", 2),
+    ("generate --var minus --sig 0,3 --out {out}", 2),
+    ("classify --max-n abc", 2),
+    ("classify --max-n 3 extra", 2),
+    ("verify", 2),
+    ("bogus", 2),
+    ("", 2),
+]
+
+
+@pytest.mark.parametrize("line, code", PARSER_CASES)
+def test_parser_edge_cases(tmp_path, line, code):
+    out = tmp_path / "out.txt"
+    result = run_cli([arg.format(out=out, dir=tmp_path) for arg in line.split()])
+    assert result.exit_code == code, result.output
+    assert out.exists() == (code == 0)
+
+
+def test_negative_option_values_are_values(tmp_path):
+    def rows(*args):
+        out = tmp_path / "t.csv"
+        assert run_cli(["transport", "--steps", "10", *args, "--out", str(out)]).exit_code == 0
+        return out.read_text().splitlines()[1:]
+
+    assert rows("--sign", "-1") == rows("--sign=-1") != rows("--sign", "+1")
+    assert [float(r.split(",")[0]) for r in rows("--t0", "-0.5", "--t1", "0.5")][::5] == [-0.5, 0.0, 0.5]
+    assert rows("--q0", "-1,0,0,0") != rows("--q0", "1,0,0,0")
+
+
+def test_help_lists_the_commands():
+    result = run_cli(["--help"])
+    assert result.exit_code == 0
+    assert all(name in result.stdout for name in ("generate", "verify", "classify", "transport"))
+
+
+def _loaded_after(argv: list[str]) -> tuple[set[str], set[str]]:
+    """The spinrep modules a fresh interpreter has loaded after running
+    ``spinrep <argv>``, and the top-level names outside the standard library
+    that the run loaded (the interpreter's own start-up modules excepted)."""
     src = str(Path(spinrep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = code + "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('spinrep')))"
+    probe = ("import contextlib, io, sys\n"
+             "before = set(sys.modules)\n"
+             "from spinrep.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+             f"    main({argv!r})\n"
+             "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+             "print(*(m for m in sys.modules if m.startswith('spinrep')))\n"
+             "print(*(new - set(sys.stdlib_module_names)))\n")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    return set(done.stdout.split())
+    spinrep_line, outside_line = done.stdout.split("\n")[:2]
+    return set(spinrep_line.split()), set(outside_line.split())
 
 
 def test_commands_load_only_the_layers_they_use(tmp_path):
-    assert _loaded_after("import spinrep.cli") == {"spinrep", "spinrep.cli", "spinrep.errors"}
-    out = tmp_path / "g.json"
-    loaded = _loaded_after("from spinrep.cli import main\n"
-                           f"main(['generate', '--sig', '1,1', '--out', {str(out)!r}], standalone_mode=False)")
-    assert out.is_file() and "spinrep.modules" in loaded
-    assert not loaded & {"spinrep.spin", "spinrep.surfaces", "spinrep.expressions"}
-    out = tmp_path / "t.csv"
-    loaded = _loaded_after("from spinrep.cli import main\n"
-                           f"main(['transport', '--steps', '50', '--out', {str(out)!r}], standalone_mode=False)")
-    assert out.is_file() and {"spinrep.surfaces", "spinrep.expressions"} <= loaded
-    assert not loaded & {"spinrep.modules", "spinrep.kmatrix"}
+    gamma, csv = tmp_path / "g.json", tmp_path / "t.csv"
+    base = {"spinrep", "spinrep.cli", "spinrep.errors"}
+    exact = {"spinrep.structure", "spinrep.linalg"}
+    builders = exact | {"spinrep.modules", "spinrep.kmatrix", "spinrep.algebras", "spinrep.clifford"}
+    cases = [
+        (["--help"], base),
+        (["generate", "--sig", "1,1", "--out", str(gamma)], base | builders | {"spinrep.files"}),
+        (["verify", str(gamma)], base | exact | {"spinrep.files"}),
+        (["transport", "--steps", "50", "--out", str(csv)],
+         base | {"spinrep.expressions", "spinrep.surfaces", "spinrep.files"}),
+        (["classify", "--max-n", "3"], base | builders),
+    ]
+    for argv, expected in cases:
+        loaded, outside = _loaded_after(argv)
+        assert loaded == expected, argv
+        # the CLI runs on the standard library alone
+        assert outside == {"spinrep"}, argv
+    assert gamma.is_file() and csv.is_file()

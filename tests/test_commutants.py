@@ -3,12 +3,11 @@
 import hashlib
 from unittest import mock
 
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli
 from spinrep import linalg
-from spinrep.cli import main
 from spinrep.kmatrix import GradedSpace, classify_commutant, commutant, joint_intertwiners
 from spinrep.linalg import QMat, Rref, signed_perm_intertwiners
 from spinrep.modules import SpinorModule, assemble_signature, intertwiners
@@ -225,6 +224,6 @@ CLASSIFY_16_SHA256 = "cb12879461734f0345211a2ddba2f9a12092c669a8431637142bc5fbdf
 
 
 def test_classify_16_stdout_is_pinned():
-    result = CliRunner().invoke(main, ["classify", "--max-n", "16"])
+    result = run_cli(["classify", "--max-n", "16"])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == CLASSIFY_16_SHA256

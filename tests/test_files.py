@@ -7,15 +7,15 @@ import re
 import tempfile
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinrep.cli import main
 from spinrep.errors import InputError
 from spinrep.files import FIELDS, PAYLOAD_KEYS, VARIANTS, dump_gamma_json, module_to_payload, payload_to_gamma
-from spinrep.modules import FAMILIES, assemble_signature
+from spinrep.modules import assemble_signature
+from spinrep.structure import FAMILIES
 
+from conftest import run_cli
 from test_gamma_manifest import sweep_jobs
 
 # Cl(1,1) carries a grading, Cl(0,3) a volume sign
@@ -33,9 +33,7 @@ def _verify_exit(payload) -> int:
         path = os.path.join(tmp, "gamma.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
-        result = CliRunner().invoke(main, ["verify", path])
-    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
-    return result.exit_code
+        return run_cli(["verify", path]).exit_code
 
 
 def _set(payload, path, value):

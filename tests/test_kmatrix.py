@@ -16,10 +16,10 @@ from spinrep.kmatrix import (
     tensor_module,
     tensor_op_left,
     tensor_op_right,
-    verify_clifford_condition,
 )
 from spinrep.linalg import QMat
 from spinrep.modules import assemble_euclidean, c4_action
+from spinrep.structure import verify_clifford_condition
 
 
 def test_realify_left_multiplication_by_i():

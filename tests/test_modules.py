@@ -11,7 +11,7 @@ from spinrep import algebras as alg
 from spinrep.clifford import Multivector, Signature, euclidean
 from spinrep.errors import InputError, StructureError
 from spinrep.files import module_to_payload, payload_to_gamma
-from spinrep.kmatrix import joint_intertwiners, verify_clifford_condition
+from spinrep.kmatrix import joint_intertwiners
 from spinrep.linalg import QMat, intertwiner_space
 from spinrep import modules
 from spinrep.modules import (
@@ -19,9 +19,7 @@ from spinrep.modules import (
     assemble_euclidean,
     assemble_positive,
     assemble_signature,
-    audit,
     c4_action,
-    expected_irreducible_dim,
     grading_from_volume,
     intertwiners,
     octonion_module,
@@ -32,6 +30,7 @@ from spinrep.modules import (
     sqrt_space_module,
     verify_module,
 )
+from spinrep.structure import audit, expected_irreducible_dim, verify_clifford_condition
 
 K_DIMS = [2, 4, 4, 4, 2, 1, 1, 1]
 K0_DIMS = [4, 8, 4, 4, 4, 2, 1, 1]
@@ -339,7 +338,7 @@ def test_spin_metric_negative_control():
 def _file_audit(module):
     """The audit ``verify`` runs on the module's gamma file, read back."""
     loaded = payload_to_gamma(module_to_payload(module))
-    return audit(loaded.signature, loaded.generators, loaded.spin_metric,
+    return audit(loaded.signature, loaded.field, loaded.generators, loaded.spin_metric,
                  loaded.commutant_basis, loaded.grading, loaded.variant, loaded.volume_sign)
 
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinrep import modules
+from spinrep import modules, structure
 from spinrep.kmatrix import commutant
 from spinrep.linalg import QMat, SignedPerm
-from spinrep.modules import assemble_signature, audit, even_summand, intertwiners
+from spinrep.modules import assemble_signature, even_summand, intertwiners
+from spinrep.structure import audit
 
 from test_gamma_manifest import sweep_jobs
 
@@ -75,20 +76,20 @@ def test_scale_and_diag_refuse_other_values():
 
 
 def _operands(m):
-    return [m.signature, list(m.generators), m.spin_metric,
+    return [m.signature, m.field, list(m.generators), m.spin_metric,
             [QMat.identity(m.real_dim), *m.right_units], m.real_grading(), m.variant]
 
 
 def _audit(args, rational: bool):
     """(checks, volume_sign, type of the matrices the Clifford check saw)."""
     seen = []
-    clifford = modules.verify_clifford_condition
+    clifford = structure.verify_clifford_condition
 
     def spy(gens, sig):
         seen.append(type(gens[0]))
         return clifford(gens, sig)
 
-    with mock.patch.object(modules, "verify_clifford_condition", spy):
+    with mock.patch.object(structure, "verify_clifford_condition", spy):
         if rational:
             with mock.patch.object(SignedPerm, "of", staticmethod(lambda m: None)):
                 rep = audit(*args)
@@ -104,7 +105,7 @@ AUDIT_MODULES = sweep_jobs() + [(f"recipe {r},{s} plus", lambda r=r, s=s: assemb
 @pytest.mark.parametrize("key, build", AUDIT_MODULES, ids=[key for key, _ in AUDIT_MODULES])
 def test_monomial_audit_matches_rational_audit(key, build):
     args = _operands(build())
-    monomial = all(SignedPerm.of(m) is not None for m in [*args[1], args[2], *args[3]])
+    monomial = all(SignedPerm.of(m) is not None for m in [*args[2], args[3], *args[4]])
     checks, sign, kind = _audit(args, rational=False)
     assert kind is (SignedPerm if monomial else QMat)
     assert (checks, sign, QMat) == _audit(args, rational=True)
@@ -150,11 +151,11 @@ def test_corrupted_audit_matches_rational_audit(corrupt, sig, target):
     args = _operands(assemble_signature(*sig))
     if target == "generator":
         k = sum(sig) // 2
-        args[1][k], monomial = corrupt(args[1][k])
+        args[2][k], monomial = corrupt(args[2][k])
     elif target == "metric":
-        args[2], monomial = corrupt(args[2])
+        args[3], monomial = corrupt(args[3])
     else:
-        args[3][-1], monomial = corrupt(args[3][-1])
+        args[4][-1], monomial = corrupt(args[4][-1])
     checks, sign, kind = _audit(args, rational=False)
     assert kind is (SignedPerm if monomial else QMat)
     assert (checks, sign, QMat) == _audit(args, rational=True)

@@ -16,7 +16,6 @@ from spinrep.spin import (
     SpinElement,
     double_cover_check,
     reflection,
-    rotation_to_quaternion,
     spin_action,
     spin_coordinate_system,
     spin_lift,
@@ -24,6 +23,7 @@ from spinrep.spin import (
     twisted_adjoint_matrix,
     verify_spin_coordinate_system,
 )
+from spinrep.surfaces import rotation_to_quaternion
 
 
 def test_reflection_examples():

@@ -9,10 +9,11 @@ import pytest
 from spinrep import algebras as alg
 from spinrep.errors import InputError
 from spinrep.files import trace_to_csv
-from spinrep.spin import quat_conj, quat_mul
 from spinrep.surfaces import (
     hypersurface4_action,
     plane,
+    quat_conj,
+    quat_mul,
     spin_parallel_transport,
     surface_frame,
     unit_sphere,
