@@ -28,7 +28,7 @@ from math import isqrt
 from . import algebras as alg
 from .algebras import ALGEBRA_DIM, KElement
 from .errors import InputError
-from .linalg import QMat, Rref, intertwiner_space
+from .linalg import QMat, Rref, inertia, intertwiner_space
 
 ZERO = Fraction(0)
 
@@ -267,35 +267,6 @@ class Commutant:
     basis: list[QMat]
 
 
-def _inertia(gram: list[list[Fraction]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) counts of a rational symmetric form, by
-    symmetric elimination (LDL^T with Sylvester's law of inertia)."""
-    g = [list(row) for row in gram]
-    live = list(range(len(g)))
-    pos = neg = 0
-    while live:
-        piv = next((i for i in live if g[i][i]), None)
-        if piv is None:
-            pair = next(((i, j) for i in live for j in live if g[i][j]), None)
-            if pair is None:
-                break
-            piv, j = pair
-            # the congruence e_piv -> e_piv + e_j puts 2 g[piv][j] != 0 on the diagonal
-            for t in live:
-                g[piv][t] += g[j][t]
-            for t in live:
-                g[t][piv] += g[t][j]
-        d = g[piv][piv]
-        pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
-        live.remove(piv)
-        for a in live:
-            f = g[a][piv] / d
-            if f:
-                for b in live:
-                    g[a][b] -= f * g[piv][b]
-    return pos, neg, len(live)
-
-
 def _simple_label(k: int, pos: int, neg: int) -> tuple[int, int, str] | None:
     """(k, field rank, name) of the M_n(D) with real dimension k whose trace
     form tr(XY) has inertia (pos, neg), or None when there is none."""
@@ -321,9 +292,9 @@ def classify_commutant(basis: list[QMat]) -> str:
     irrational idempotent, is named ``A(k)``.
 
     Coordinates are read, not solved: each basis element gets an entry at
-    which no other element is nonzero (the first entry of an orbit-walk
-    element, the free variable of a nullspace vector); other bases are
-    brought to reduced echelon form first.
+    which no other element is nonzero (the first entry of an element of the
+    signed-permutation solve, the free variable of a nullspace vector); other
+    bases are brought to reduced echelon form first.
     """
     k = len(basis)
     undecided = f"A({k})"
@@ -354,7 +325,7 @@ def classify_commutant(basis: list[QMat]) -> str:
         return [[sum((v * w[t] for t, v in mult[i][j].items()), ZERO) for j in range(k)] for i in range(k)]
 
     form = gram(traces)
-    pos, neg, zero = _inertia(form)
+    pos, neg, zero = inertia(form)
     if zero:
         return undecided
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}  # x central: sum_t x_t [b_t, b_j] = 0
@@ -399,7 +370,7 @@ def classify_commutant(basis: list[QMat]) -> str:
     # carries the trace form x, y -> tr(e x y) = (e form)(xy)
     low = (beta - root) / 2
     e = [(a - low * b) / root for a, b in zip(w, one)]
-    pos1, neg1, _ = _inertia(gram([sum(e[i] * form[i][s] for i in range(k) if e[i]) for s in range(k)]))
+    pos1, neg1, _ = inertia(gram([sum(e[i] * form[i][s] for i in range(k) if e[i]) for s in range(k)]))
     parts = [_simple_label(pos1 + neg1, pos1, neg1), _simple_label(k - pos1 - neg1, pos - pos1, neg - neg1)]
     if None in parts:
         return undecided

@@ -17,11 +17,10 @@ Two solvers live here:
   solves, which takes Fraction or int rows and returns Fractions but
   eliminates over the integers (no Fraction is built inside the
   elimination), and
-* an orbit walk for intertwiner spaces ``{X : X A_k = B_k X}`` when every
-  ``A_k`` and ``B_k`` is a signed permutation.  In that case each constraint
-  relates exactly two entries of ``X`` up to sign, so the solution space is
-  one basis element per sign-consistent orbit of entries, found in one pass
-  over the d_out * d_in entries.
+* a solve over F2 for intertwiner spaces ``{X : X A_k = B_k X}`` when every
+  ``A_k`` and ``B_k`` is a signed permutation of Clifford type (squares to
+  +-1; any two commute or anticommute), as every operator built here is:
+  modulo signs they generate F2^m, and the solve works in that group.
 """
 
 from __future__ import annotations
@@ -197,6 +196,10 @@ class SignedPerm:
         return len(self.perm)
 
     ncols = nrows
+
+    def entries(self):
+        """(row, column, sign) for each entry, in column order."""
+        return ((i, j, s) for j, (i, s) in enumerate(zip(self.perm, self.signs)))
 
     @staticmethod
     def of(m) -> "SignedPerm | None":
@@ -391,6 +394,35 @@ class Rref:
         return basis
 
 
+def inertia(gram: list[list[Fraction]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) counts of a rational symmetric form, by
+    symmetric elimination (LDL^T with Sylvester's law of inertia)."""
+    g = [list(row) for row in gram]
+    live = list(range(len(g)))
+    pos = neg = 0
+    while live:
+        piv = next((i for i in live if g[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in live for j in live if g[i][j]), None)
+            if pair is None:
+                break
+            piv, j = pair
+            # the congruence e_piv -> e_piv + e_j puts 2 g[piv][j] != 0 on the diagonal
+            for t in live:
+                g[piv][t] += g[j][t]
+            for t in live:
+                g[t][piv] += g[t][j]
+        d = g[piv][piv]
+        pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+        live.remove(piv)
+        for a in live:
+            f = g[a][piv] / d
+            if f:
+                for b in live:
+                    g[a][b] -= f * g[piv][b]
+    return pos, neg, len(live)
+
+
 def sparse_solve(rows: list[dict[int, Fraction]], rhs: list, ncols: int):
     """Solve the linear system given by ``rows`` (each ``sum coeff*x = rhs``).
 
@@ -422,62 +454,113 @@ def sparse_solve(rows: list[dict[int, Fraction]], rhs: list, ncols: int):
 # ---------------------------------------------------------------------------
 
 
-def signed_perm_intertwiners(pairs: list[tuple], d_in: int, d_out: int) -> list[QMat] | None:
-    """Basis of ``{X : X A_k = B_k X}`` for signed-permutation pairs.
-
-    ``X`` has shape ``d_out x d_in``.  The matrices are ``QMat``s or
-    ``SignedPerm``s.  Returns None when some matrix in ``pairs`` is not a
-    signed permutation (caller should fall back to the generic solver).
-
-    Each pair ``(A, B)`` sends entry ``(a, b)`` of ``X`` to entry
-    ``(sigma_B(a), sigma_A(b))`` with the sign ``sign_B[a] * sign_A[b]``.  A
-    walk from the smallest unvisited entry gives every entry of its orbit a
-    sign relative to that start; an orbit that reaches an entry with both
-    signs is forced to zero.  Each live orbit is one basis element, +1 at its
-    smallest flat index, and the elements come in the order of that index.
-    """
-    maps = []
-    for a, b in pairs:
-        pa = SignedPerm.of(a)
-        pb = pa if b is a else SignedPerm.of(b)
-        if pa is None or pb is None:
+def _clifford_kind(perms: list[SignedPerm]) -> list[tuple[bool, list[bool]]] | None:
+    """Per matrix: whether it squares to +1 (else -1) and which earlier ones
+    it anticommutes with; None unless the matrices are of Clifford type.
+    Products act on the points +e_j (j) and -e_j (j + d)."""
+    kind, maps = [], []
+    for a in perms:
+        d = len(a.perm)
+        image = [i if s > 0 else i + d for i, s in zip(a.perm, a.signs)]
+        m = image + [i + d if i < d else i - d for i in image]
+        sq = [m[x] for x in image]
+        if sq != list(range(d)) and sq != list(range(d, 2 * d)):
             return None
-        maps.append((pb.perm, pb.signs, pa.perm, pa.signs))
+        anti = []
+        for b in maps:
+            ab = [m[x] for x in b[:d]]
+            anti.append(ab != [b[x] for x in image])
+            if anti[-1] and ab != [b[x] for x in m[d:]]:
+                return None
+        maps.append(m)
+        kind.append((sq[0] == 0, anti))
+    return kind
 
-    slot = [0] * (d_out * d_in)  # sign of an entry relative to its orbit's start, 0 = unvisited
+
+def signed_perm_intertwiners(pairs: list[tuple], d_in: int, d_out: int) -> list[QMat] | None:
+    """Basis of ``{X : X A_k = B_k X}`` (``X`` is ``d_out x d_in``) for
+    ``QMat``s or ``SignedPerm``s, or None for the RREF solve unless each side
+    is of Clifford type.  Then ``X -> B^w X (A^w)^-1``, ``A^w`` the product
+    of the ``A_k`` for the bits of ``w``, is an action of F2^m on the entries
+    of X up to sign (Dehaene and De Moor, Phys. Rev. A 68, 2003), unless the
+    squares or commutation signs of the sides differ, when X = 0.  A search
+    from each row orbit's smallest row labels its rows with words; the words
+    on non-tree edges span the root row's stabiliser (Schreier's lemma),
+    reduced to at most m masks.  Each sign-consistent column orbit of the
+    root row under them is one element, +1 at its smallest flat index, filled
+    along the search tree; elements come in the order of that index.  Cost
+    O(m^2 d + output), against O(m d_out d_in) for visiting every entry.
+    """
+    a_perms = [SignedPerm.of(a) for a, _ in pairs]
+    b_perms = [pa if b is a else SignedPerm.of(b) for pa, (a, b) in zip(a_perms, pairs)]
+    if any(p is None for p in a_perms + b_perms):
+        return None
+    kind = _clifford_kind(a_perms)
+    b_kind = kind if b_perms == a_perms else _clifford_kind(b_perms)
+    if kind is None or b_kind is None:
+        return None
+    if kind != b_kind:
+        return []
+
+    word = [-1] * d_out  # the word taking its orbit's root to a row, -1 = unseen
     basis = []
-    for start in range(d_out * d_in):
-        if slot[start]:
+    for root in range(d_out):
+        if word[root] >= 0:
             continue
-        slot[start] = 1
-        orbit = [start]
-        live = True
-        for p in orbit:  # the list grows while it is walked
-            a, b = divmod(p, d_in)
-            s = slot[p]
-            for sigma_b, sign_b, sigma_a, sign_a in maps:
-                q = sigma_b[a] * d_in + sigma_a[b]
-                t = s * sign_b[a] * sign_a[b]
-                if not slot[q]:
-                    slot[q] = t
-                    orbit.append(q)
-                elif slot[q] != t:
-                    live = False
-        if live:
-            rows: list[dict[int, Fraction]] = [dict() for _ in range(d_out)]
-            for p in sorted(orbit):
-                a, b = divmod(p, d_in)
-                rows[a][b] = ONE if slot[p] == 1 else MINUS_ONE
-            basis.append(QMat(d_out, d_in, rows))
+        word[root] = 0
+        tree, edges, loops = [root], [], set()  # edges: (row, parent, k) in search order
+        for p in tree:  # the list grows while it is walked
+            for k, b in enumerate(b_perms):
+                q, w = b.perm[p], word[p] ^ 1 << k
+                if word[q] < 0:
+                    word[q] = w
+                    tree.append(q)
+                    edges.append((q, p, k))
+                elif w != word[q]:
+                    loops.add(w ^ word[q])
+        stab: dict[int, int] = {}  # the stabiliser of root in echelon form, by top bit
+        for z in loops:
+            while z.bit_length() in stab:
+                z ^= stab[z.bit_length()]
+            if z:
+                stab[z.bit_length()] = z
+        moves = []  # per mask w: where each column goes, with the sign of B^w at root
+        for z in stab.values():
+            a_w, b_w = SignedPerm.identity(d_in), SignedPerm.identity(d_out)
+            for k in (k for k in range(len(pairs)) if z >> k & 1):
+                a_w, b_w = a_perms[k] * a_w, b_perms[k] * b_w
+            moves.append((a_w.perm, [s * b_w.signs[root] for s in a_w.signs]))
+        slot = [0] * d_in  # sign of a column relative to its orbit's start, 0 = unvisited
+        for start in range(d_in):
+            if slot[start]:
+                continue
+            slot[start], orbit, live = 1, [start], True
+            for c in orbit:
+                for perm, signs in moves:
+                    x, t = perm[c], slot[c] * signs[c]
+                    if not slot[x]:
+                        slot[x] = t
+                        orbit.append(x)
+                    elif slot[x] != t:
+                        live = False
+            if not live:
+                continue
+            rows: list[dict[int, int]] = [{} for _ in range(d_out)]
+            rows[root] = {c: slot[c] for c in sorted(orbit)}
+            for q, p, k in edges:
+                a, t = a_perms[k], b_perms[k].signs[p]
+                rows[q] = dict(sorted((a.perm[c], s * t * a.signs[c]) for c, s in rows[p].items()))
+            basis.append(QMat(d_out, d_in, [{c: ONE if s > 0 else MINUS_ONE for c, s in r.items()}
+                                            for r in rows]))
     return basis
 
 
 def intertwiner_space(pairs: list[tuple[QMat, QMat]], d_in: int, d_out: int) -> list[QMat]:
     """Exact basis of ``{X : X A_k = B_k X}`` for arbitrary rational matrices.
 
-    Uses the orbit-walk fast path when every matrix is a signed permutation,
-    otherwise reduces the (sparse) commutation constraints directly, built as
-    integer rows.
+    Uses the F2 solve of ``signed_perm_intertwiners`` when every matrix is a
+    signed permutation of Clifford type, otherwise reduces the (sparse)
+    commutation constraints directly, built as integer rows.
     """
     fast = signed_perm_intertwiners(pairs, d_in, d_out)
     if fast is not None:
@@ -486,11 +569,13 @@ def intertwiner_space(pairs: list[tuple[QMat, QMat]], d_in: int, d_out: int) -> 
     rr = Rref()
     for a, b in pairs:
         # scale the pair by the lcm of its denominators: same constraints, integer rows
-        den = lcm(*(v.denominator for m in (a, b) for r in m.rows for v in r.values()))
+        den = lcm(*(v.denominator for m in (a, b) for _, _, v in m.entries()))
         acols: list[dict[int, int]] = [dict() for _ in range(d_in)]
+        brows: list[dict[int, int]] = [dict() for _ in range(d_out)]
         for i, j, v in a.entries():
             acols[j][i] = v.numerator * (den // v.denominator)
-        brows = [{k: v.numerator * (den // v.denominator) for k, v in r.items()} for r in b.rows]
+        for i, k, v in b.entries():
+            brows[i][k] = v.numerator * (den // v.denominator)
         # constraint entry (i,j): sum_k X[i,k] A[k,j] - sum_k B[i,k] X[k,j] = 0
         for i in range(d_out):
             brow = brows[i]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import QMat, SignedPerm
+from .linalg import QMat, Rref, SignedPerm, inertia
 
 CONVENTION = (
     "e_i e_j + e_j e_i = -2 g_ij with g = diag(-1 x r, +1 x s); "
@@ -182,8 +182,11 @@ def audit(
     classification table (the real dimension and the field K are the
     irreducible module's), the Clifford condition, the spin metric
     (symmetric, generators self- or skew-adjoint, commutant basis elements
-    1.. skew-adjoint), the commutant basis (element 0 is the identity, every
-    element commutes with every generator), odd generators when a
+    1.. skew-adjoint) and its positive definiteness (by exact inertia, or for
+    a signed permutation being the identity), the commutant basis (element 0
+    is the identity, every element commutes with every generator) and its
+    size (dim_R K linearly independent elements for the table's K, so that by
+    Schur's lemma it spans the commutant), odd generators when a
     ``grading`` is given, and for s - r = 3 mod 4 a central volume element
     whose sign matches the recorded ``volume_sign`` and, on definite
     signatures, the ``variant``.  The report carries the computed sign,
@@ -211,8 +214,12 @@ def audit(
 
     failures = _metric_failures(sig, generators, metric, commutant_basis[1:])
     checks.append(("spin-metric", not failures, "; ".join(failures)))
-
     ident = mat.identity(d)
+    # a signed permutation has e_j^T M e_j > 0 for every j only as the identity
+    definite = metric == ident if mat is SignedPerm else inertia(
+        [[(metric.get(i, j) + metric.get(j, i)) / 2 for j in range(d)] for i in range(d)]) == (d, 0, 0)
+    checks.append(("spin-metric-definite", definite, "" if definite else "x^T M x <= 0 for some x != 0"))
+
     failures = []
     if not commutant_basis or commutant_basis[0] != ident:
         failures.append("first commutant basis element is not the identity")
@@ -222,6 +229,12 @@ def audit(
                 failures.append(f"basis element {t} vs e_{idx + 1}")
                 break
     checks.append(("commutant-basis", not failures, "; ".join(failures)))
+    rr = Rref()
+    for b in commutant_basis:
+        rr.add_row({i * d + j: v for i, j, v in b.entries()})
+    k = {"R": 1, "C": 2, "H": 4}[want[1]]
+    checks.append(("commutant-dimension", len(commutant_basis) == rr.rank == k,
+                   f"{len(commutant_basis)} elements of rank {rr.rank}; K={want[1]} has dimension {k}"))
 
     if grading is not None:
         eps = mat.diag(grading)

@@ -312,6 +312,29 @@ def test_verify_checks_the_classification_table(tmp_path, how):
     assert len(failed) == 1 and failed[0].startswith("FAIL classification-table"), verify.output
 
 
+# A Cl(0,3) file (K = H) whose commutant basis is cut short, or whose metric
+# is zero: each passes every other check, and only the named one fails.
+FORGED_CLAIMS = {
+    "basis cut to [I]": (lambda p: dict(p, commutant_basis=p["commutant_basis"][:1]), "commutant-dimension"),
+    "basis cut to two": (lambda p: dict(p, commutant_basis=p["commutant_basis"][:2]), "commutant-dimension"),
+    "zero metric": (lambda p: dict(p, spin_metric=[["0"] * 4] * 4), "spin-metric-definite"),
+}
+
+
+@pytest.mark.parametrize("how", sorted(FORGED_CLAIMS))
+def test_verify_decides_the_commutant_and_metric_claims(tmp_path, how):
+    forge, check = FORGED_CLAIMS[how]
+    result, out = _generate(tmp_path, "g03.json", "--sig", "0,3")
+    assert result.exit_code == 0
+    passed = run_cli(["verify", str(out)]).output
+    assert "PASS commutant-dimension" in passed and "PASS spin-metric-definite" in passed
+    out.write_text(json.dumps(forge(json.loads(out.read_text()))))
+    verify = run_cli(["verify", str(out)])
+    assert verify.exit_code == 1, verify.output
+    failed = [ln for ln in verify.output.splitlines() if ln.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL {check}"), verify.output
+
+
 # Exit codes as the click-based CLI gave them; {out} is a new file and {dir}
 # an existing directory.
 PARSER_CASES = [

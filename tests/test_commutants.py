@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli
-from spinrep import linalg
+from spinrep import linalg, modules
 from spinrep.kmatrix import GradedSpace, classify_commutant, commutant, joint_intertwiners
-from spinrep.linalg import QMat, Rref, signed_perm_intertwiners
-from spinrep.modules import SpinorModule, assemble_signature, intertwiners
+from spinrep.linalg import QMat, Rref, SignedPerm, signed_perm_intertwiners
+from spinrep.modules import (SpinorModule, assemble_signature, intertwiners, octonion_module,
+                             sqrt_space_module)
+from test_commutant_manifest import module_set
 
 # ---------------------------------------------------------------------------
-# The orbit walk against the RREF solve
+# The F2 solve against the RREF solve
 # ---------------------------------------------------------------------------
 
 
@@ -31,11 +33,37 @@ def signed_perms(draw, d):
 
 @st.composite
 def signed_perm_problems(draw):
-    """(d_in, d_out, pairs): one to three pairs (A, B) with A on d_in and B on d_out."""
+    """(d_in, d_out, pairs): one to three pairs (A, B) of arbitrary signed
+    permutations, A on d_in and B on d_out."""
     d_in = draw(st.integers(1, 5))
     d_out = draw(st.integers(1, 5))
     count = draw(st.integers(1, 3))
     return d_in, d_out, [(draw(signed_perms(d_in)), draw(signed_perms(d_out))) for _ in range(count)]
+
+
+SMALL_SIGNATURES = [(r, n - r) for n in range(1, 5) for r in range(n + 1)]
+
+
+@st.composite
+def clifford_type_problems(draw):
+    """(d_in, d_out, pairs) of Clifford type: on each side the generators of
+    one or two recipe modules of one signature (variants drawn per module),
+    summed and conjugated by a random signed permutation; B_k is negated at
+    random, and a random nonempty subset of the generators is kept."""
+    r, s = draw(st.sampled_from(SMALL_SIGNATURES))
+    variants = ["plus", "minus"] if (s - r) % 4 == 3 else ["plus"]
+
+    def side():
+        mods = [assemble_signature(r, s, draw(st.sampled_from(variants))) for _ in range(draw(st.integers(1, 2)))]
+        gens = [_direct_sum(gs) for gs in zip(*(m.generators for m in mods))]
+        p = draw(signed_perms(gens[0].nrows))
+        return [p * g * p.transpose() for g in gens]
+
+    a_gens, b_gens = side(), side()
+    keep = draw(st.lists(st.sampled_from(range(r + s)), min_size=1, unique=True))
+    negate = draw(st.lists(st.booleans(), min_size=r + s, max_size=r + s))
+    pairs = [(a_gens[k], b_gens[k].scale(-1) if negate[k] else b_gens[k]) for k in keep]
+    return a_gens[0].nrows, b_gens[0].nrows, pairs
 
 
 def _rank(mats) -> int:
@@ -52,9 +80,10 @@ def _rref_branch(pairs, d_in, d_out):
 
 def _assert_canonical(basis, d_in):
     """Entries +-1 on disjoint supports, +1 at each element's smallest flat
-    index, elements sorted by that index."""
+    index, elements sorted by that index, row dicts in column order."""
     firsts, seen = [], set()
     for x in basis:
+        assert all(list(row) == sorted(row) for row in x.rows)
         flat = sorted((i * d_in + j, v) for i, j, v in x.entries())
         assert flat and flat[0][1] == 1
         assert all(v in (1, -1) for _, v in flat)
@@ -65,32 +94,78 @@ def _assert_canonical(basis, d_in):
     assert firsts == sorted(firsts)
 
 
-@settings(max_examples=200, deadline=None)
-@given(signed_perm_problems())
-def test_orbit_walk_matches_rref_solve(problem):
-    d_in, d_out, pairs = problem
-    fast = signed_perm_intertwiners(pairs, d_in, d_out)
+def _assert_same_space(basis, pairs, d_in, d_out):
+    """``basis`` spans the RREF solve's space, and each element intertwines."""
     slow = _rref_branch(pairs, d_in, d_out)
-    assert len(fast) == len(slow) == _rank(fast) == _rank(fast + slow)
-    for x in fast:
+    assert len(basis) == len(slow) == _rank(basis) == _rank(basis + slow)
+    for x in basis:
         assert (x.nrows, x.ncols) == (d_out, d_in)
         assert all(x * a == b * x for a, b in pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clifford_type_problems())
+def test_f2_solve_matches_rref_solve(problem):
+    d_in, d_out, pairs = problem
+    fast = signed_perm_intertwiners(pairs, d_in, d_out)
+    assert fast is not None
+    _assert_same_space(fast, pairs, d_in, d_out)
     _assert_canonical(fast, d_in)
 
 
-def test_orbit_walk_drops_sign_inconsistent_orbits():
+@settings(max_examples=150, deadline=None)
+@given(signed_perm_problems())
+def test_signed_perm_problems_match_rref_solve(problem):
+    """Any signed permutations, Clifford type or not and given as ``QMat``s
+    or ``SignedPerm``s, give the RREF solve's space through
+    ``intertwiner_space``."""
+    d_in, d_out, pairs = problem
+    perms = [(SignedPerm.of(a), SignedPerm.of(b)) for a, b in pairs]
+    for operands in (pairs, perms):
+        _assert_same_space(linalg.intertwiner_space(operands, d_in, d_out), pairs, d_in, d_out)
+
+
+def _is_clifford_type(mats) -> bool:
+    """Each squares to +-1 and any two commute or anticommute, by products."""
+    ident = QMat.identity(mats[0].nrows)
+    return (all(m * m in (ident, -ident) for m in mats)
+            and all(a * b in (b * a, -(b * a)) for a in mats for b in mats))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_perm_problems())
+def test_f2_solve_declines_exactly_the_non_clifford_type(problem):
+    d_in, d_out, pairs = problem
+    clifford = _is_clifford_type([a for a, _ in pairs]) and _is_clifford_type([b for _, b in pairs])
+    assert (signed_perm_intertwiners(pairs, d_in, d_out) is None) == (not clifford)
+
+
+def test_f2_solve_drops_sign_inconsistent_orbits():
     minus = QMat.from_dense([[-1]])
     one = QMat.identity(1)
     assert signed_perm_intertwiners([(minus, one)], 1, 1) == []
     assert signed_perm_intertwiners([(one, one)], 1, 1) == [one]
-    # the swap with a sign flip: X[0,1] = X[1,0] and X[0,1] = -X[1,0] kill that orbit
+    # the swap squares to 1 and the signed swap to -1, so X = 0
     swap = _signed_perm([1, 0], [1, 1])
     flip = _signed_perm([1, 0], [1, -1])
     basis = signed_perm_intertwiners([(swap, flip)], 2, 2)
     assert basis == _rref_branch([(swap, flip)], 2, 2) == []
+    # squares agree, commutation signs do not: diag(1,-1) and the swap anticommute
+    pairs = [(swap, swap), (_signed_perm([0, 1], [1, -1]), QMat.identity(2))]
+    assert signed_perm_intertwiners(pairs, 2, 2) == _rref_branch(pairs, 2, 2) == []
 
 
-def test_orbit_walk_canonical_form_on_modules():
+def test_f2_solve_keeps_rows_in_column_order():
+    # row 1 is filled from row 0 by the reversal (0 3)(1 2), so the column
+    # orbit {0, 1} of row 0 lands in row 1 as 3, 2
+    reverse, swaps = _signed_perm([3, 2, 1, 0], [1] * 4), _signed_perm([1, 0, 3, 2], [1] * 4)
+    pairs = [(reverse, _signed_perm([1, 0], [1, 1])), (swaps, QMat.identity(2))]
+    basis = signed_perm_intertwiners(pairs, 4, 2)
+    _assert_same_space(basis, pairs, 4, 2)
+    _assert_canonical(basis, 4)
+
+
+def test_f2_solve_canonical_form_on_modules():
     m = assemble_signature(0, 3)
     basis = signed_perm_intertwiners([(g, g) for g in m.generators], 4, 4)
     assert len(basis) == 4 and basis[0] == QMat.identity(4)
@@ -105,6 +180,44 @@ def _direct_sum(mats) -> QMat:
         entries.update({(i + off, j + off): v for i, j, v in m.entries()})
         off += m.nrows
     return QMat.from_entries(d, d, entries)
+
+
+def test_no_monomial_production_input_reaches_rref():
+    """Every ``intertwiner_space`` call made while assembling and classifying
+    the manifest's 95 modules, building the octonion and sqrt-space modules,
+    and relating S3+ and S3- to their direct sums takes the F2 solve whenever
+    every operand is a signed permutation.  At d = 256 the RREF solve over d^2
+    unknowns is hundreds of times slower."""
+    solve = linalg.signed_perm_intertwiners
+    calls, declined = [], []
+
+    def spy(pairs, d_in, d_out):
+        basis = solve(pairs, d_in, d_out)
+        calls.append(d_out)
+        if basis is None and all(SignedPerm.of(m) is not None for pair in pairs for m in pair):
+            declined.append((d_in, d_out, len(pairs)))
+        return basis
+
+    for build in (modules._definite, modules.split_signature_module, modules.assemble_signature,
+                  modules.sqrt_space_module, modules.octonion_module):
+        build.cache_clear()
+    with mock.patch.object(linalg, "signed_perm_intertwiners", spy):
+        built = [assemble_signature(r, s, v) for r, s, v in module_set()]
+        built += [octonion_module(k) for k in range(4, 9)]
+        for m in built:
+            intertwiners(m)
+            intertwiners(m, even_only=True)
+        for n in range(1, 5):
+            sqrt_space_module(n)
+        plus = assemble_signature(0, 3, "plus").generators
+        minus = assemble_signature(0, 3, "minus").generators
+        sums = [plus, minus] + [[_direct_sum(gs) for gs in zip(x, y)]
+                                for x, y in ((plus, plus), (plus, minus), (minus, minus))]
+        for a in sums:
+            for b in sums:
+                joint_intertwiners(list(a), list(b))
+    assert len(calls) >= 2 * len(built) + len(sums) ** 2
+    assert not declined
 
 
 def test_rectangular_intertwiners_between_modules():

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 from spinrep.files import dump_gamma_json, module_to_payload
-from spinrep.modules import assemble_signature, octonion_module, sqrt_space_module
+from spinrep.modules import assemble_signature, octonion_module, sqrt_space_module, verify_module
 
 MANIFEST = Path(__file__).with_name("gamma_manifest.json")
 DEFINITE_MANIFEST = Path(__file__).with_name("definite_manifest.json")
@@ -61,13 +61,27 @@ def module_digest(module) -> str:
     return hashlib.sha256(json.dumps(data).encode()).hexdigest()
 
 
-def definite_digests() -> dict[str, str]:
-    digests = {}
+def definite_jobs():
+    """(key, build) for every Cl(0,n) and Cl(n,0) module with n <= 16."""
+    jobs = []
     for n in range(1, 17):
         for r, s in ((0, n), (n, 0)):
             for variant in ("plus", "minus") if (s - r) % 4 == 3 else ("plus",):
-                digests[f"{r},{s} {variant}"] = module_digest(assemble_signature(r, s, variant))
-    return digests
+                jobs.append((f"{r},{s} {variant}", lambda r=r, s=s, v=variant: assemble_signature(r, s, v)))
+    return jobs
+
+
+def definite_digests() -> dict[str, str]:
+    return {key: module_digest(build()) for key, build in definite_jobs()}
+
+
+def test_every_manifest_module_passes_the_audit():
+    failed = {}
+    for key, build in sweep_jobs() + definite_jobs():
+        report = verify_module(build())
+        if not report.ok:
+            failed[key] = [c for c in report.checks if not c[1]]
+    assert not failed
 
 
 def test_definite_modules_match_manifest():
