@@ -216,21 +216,13 @@ def dump_gamma_json(payload: dict) -> str:
     return "{\n" + items + "\n}\n"
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+_CSV_ROW = "%.17g," * 21 + "%d"  # t, x, e1, e2, normal, g, q and the ok flag
 
 
 def trace_to_csv(trace: TransportTrace) -> str:
     lines = [CSV_HEADER]
     for idx in range(len(trace)):
-        cells = [trace.times[idx]]
-        cells += list(trace.positions[idx])
-        cells += list(trace.e1[idx])
-        cells += list(trace.e2[idx])
-        cells += list(trace.normals[idx])
-        cells += list(trace.lifts[idx])
-        cells += list(trace.spinors[idx])
-        row = ",".join(_fmt_float(c) for c in cells)
-        ok = trace.ok[idx] and all(map(math.isfinite, cells))
-        lines.append(f"{row},{1 if ok else 0}")
+        cells = (trace.times[idx], *trace.positions[idx], *trace.e1[idx], *trace.e2[idx],
+                 *trace.normals[idx], *trace.lifts[idx], *trace.spinors[idx])
+        lines.append(_CSV_ROW % (*cells, trace.ok[idx] and all(map(math.isfinite, cells))))
     return "\n".join(lines) + "\n"

@@ -198,52 +198,37 @@ def tensor_op_left(t: QMat, m: GradedSpace, n: GradedSpace) -> QMat:
     return QMat.from_entries(dim, dim, entries)
 
 
-def tensor_op_right(s, m: GradedSpace, n: GradedSpace, odd: bool = True) -> QMat:
-    """Realified ``I (x)^ S`` on M (x)_K N with the graded sign rule.
+def tensor_op_right(s: QMat, m: GradedSpace, n: GradedSpace, odd: bool = True) -> QMat:
+    """Realified ``I (x)^ S`` on M (x)_K N with the graded sign rule, for a
+    left-K-linear S given by its realified matrix on N (K-blocked basis; for
+    C and H, ``KMatrix.realify`` of a left-side matrix).
 
-    ``S`` is a left-module KMatrix over the common field (or a plain QMat
-    when the field is R).  When M carries a grading and ``odd`` is set, slot
-    p of M contributes the sign (-1)^(deg m_p); this is the sign rule
+    When M carries a grading and ``odd`` is set, slot p of M contributes the
+    sign (-1)^(deg m_p); this is the sign rule
     (T (x)^ S)(m (x) n) = (-1)^(deg S * deg m) T m (x) S n  for one slot.
     """
     if m.field != n.field:
         raise InputError("factors are over different fields")
     k = ALGEBRA_DIM[m.field]
     a, b = m.dim, n.dim
-    if isinstance(s, KMatrix):
-        if s.field != m.field or s.side != "left":
-            raise InputError("right-slot operator must be a left-module map over the field")
-        if s.rows != b or s.cols != b:
-            raise InputError("operator size does not match right factor")
-        sblocks = {}
-        for v_idx in range(b):
-            for q in range(b):
-                e = s.entry(v_idx, q)
-                if not e.is_zero():
-                    sblocks[(v_idx, q)] = list(alg.rmul_matrix(e).entries())
-    else:
-        if m.field != "R":
-            raise InputError("plain-matrix right slot only valid over R")
-        if s.nrows != b or s.ncols != b:
-            raise InputError("operator size does not match right factor")
-        sblocks = {(i, j): [(0, 0, v)] for i, j, v in s.entries()}
-
+    if s.nrows != n.real_dim or s.ncols != n.real_dim:
+        raise InputError("operator size does not match right factor")
+    blocks = _blocks_of(s, k)
     entries: dict[tuple[int, int], Fraction] = {}
     for p in range(a):
-        sgn = 1
-        if odd and m.grading is not None and m.grading[p] == -1:
-            sgn = -1
-        for (v_idx, q), items in sblocks.items():
+        flip = odd and m.grading is not None and m.grading[p] == -1
+        for (v_idx, q), items in blocks.items():
             ro = (p * b + v_idx) * k
             co = (p * b + q) * k
             for bi, bj, v in items:
-                entries[(ro + bi, co + bj)] = sgn * v
+                entries[(ro + bi, co + bj)] = -v if flip else v
     dim = k * a * b
     return QMat.from_entries(dim, dim, entries)
 
 
-def graded_tensor_operator(t: QMat, s, m: GradedSpace, n: GradedSpace, deg_s: int = 1) -> QMat:
-    """Realified ``T (x)^ S`` with the sign (-1)^(deg S * deg m).
+def graded_tensor_operator(t: QMat, s: QMat, m: GradedSpace, n: GradedSpace, deg_s: int = 1) -> QMat:
+    """Realified ``T (x)^ S`` with the sign (-1)^(deg S * deg m); T and S are
+    realified matrices, as ``tensor_op_left`` and ``tensor_op_right`` take.
 
     Mixed-degree right-slot operators must be split by the caller (extend
     bilinearly); Clifford generators are always treated as odd.

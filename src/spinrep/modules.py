@@ -208,52 +208,34 @@ def _base_kmatrices(n: int, positive: bool, variant: str) -> tuple[str, list[KMa
 # ---------------------------------------------------------------------------
 
 
-def _r_spaces(left: SpinorModule, right: SpinorModule):
-    return (
-        GradedSpace("R", left.real_dim, left.real_grading()),
-        GradedSpace("R", right.real_dim, None),
-    )
+def _tensor_gens(left_gens, right_gens, m: GradedSpace, n: GradedSpace) -> list[QMat]:
+    """Generators of a tensor product: T (x) I for each left generator, then
+    I (x)^ S with the Koszul sign for each right one (a realified left-module
+    map); generator slots are odd."""
+    return ([tensor_op_left(t, m, n) for t in left_gens]
+            + [tensor_op_right(s, m, n, odd=True) for s in right_gens])
 
 
-def _tensor_r(left: SpinorModule, right: SpinorModule, graded_space: bool):
-    """Real tensor product: left generators extend plainly, right generators
-    with the Koszul sign over the left grading (generator slots are odd).
+def _tensor_r(sig: Signature, left: SpinorModule, right: SpinorModule, variant: str) -> SpinorModule:
+    """Graded real tensor product of a graded left factor with a right one.
 
-    Returns the generator list, the result layout, and the right factor's
-    K-action lifted to the product (even operators, so no Koszul signs).
+    The layout is the right factor's K-blocks, graded exactly when the right
+    factor's layout is.  The right K-actions of both factors are lifted, as
+    U (x) I and I (x) U (even operators, so no Koszul signs), and K is the
+    field of whichever factor is not over R.
     """
     if left.space.grading is None:
         raise StructureError("left tensor factor must be graded")
-    m_space, n_space = _r_spaces(left, right)
-    gens = [tensor_op_left(g, m_space, n_space) for g in left.generators]
-    gens += [tensor_op_right(h, m_space, n_space, odd=True) for h in right.generators]
-    slots = left.real_dim * right.space.dim
-    grading = None
-    if graded_space:
-        rg = right.space.grading
-        if rg is None:
-            raise StructureError("graded space tensor requires a graded right factor")
-        lg = left.real_grading()
-        grading = tuple(lg[p] * rg[q] for p in range(left.real_dim) for q in range(right.space.dim))
-    units = [tensor_op_right(u, m_space, n_space, odd=False) for u in right.right_units]
-    return gens, GradedSpace(right.space.field, slots, grading), units
-
-
-def _tensor_k(left_gens: list[QMat], left_space: GradedSpace, right_kgens: list[KMatrix],
-              right_space: GradedSpace):
-    """Tensor over K = C or H (the field of both layouts): left generators act
-    on their K-blocks, right generators (left-module maps) through
-    right-multiplication blocks with Koszul signs.
-
-    Over C the product keeps its C-blocked layout; over H it is realified,
-    graded when the right factor is.
-    """
-    gens = [tensor_op_left(g, left_space, right_space) for g in left_gens]
-    gens += [tensor_op_right(s, left_space, right_space, odd=True) for s in right_kgens]
-    if left_space.field == "C":
-        # the C factors, Cl(0,1) and Cl(3,0), carry no grading
-        return gens, GradedSpace("C", left_space.dim * right_space.dim)
-    return gens, tensor_module(left_space, right_space, "H", graded=right_space.grading is not None)
+    m = GradedSpace("R", left.real_dim, left.real_grading())
+    n = GradedSpace("R", right.real_dim)
+    gens = _tensor_gens(left.generators, right.generators, m, n)
+    rg = right.space.grading
+    grading = None if rg is None else tuple(a * b for a in m.grading for b in rg)
+    space = GradedSpace(right.space.field, left.real_dim * right.space.dim, grading)
+    units = [tensor_op_left(u, m, n) for u in left.right_units]
+    units += [tensor_op_right(u, m, n, odd=False) for u in right.right_units]
+    field_tag = right.field if left.field == "R" else left.field
+    return _module(sig, field_tag, gens, space, FAMILY_ASSEMBLED, variant, right_units=units)
 
 
 def _restrict_h_to_c(mod: SpinorModule) -> tuple[list[QMat], GradedSpace]:
@@ -303,24 +285,19 @@ def _definite(n: int, positive: bool, variant: str) -> SpinorModule:
     k, r = divmod(n - 1, 8)
     r += 1
     if k and r not in (5, 6, 7):
-        right = _definite(r, positive, variant)
-        gens, space, units = _tensor_r(_definite(8 * k, positive, "plus"), right,
-                                       graded_space=right.space.grading is not None)
-        return _module(sig, right.field, gens, space, FAMILY_ASSEMBLED, variant, right_units=units)
+        return _tensor_r(sig, _definite(8 * k, positive, "plus"), _definite(r, positive, variant), variant)
     left = _definite(8 * k + 4, positive, "plus")
     small_field, small_kgens, small_space = _base_kmatrices(r - 4, positive, variant)
     if small_field == "R":
-        right = _definite(r - 4, positive, variant)
-        gens, space, _ = _tensor_r(left, right, graded_space=False)
-        m_space, n_space = _r_spaces(left, right)
-        units = [tensor_op_left(u, m_space, n_space) for u in left.right_units]
-        return _module(sig, "H", gens, space, FAMILY_ASSEMBLED, variant, right_units=units)
+        return _tensor_r(sig, left, _definite(r - 4, positive, variant), variant)
     if small_field == "C":
         left_gens, left_space = _restrict_h_to_c(left)
+        # the C factors, Cl(0,1) and Cl(3,0), carry no grading
+        space = GradedSpace("C", left_space.dim * small_space.dim)
     else:
-        left_gens, left_space = list(left.generators), left.space
-    right_kgens = [_left_version(g) for g in small_kgens]
-    gens, space = _tensor_k(left_gens, left_space, right_kgens, small_space)
+        left_gens, left_space = left.generators, left.space
+        space = tensor_module(left_space, small_space, "H", graded=small_space.grading is not None)
+    gens = _tensor_gens(left_gens, [_left_version(g).realify() for g in small_kgens], left_space, small_space)
     return _module(sig, space.field, gens, space, FAMILY_ASSEMBLED, variant)
 
 
@@ -417,16 +394,12 @@ def assemble_signature(r: int, s: int, variant: str = "plus") -> SpinorModule:
     split = split_signature_module(i)
     if r == s:
         return split
-    leftover = _definite(abs(r - s), r > s, variant)
-    gens, space, units = _tensor_r(split, leftover, graded_space=False)
-    plus_split, minus_split = gens[:i], gens[i : 2 * i]
-    rest = gens[2 * i :]
+    product = _tensor_r(sig, split, _definite(abs(r - s), r > s, variant), variant)
+    gens = product.generators
     if r > s:
-        ordered = plus_split + rest + minus_split
-    else:
-        ordered = plus_split + minus_split + rest
-    return _module(sig, leftover.field, ordered, space, FAMILY_ASSEMBLED, variant,
-                   right_units=units)
+        gens = gens[:i] + gens[2 * i :] + gens[i : 2 * i]
+    space = GradedSpace(product.space.field, product.space.dim)  # the layout stays ungraded
+    return _module(sig, product.field, gens, space, FAMILY_ASSEMBLED, variant, right_units=product.right_units)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ from typing import Callable
 from .errors import InputError, IntegrationError
 from .expressions import ParametricSurface, Vec3, compile_surface
 
-FD_STEP = 1e-6  # central-difference step for a curve given without its velocity
-
 
 def _add(a, b):
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
@@ -202,19 +200,10 @@ _EVAL_ERRORS = (InputError, ArithmeticError, ValueError)
 
 
 def _normal_and_velocity(surface, curve, velocity, t):
-    """(u, v) = curve(t), the unit normal n there and dn/dt, by the chain rule.
-
-    ``velocity(t)`` gives (du/dt, dv/dt); without it the curve is
-    differenced centrally with step FD_STEP."""
+    """(u, v) = curve(t), the unit normal n there and dn/dt, by the chain rule
+    from the curve's velocity (du/dt, dv/dt) = velocity(t)."""
     u, v = curve(t)
-    if velocity is None:
-        h = FD_STEP
-        u_p, v_p = curve(t + h)
-        u_m, v_m = curve(t - h)
-        du = (u_p - u_m) / (2 * h)
-        dv = (v_p - v_m) / (2 * h)
-    else:
-        du, dv = velocity(t)
+    du, dv = velocity(t)
     xu, xv = surface.partials(u, v)
     xuu, xuv, xvv = surface.second_partials(u, v)
     n_raw = _cross(xu, xv)
@@ -239,7 +228,8 @@ def spin_parallel_transport(
     t0: float = 0.0,
     t1: float = 1.0,
     frame0: tuple[Vec3, Vec3] | None = None,
-    velocity: Callable[[float], tuple[float, float]] | None = None,
+    *,
+    velocity: Callable[[float], tuple[float, float]],
 ) -> TransportTrace:
     """Spin parallel transport of the spinor q0 given at the initial time.
 
@@ -249,8 +239,8 @@ def spin_parallel_transport(
     ``frame0`` when given and ``surface_frame`` otherwise; ``initial_sign``
     (+1 or -1) picks one of its two lifts, and the other negates the whole
     trace.  The frame is e1 = g i conj(g), e2 = g j conj(g) and the spinor
-    q(t) = g(t) * q0.  ``velocity(t)``, when given, is the curve's exact
-    (du/dt, dv/dt); otherwise the curve is differenced."""
+    q(t) = g(t) * q0.  ``velocity(t)`` is the curve's exact (du/dt, dv/dt),
+    as ``expressions.compile_curve`` returns it with the curve."""
     if steps < 2:
         raise InputError("steps must be at least 2")
     if initial_sign not in (1, -1):
@@ -333,7 +323,7 @@ def spin_parallel_transport(
     return trace
 
 
-def hypersurface4_action(normal, v, q, tol: float | None = None):
+def hypersurface4_action(normal, v, q):
     """Clifford action of a tangent vector on spinors along a hypersurface
     in R^4 viewed as the quaternions.
 
@@ -344,33 +334,16 @@ def hypersurface4_action(normal, v, q, tol: float | None = None):
     side would break this whenever normal and v both have real components).
 
     ``normal`` must be a unit quaternion, ``v`` tangent at that point
-    (Re(conj(normal) * v) = 0).  With rational inputs and tol=None the
-    preconditions are checked exactly; pass a tolerance for float data.
+    (Re(conj(normal) * v) = 0).  The inputs are read as Fractions and both
+    preconditions are checked exactly.
     """
     from fractions import Fraction
 
     from . import algebras as alg
 
-    exact = tol is None
-
-    def to_kelem(x):
-        if exact:
-            return alg.kelem("H", [Fraction(c) for c in x])
-        return alg.KElement("H", tuple(Fraction(float(c)) for c in x))
-
-    nq = to_kelem(normal)
-    vq = to_kelem(v)
-    qq = to_kelem(q)
-    norm_defect = alg.norm_sq(nq) - 1
-    tangency = alg.real_part(alg.mul(alg.conj(nq), vq))
-    if exact:
-        if norm_defect != 0:
-            raise InputError("normal is not a unit quaternion")
-        if tangency != 0:
-            raise InputError("v is not tangent (Re(conj(n) v) != 0)")
-    else:
-        if abs(float(norm_defect)) > tol:
-            raise InputError("normal is not a unit quaternion within tolerance")
-        if abs(float(tangency)) > tol:
-            raise InputError("v is not tangent within tolerance")
+    nq, vq, qq = (alg.kelem("H", [Fraction(c) for c in x]) for x in (normal, v, q))
+    if alg.norm_sq(nq) != 1:
+        raise InputError("normal is not a unit quaternion")
+    if alg.real_part(alg.mul(alg.conj(nq), vq)) != 0:
+        raise InputError("v is not tangent (Re(conj(n) v) != 0)")
     return alg.mul(alg.mul(vq, alg.conj(nq)), qq)

@@ -153,7 +153,10 @@ def test_criterion_6_sphere_example():
     def curve(t):
         return (2 * math.pi * t, 0.0)
 
-    trace = spin_parallel_transport(sph, curve, (0.0, 1.0, 0.0, 0.0), steps=10000)
+    def velocity(t):
+        return (2 * math.pi, 0.0)
+
+    trace = spin_parallel_transport(sph, curve, (0.0, 1.0, 0.0, 0.0), steps=10000, velocity=velocity)
     worst_r = worst_g = worst_q = 0.0
     for t, rot, g, q in zip(trace.times, trace.rotations, trace.lifts, trace.spinors):
         c, s = math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)

@@ -423,3 +423,10 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
         # the CLI runs on the standard library alone
         assert outside == {"spinrep"}, argv
     assert gamma.is_file() and csv.is_file()
+
+
+def test_every_export_resolves():
+    # the package resolves its exports lazily from a name table, which
+    # nothing else checks against the submodules
+    missing = [name for name in spinrep.__all__ if not hasattr(spinrep, name)]
+    assert not missing

@@ -107,7 +107,7 @@ def test_graded_tensor_clifford_condition_on_s4_square():
         right_km = KMatrix(
             "H", 2, 2, tuple(alg.conj(e) for e in c4_action(v).entries), "left"
         )
-        right = tensor_op_right(right_km, m_space, n_space, odd=True)
+        right = tensor_op_right(right_km.realify(), m_space, n_space, odd=True)
         total = left + right
         expect = QMat.identity(16).scale(-(alg.norm_sq(u) + alg.norm_sq(v)))
         assert total * total == expect
@@ -122,10 +122,10 @@ def test_koszul_coherence():
     t1, t2 = c4_action(units[0]), c4_action(units[1])
     s1 = KMatrix("H", 2, 2, tuple(alg.conj(e) for e in c4_action(units[2]).entries), "left")
     s2 = KMatrix("H", 2, 2, tuple(alg.conj(e) for e in c4_action(units[3]).entries), "left")
-    lhs = graded_tensor_operator(t1.realify(), s1, m_space, n_space) * graded_tensor_operator(
-        t2.realify(), s2, m_space, n_space
+    lhs = graded_tensor_operator(t1.realify(), s1.realify(), m_space, n_space) * graded_tensor_operator(
+        t2.realify(), s2.realify(), m_space, n_space
     )
-    rhs = graded_tensor_operator((t1 * t2).realify(), s1 * s2, m_space, n_space, deg_s=0)
+    rhs = graded_tensor_operator((t1 * t2).realify(), (s1 * s2).realify(), m_space, n_space, deg_s=0)
     # deg S = deg T' = 1: one sign flip
     assert lhs == rhs.scale(-1)
 

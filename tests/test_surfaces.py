@@ -74,7 +74,7 @@ def test_frame_orthonormality_random_points():
 
 def test_frame_transport_great_circle():
     sph = unit_sphere()
-    trace = spin_parallel_transport(sph, great_circle, ONE, steps=10000)
+    trace = spin_parallel_transport(sph, great_circle, ONE, steps=10000, velocity=loop_velocity)
     worst_r = 0.0
     worst_e2 = 0.0
     worst_norm = 0.0
@@ -97,7 +97,7 @@ def test_frame_transport_constant_curve():
     def still(t):
         return (0.7, 0.2)
 
-    trace = spin_parallel_transport(sph, still, ONE, steps=100)
+    trace = spin_parallel_transport(sph, still, ONE, steps=100, velocity=lambda t: (0.0, 0.0))
     first_e1, first_e2 = trace.e1[0], trace.e2[0]
     for e1, e2 in zip(trace.e1, trace.e2):
         assert max(abs(a - b) for a, b in zip(e1, first_e1)) < 1e-12
@@ -107,13 +107,14 @@ def test_frame_transport_constant_curve():
 def test_frame_transport_input_errors():
     sph = unit_sphere()
     with pytest.raises(InputError):
-        spin_parallel_transport(sph, great_circle, ONE, steps=1)
+        spin_parallel_transport(sph, great_circle, ONE, steps=1, velocity=loop_velocity)
     with pytest.raises(InputError):
         spin_parallel_transport(
-            sph, great_circle, ONE, frame0=((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)), steps=10
+            sph, great_circle, ONE, frame0=((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)), steps=10,
+            velocity=loop_velocity,
         )
     with pytest.raises(InputError, match="initial_sign"):
-        spin_parallel_transport(sph, great_circle, ONE, initial_sign=0, steps=10)
+        spin_parallel_transport(sph, great_circle, ONE, initial_sign=0, steps=10, velocity=loop_velocity)
 
 
 def test_left_handed_frame0_is_rejected():
@@ -121,7 +122,7 @@ def test_left_handed_frame0_is_rejected():
     with pytest.raises(InputError, match="left-handed"):
         spin_parallel_transport(
             unit_sphere(), great_circle, ONE, frame0=((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)),
-            steps=10,
+            steps=10, velocity=loop_velocity,
         )
     # the right-handed frame0 with the same axes transports cleanly
     trace = spin_parallel_transport(
@@ -164,7 +165,7 @@ def test_latitude_spin_holonomy_sign(phi):
 
 def test_spin_transport_sphere_example():
     sph = unit_sphere()
-    trace = spin_parallel_transport(sph, great_circle, (0.0, 1.0, 0.0, 0.0), steps=10000)
+    trace = spin_parallel_transport(sph, great_circle, (0.0, 1.0, 0.0, 0.0), steps=10000, velocity=loop_velocity)
     worst_g = 0.0
     worst_q = 0.0
     for t, g, q in zip(trace.times, trace.lifts, trace.spinors):
@@ -187,9 +188,9 @@ def test_spin_transport_sphere_example():
 
 def test_spin_transport_sign_flag_negates():
     sph = unit_sphere()
-    plus = spin_parallel_transport(sph, great_circle, (0.0, 1.0, 0.0, 0.0), steps=200)
+    plus = spin_parallel_transport(sph, great_circle, (0.0, 1.0, 0.0, 0.0), steps=200, velocity=loop_velocity)
     minus = spin_parallel_transport(
-        sph, great_circle, (0.0, 1.0, 0.0, 0.0), initial_sign=-1, steps=200
+        sph, great_circle, (0.0, 1.0, 0.0, 0.0), initial_sign=-1, steps=200, velocity=loop_velocity
     )
     for qp, qm in zip(plus.spinors, minus.spinors):
         assert max(abs(a + b) for a, b in zip(qp, qm)) < 1e-12
@@ -199,7 +200,7 @@ def test_spinor_leaves_tangent_plane():
     # at t = 1/2 the transported i-spinor is -k, which is normal at the
     # antipodal point: its normal component has size 1
     sph = unit_sphere()
-    trace = spin_parallel_transport(sph, great_circle, (0.0, 1.0, 0.0, 0.0), steps=2000)
+    trace = spin_parallel_transport(sph, great_circle, (0.0, 1.0, 0.0, 0.0), steps=2000, velocity=loop_velocity)
     idx = len(trace) // 2
     assert abs(trace.times[idx] - 0.5) < 1e-12
     q = trace.spinors[idx]
@@ -265,7 +266,10 @@ def test_non_finite_rows_are_not_ok():
     def escaping(t):
         return (t, math.nan) if t > 0.55 else (t, 0.0)
 
-    trace = spin_parallel_transport(plane(), escaping, ONE, steps=10)
+    def escaping_velocity(t):
+        return (1.0, math.nan) if t > 0.55 else (1.0, 0.0)
+
+    trace = spin_parallel_transport(plane(), escaping, ONE, steps=10, velocity=escaping_velocity)
     assert trace.ok == [t < 0.55 for t in trace.times]
 
 
@@ -274,8 +278,11 @@ def test_csv_flags_non_finite_rows_without_trace_flags():
     def escaping(t):
         return (t, math.nan) if t > 0.5 else (t, 0.0)
 
-    trace = spin_parallel_transport(plane(), escaping, ONE, steps=4)
+    def escaping_velocity(t):
+        return (1.0, math.nan) if t > 0.5 else (1.0, 0.0)
+
+    trace = spin_parallel_transport(plane(), escaping, ONE, steps=4, velocity=escaping_velocity)
     trace.ok = [True] * len(trace)
     rows = trace_to_csv(trace).splitlines()[1:]
-    assert [row.rsplit(",", 1)[1] for row in rows] == ["1", "1", "0", "0", "0"]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["1", "1", "1", "0", "0"]
     assert "nan" in rows[-1]
