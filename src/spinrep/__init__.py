@@ -19,7 +19,7 @@ _EXPORTS = {
     "clifford": ("Multivector", "blade_product", "euclidean", "hodge_star", "psi_embed", "volume_element"),
     "errors": ("InputError", "IntegrationError", "SpinrepError", "StructureError"),
     "expressions": ("ParametricSurface",),
-    "kmatrix": ("Commutant", "GradedSpace", "KMatrix", "commutant", "graded_tensor_operator", "tensor_module"),
+    "kmatrix": ("Commutant", "GradedSpace", "commutant"),
     "linalg": ("QMat",),
     "modules": ("SpinorModule", "assemble_euclidean", "assemble_positive", "assemble_signature",
                 "c4_action", "grading_from_volume", "intertwiners", "octonion_module", "spin_metric_verify",

@@ -7,15 +7,13 @@ as pairs of quaternions with the doubling product
     (a, b) * (c, d) = (a*c - conj(d)*b, d*a + b*conj(c))
     conj((a, b))    = (conj(a), -b)
 
-evaluated at call time; a memoized basis-unit table is kept as a cross-checked
-shortcut for unit products.
+evaluated at call time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputError
 from .linalg import QMat
@@ -86,11 +84,6 @@ def _check_same(a: KElement, b: KElement) -> None:
         raise InputError(f"algebra tag mismatch: {a.algebra} vs {b.algebra}")
 
 
-def add(a: KElement, b: KElement) -> KElement:
-    _check_same(a, b)
-    return KElement(a.algebra, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
 def neg(a: KElement) -> KElement:
     return KElement(a.algebra, tuple(-x for x in a.coeffs))
 
@@ -150,18 +143,6 @@ def norm_sq(a: KElement) -> Fraction:
 
 def real_part(a: KElement) -> Fraction:
     return a.coeffs[0]
-
-
-@lru_cache(maxsize=None)
-def basis_product(algebra: str, i: int, j: int) -> tuple[int, int]:
-    """Memoized unit-times-unit table ``(index, sign)``, derived from ``mul``."""
-    prod = mul(unit(algebra, i), unit(algebra, j))
-    for idx, c in enumerate(prod.coeffs):
-        if c:
-            if abs(c) != 1:
-                raise AssertionError("basis product is not a signed unit")
-            return idx, (1 if c > 0 else -1)
-    raise AssertionError("basis product vanished")
 
 
 def mul_matrix(x: KElement, side: str) -> QMat:

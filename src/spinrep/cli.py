@@ -103,12 +103,14 @@ def verify(path: str) -> None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
+    except UnicodeDecodeError as exc:
+        _fail(EXIT_INPUT, f"malformed file: {exc}")
     except OSError as exc:
         _fail(EXIT_IO, f"cannot read {path}: {exc}")
     try:
         payload = json.loads(raw)
         loaded = payload_to_gamma(payload)
-    except (json.JSONDecodeError, InputError) as exc:
+    except (ValueError, RecursionError, InputError) as exc:  # JSONDecodeError is a ValueError
         _fail(EXIT_INPUT, f"malformed file: {exc}")
     report = audit(
         loaded.signature, loaded.field, loaded.generators, loaded.spin_metric, loaded.commutant_basis,

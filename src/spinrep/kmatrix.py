@@ -1,22 +1,11 @@
-"""Matrices over R/C/H with side-tagged linearity, graded tensor products and
-commutant (intertwiner) computation.
+"""Realified matrices over R/C/H, one-slot tensor operators and commutant
+(intertwiner) computation.
 
-Side convention.  A module over K comes in a right-module and a left-module
-flavour, and operators on the two realify differently:
-
-* ``side="right"``: the operator acts on a right K-module, coordinates carry
-  the K-scalar on the right of the basis vector, matrix entries multiply
-  coordinates from the left.  Realification turns each entry into the matrix
-  of *left* multiplication.
-* ``side="left"``: the operator acts on a left K-module, entries multiply
-  coordinates from the right, and realification uses *right* multiplication
-  matrices.  Composition of two left-side operators multiplies entries in
-  reversed order, which is exactly what makes realify a homomorphism on both
-  sides.
-
-Realified modules keep their K-block layout: the real basis is grouped in
-runs of dim(K) vectors forming one K-orbit per slot, with the K-coordinate
-fastest-varying.  All tensor constructions below preserve this layout.
+A matrix over K is stored realified: a ``QMat`` over the rationals in the
+K-blocked layout that ``GradedSpace`` describes, where the real basis is
+grouped in runs of dim(K) vectors forming one K-orbit per slot, with the
+K-coordinate fastest-varying.  The tensor operators below take and return
+matrices in this layout.
 """
 
 from __future__ import annotations
@@ -25,83 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from . import algebras as alg
-from .algebras import ALGEBRA_DIM, KElement
+from .algebras import ALGEBRA_DIM
 from .errors import InputError
 from .linalg import QMat, Rref, inertia, intertwiner_space
 
 ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class KMatrix:
-    """Rectangular matrix over R, C or H with a declared linearity side."""
-
-    field: str
-    rows: int
-    cols: int
-    entries: tuple[KElement, ...]  # row-major
-    side: str = "right"
-
-    def __post_init__(self):
-        if self.field not in ("R", "C", "H"):
-            raise InputError(f"KMatrix field must be R, C or H, got {self.field!r}")
-        if self.side not in ("right", "left"):
-            raise InputError("side must be 'right' (right-module map) or 'left'")
-        if len(self.entries) != self.rows * self.cols:
-            raise InputError("entry count does not match shape")
-        for e in self.entries:
-            if e.algebra != self.field:
-                raise InputError("entry algebra differs from matrix field")
-
-    def entry(self, i: int, j: int) -> KElement:
-        return self.entries[i * self.cols + j]
-
-    @staticmethod
-    def from_rows(field: str, rows: list[list[KElement]], side: str = "right") -> "KMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = tuple(e for row in rows for e in row)
-        return KMatrix(field, r, c, flat, side)
-
-    @staticmethod
-    def identity(field: str, n: int, side: str = "right") -> "KMatrix":
-        one = alg.one(field)
-        zero = alg.zero(field)
-        flat = tuple(one if i == j else zero for i in range(n) for j in range(n))
-        return KMatrix(field, n, n, flat, side)
-
-    def __mul__(self, other: "KMatrix") -> "KMatrix":
-        """Operator composition self after other (matrix product)."""
-        if self.field != other.field or self.side != other.side:
-            raise InputError("KMatrix product needs matching field and side")
-        if self.cols != other.rows:
-            raise InputError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = alg.zero(self.field)
-                for k in range(self.cols):
-                    a = self.entry(i, k)
-                    b = other.entry(k, j)
-                    term = alg.mul(a, b) if self.side == "right" else alg.mul(b, a)
-                    acc = alg.add(acc, term)
-                out.append(acc)
-        return KMatrix(self.field, self.rows, other.cols, tuple(out), self.side)
-
-    def realify(self) -> QMat:
-        """Real matrix in the K-blocked basis, respecting the linearity side."""
-        k = ALGEBRA_DIM[self.field]
-        entries: dict[tuple[int, int], Fraction] = {}
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entry(i, j)
-                if e.is_zero():
-                    continue
-                block = alg.lmul_matrix(e) if self.side == "right" else alg.rmul_matrix(e)
-                for bi, bj, v in block.entries():
-                    entries[(i * k + bi, j * k + bj)] = v
-        return QMat.from_entries(self.rows * k, self.cols * k, entries)
 
 
 @dataclass(frozen=True)
@@ -144,27 +61,6 @@ class GradedSpace:
         return tuple(g for g in self.grading for _ in range(k))
 
 
-def tensor_module(m: GradedSpace, n: GradedSpace, over: str, graded: bool) -> GradedSpace:
-    """Tensor product space M (x)_K N described over the real numbers.
-
-    M is read as a right K-module and N as a left K-module over the common
-    field ``over``; both inputs must already be expressed over that field.
-    The result is reported as a real space (field "R"); the parity grading is
-    attached when ``graded`` is set, which requires both factors graded.
-    """
-    if m.field != over or n.field != over:
-        raise InputError(f"both factors must be expressed over {over}")
-    k = ALGEBRA_DIM[over]
-    slots = m.dim * n.dim
-    grading = None
-    if graded:
-        if m.grading is None or n.grading is None:
-            raise InputError("graded tensor requires graded factors")
-        pair = tuple(gm * gn for gm in m.grading for gn in n.grading)
-        grading = tuple(g for g in pair for _ in range(k))
-    return GradedSpace("R", slots * k, grading)
-
-
 # ---------------------------------------------------------------------------
 # One-slot operators on realified tensor products
 # ---------------------------------------------------------------------------
@@ -201,7 +97,8 @@ def tensor_op_left(t: QMat, m: GradedSpace, n: GradedSpace) -> QMat:
 def tensor_op_right(s: QMat, m: GradedSpace, n: GradedSpace, odd: bool = True) -> QMat:
     """Realified ``I (x)^ S`` on M (x)_K N with the graded sign rule, for a
     left-K-linear S given by its realified matrix on N (K-blocked basis; for
-    C and H, ``KMatrix.realify`` of a left-side matrix).
+    C and H, the conjugate J S' J of a right-K-linear S', see
+    ``modules._left_version``).
 
     When M carries a grading and ``odd`` is set, slot p of M contributes the
     sign (-1)^(deg m_p); this is the sign rule
@@ -224,18 +121,6 @@ def tensor_op_right(s: QMat, m: GradedSpace, n: GradedSpace, odd: bool = True) -
                 entries[(ro + bi, co + bj)] = -v if flip else v
     dim = k * a * b
     return QMat.from_entries(dim, dim, entries)
-
-
-def graded_tensor_operator(t: QMat, s: QMat, m: GradedSpace, n: GradedSpace, deg_s: int = 1) -> QMat:
-    """Realified ``T (x)^ S`` with the sign (-1)^(deg S * deg m); T and S are
-    realified matrices, as ``tensor_op_left`` and ``tensor_op_right`` take.
-
-    Mixed-degree right-slot operators must be split by the caller (extend
-    bilinearly); Clifford generators are always treated as odd.
-    """
-    left = tensor_op_left(t, m, n)
-    right = tensor_op_right(s, m, n, odd=bool(deg_s % 2))
-    return left * right
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from . import algebras as alg
 from .algebras import ALGEBRA_DIM, KElement
 from .clifford import Multivector, blade_product, euclidean, reorder_sign
 from .errors import InputError, StructureError
-from .kmatrix import Commutant, GradedSpace, KMatrix, commutant, tensor_module, tensor_op_left, tensor_op_right
+from .kmatrix import Commutant, GradedSpace, commutant, tensor_op_left, tensor_op_right
 from .linalg import QMat, Rref, SignedPerm, intertwiner_space, sparse_solve
 from .structure import (FAMILY_ASSEMBLED, FAMILY_OCTONION, FAMILY_POSITIVE, FAMILY_QUATERNIONIC, FAMILY_SPLIT,
                         FAMILY_SQRT, ModuleReport, Signature, _metric_failures, _monomial, audit)
@@ -140,34 +140,49 @@ def _module(sig, field_tag, gens, space, family, variant, metric=None, right_uni
 # ---------------------------------------------------------------------------
 
 
-def c4_action(q: KElement) -> KMatrix:
+def _realified(rows: list[list[KElement]]) -> QMat:
+    """Realified matrix, in the K-blocked layout, of the right-K-linear map
+    with these K-entries: one left-multiplication block per entry."""
+    k = ALGEBRA_DIM[rows[0][0].algebra]
+    entries = {}
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            for bi, bj, v in alg.lmul_matrix(e).entries():
+                entries[(i * k + bi, j * k + bj)] = v
+    return QMat.from_entries(len(rows) * k, len(rows[0]) * k, entries)
+
+
+def c4_action(q: KElement) -> QMat:
     """Odd right-H-linear action of q on the quaternionic multivectors H (+) H:
     wedge by q on the degree-0 part minus contraction (left multiplication by
     conj(q)) on the degree-1 part."""
     if q.algebra != "H":
         raise InputError("c4_action expects a quaternion")
     z = alg.zero("H")
-    return KMatrix.from_rows("H", [[z, alg.neg(alg.conj(q))], [q, z]], "right")
+    return _realified([[z, alg.neg(alg.conj(q))], [q, z]])
 
 
-def _c4_pos_action(q: KElement) -> KMatrix:
+def _c4_pos_action(q: KElement) -> QMat:
     """Same blocks with the contraction added instead of subtracted; squares
     to +|q|^2 and represents the positive-signature dimension 4."""
     z = alg.zero("H")
-    return KMatrix.from_rows("H", [[z, alg.conj(q)], [q, z]], "right")
+    return _realified([[z, alg.conj(q)], [q, z]])
 
 
-def _left_version(m: KMatrix) -> KMatrix:
-    """Left-module version of a right-module map, transported through
-    componentwise conjugation of the module basis."""
-    return KMatrix(m.field, m.rows, m.cols, tuple(alg.conj(e) for e in m.entries), "left")
+def _left_version(m: QMat, k: int) -> QMat:
+    """Left-module version J m J of a realified right-module map over the
+    field of dimension k, transported through componentwise conjugation J of
+    each K-block: J lmul(e) J = rmul(conj e), as conj(e conj x) = x conj e."""
+    flip = QMat.diag(([1] + [-1] * (k - 1)) * (m.nrows // k))
+    return flip * m * flip
 
 
 _H_UNITS = [alg.unit("H", t) for t in range(4)]
 
 
-def _base_kmatrices(n: int, positive: bool, variant: str) -> tuple[str, list[KMatrix], GradedSpace]:
-    """Field, generators and layout of the base module in dimension n = 1..4.
+def _base(n: int, positive: bool, variant: str) -> tuple[str, list[QMat], GradedSpace]:
+    """Field, realified generators and layout of the base module in
+    dimension n = 1..4.
 
     Cl(0,n): C, H, +-H and the graded quaternionic multivectors H (+) H.
     Cl(n,0): the real, complex and quaternionic multivector models with
@@ -177,27 +192,23 @@ def _base_kmatrices(n: int, positive: bool, variant: str) -> tuple[str, list[KMa
     sign = -1 if variant == "minus" else 1
     if not positive:
         if n == 1:
-            return "C", [KMatrix("C", 1, 1, (alg.unit("C", 1),), "right")], GradedSpace("C", 1)
+            return "C", [_realified([[alg.unit("C", 1)]])], GradedSpace("C", 1)
         if n in (2, 3):
-            gens = [KMatrix("H", 1, 1, (alg.scale(_H_UNITS[t], sign),), "right")
-                    for t in range(1, n + 1)]
+            gens = [_realified([[alg.scale(_H_UNITS[t], sign)]]) for t in range(1, n + 1)]
             return "H", gens, GradedSpace("H", 1)
         return "H", [c4_action(u) for u in _H_UNITS], GradedSpace("H", 2, (1, -1))
-    z, o = alg.zero("R"), alg.one("R")
     if n == 1:
-        return "R", [KMatrix("R", 1, 1, (alg.scale(o, sign),))], GradedSpace("R", 1)
+        return "R", [QMat.diag([sign])], GradedSpace("R", 1)
     if n == 2:
         # wedge plus contraction on R (+) R, and the degree sign
-        gens = [KMatrix.from_rows("R", [[z, o], [o, z]]),
-                KMatrix.from_rows("R", [[o, z], [z, alg.neg(o)]])]
-        return "R", gens, GradedSpace("R", 2)
+        return "R", [QMat.from_dense([[0, 1], [1, 0]]), QMat.diag([1, -1])], GradedSpace("R", 2)
     if n == 3:
         i1 = alg.unit("C", 1)
         z, o = alg.zero("C"), alg.one("C")
         gens = [
-            KMatrix.from_rows("C", [[z, o], [o, z]], "right"),
-            KMatrix.from_rows("C", [[z, alg.neg(i1)], [i1, z]], "right"),
-            KMatrix.from_rows("C", [[o, z], [z, alg.neg(o)]], "right"),
+            _realified([[z, o], [o, z]]),
+            _realified([[z, alg.neg(i1)], [i1, z]]),
+            _realified([[o, z], [z, alg.neg(o)]]),
         ]
         return "C", gens, GradedSpace("C", 2)
     return "H", [_c4_pos_action(u) for u in _H_UNITS], GradedSpace("H", 2, (1, -1))
@@ -279,25 +290,31 @@ def _definite(n: int, positive: bool, variant: str) -> SpinorModule:
     if variant == "minus" and (sig.s - sig.r) % 4 != 3:
         raise InputError(f"minus variant not available in dimension {n}")
     if n <= 4:
-        field_tag, kgens, space = _base_kmatrices(n, positive, variant)
+        field_tag, gens, space = _base(n, positive, variant)
         family = FAMILY_POSITIVE if positive else FAMILY_QUATERNIONIC
-        return _module(sig, field_tag, [g.realify() for g in kgens], space, family, variant)
+        return _module(sig, field_tag, gens, space, family, variant)
     k, r = divmod(n - 1, 8)
     r += 1
     if k and r not in (5, 6, 7):
         return _tensor_r(sig, _definite(8 * k, positive, "plus"), _definite(r, positive, variant), variant)
     left = _definite(8 * k + 4, positive, "plus")
-    small_field, small_kgens, small_space = _base_kmatrices(r - 4, positive, variant)
-    if small_field == "R":
-        return _tensor_r(sig, left, _definite(r - 4, positive, variant), variant)
-    if small_field == "C":
+    small = _definite(r - 4, positive, variant)
+    small_space = small.space
+    if small_space.field == "R":
+        return _tensor_r(sig, left, small, variant)
+    if small_space.field == "C":
         left_gens, left_space = _restrict_h_to_c(left)
         # the C factors, Cl(0,1) and Cl(3,0), carry no grading
         space = GradedSpace("C", left_space.dim * small_space.dim)
     else:
+        # over H the product is real, graded when the base factor is (dimension 4)
         left_gens, left_space = left.generators, left.space
-        space = tensor_module(left_space, small_space, "H", graded=small_space.grading is not None)
-    gens = _tensor_gens(left_gens, [_left_version(g).realify() for g in small_kgens], left_space, small_space)
+        grading = None
+        if small_space.grading is not None:
+            grading = tuple(a * b for a in left_space.grading for b in small_space.grading for _ in range(4))
+        space = GradedSpace("R", left_space.dim * small_space.dim * 4, grading)
+    right_gens = [_left_version(g, ALGEBRA_DIM[small_space.field]) for g in small.generators]
+    gens = _tensor_gens(left_gens, right_gens, left_space, small_space)
     return _module(sig, space.field, gens, space, FAMILY_ASSEMBLED, variant)
 
 

@@ -122,16 +122,6 @@ def test_conj_involution_on_basis(algebra):
         assert alg.conj(alg.conj(b)) == b
 
 
-def test_basis_product_table_matches_doubling():
-    for algebra in ("C", "H", "O"):
-        d = alg.ALGEBRA_DIM[algebra]
-        for i in range(d):
-            for j in range(d):
-                idx, sign = alg.basis_product(algebra, i, j)
-                direct = alg.mul(alg.unit(algebra, i), alg.unit(algebra, j))
-                assert direct == alg.scale(alg.unit(algebra, idx), sign)
-
-
 def test_mul_matrix_is_multiplication():
     import random
 

@@ -4,12 +4,16 @@ import copy
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinrep
 from spinrep.errors import InputError
 from spinrep.files import FIELDS, PAYLOAD_KEYS, VARIANTS, dump_gamma_json, module_to_payload, payload_to_gamma
 from spinrep.modules import assemble_signature
@@ -75,6 +79,22 @@ def test_loader_rejects_true_as_a_number(path):
     payload = copy.deepcopy(PAYLOADS[(1, 1)])
     _set(payload, path, True)
     assert _verify_exit(payload) == 2
+
+
+@pytest.mark.parametrize("content", [
+    b"[" * 200_000 + b"]" * 200_000,  # deeper than the parser's recursion limit
+    b"\xff\xfe{}",  # not UTF-8
+    b"1" * 5_000,  # longer than Python's integer-string limit
+], ids=["deep", "not-utf8", "long-int"])
+def test_verify_malformed_bytes_exit_2_without_traceback(tmp_path, content):
+    path = tmp_path / "gamma.json"
+    path.write_bytes(content)
+    env = dict(os.environ, PYTHONPATH=str(Path(spinrep.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "spinrep.cli", "verify", str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: malformed file: ")
 
 
 @pytest.mark.parametrize("cell", ["1.5", "1e9", " 1", "1/0", "", "0x1", 0.5, None])

@@ -8,23 +8,14 @@ import pytest
 from spinrep import algebras as alg
 from spinrep.clifford import Signature, euclidean
 from spinrep.errors import InputError
-from spinrep.kmatrix import (
-    GradedSpace,
-    KMatrix,
-    commutant,
-    graded_tensor_operator,
-    tensor_module,
-    tensor_op_left,
-    tensor_op_right,
-)
+from spinrep.kmatrix import GradedSpace, commutant, tensor_op_left, tensor_op_right
 from spinrep.linalg import QMat
-from spinrep.modules import assemble_euclidean, c4_action
+from spinrep.modules import _left_version, _realified, assemble_euclidean, c4_action
 from spinrep.structure import verify_clifford_condition
 
 
 def test_realify_left_multiplication_by_i():
-    m = KMatrix("H", 1, 1, (alg.unit("H", 1),), "right")
-    real = m.realify()
+    real = alg.lmul_matrix(alg.unit("H", 1))
     # columns are the coordinates of i * (1, i, j, k)
     expected = QMat.from_dense(
         [
@@ -38,47 +29,47 @@ def test_realify_left_multiplication_by_i():
 
 
 def test_realify_identity_and_shapes():
-    ident = KMatrix.identity("C", 3)
-    assert ident.realify() == QMat.identity(6)
-    z = alg.zero("H")
-    m = KMatrix("H", 2, 2, (alg.one("H"), z, z, alg.one("H")), "right")
-    assert m.realify().nrows == 8
+    one, z = alg.one("C"), alg.zero("C")
+    assert _realified([[one if i == j else z for j in range(3)] for i in range(3)]) == QMat.identity(6)
+    one, z = alg.one("H"), alg.zero("H")
+    assert _realified([[one, z], [z, one]]).nrows == 8
 
 
-def _random_kmatrix(rng, field, n, side):
+def _random_rows(rng, field, n):
     dim = alg.ALGEBRA_DIM[field]
-    entries = tuple(
-        alg.kelem(field, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)])
-        for _ in range(n * n)
-    )
-    return KMatrix(field, n, n, entries, side)
+    return [[alg.kelem(field, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)])
+             for _ in range(n)] for _ in range(n)]
+
+
+def _product(a, b):
+    """Matrix product over K of two square K-matrices given by their rows."""
+    n, field = len(a), a[0][0].algebra
+    return [[alg.kelem(field, map(sum, zip(*(alg.mul(a[i][t], b[t][j]).coeffs for t in range(n)))))
+             for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize("field", ["C", "H"])
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_realify_is_homomorphism(field, side):
+    """Realification of right-module maps, and their left versions J R J,
+    turn products over K into products of real matrices."""
     rng = random.Random(hash((field, side)) & 0xFFFF)
+    k = alg.ALGEBRA_DIM[field]
     for _ in range(5):
-        a = _random_kmatrix(rng, field, 2, side)
-        b = _random_kmatrix(rng, field, 2, side)
-        assert (a * b).realify() == a.realify() * b.realify()
+        a, b = _random_rows(rng, field, 2), _random_rows(rng, field, 2)
+        real = [_realified(m) for m in (a, b, _product(a, b))]
+        if side == "left":
+            real = [_left_version(m, k) for m in real]
+        assert real[2] == real[0] * real[1]
 
 
-def test_tensor_module_dimensions_and_grading():
-    h2 = GradedSpace("H", 2, (1, -1))
-    out = tensor_module(h2, h2, "H", graded=True)
-    assert out.real_dim == 16
-    assert out.plus_count() == 8 and out.minus_count() == 8
-
-    r1 = GradedSpace("R", 1, (1,))
-    x = GradedSpace("R", 4, (1, 1, -1, -1))
-    out = tensor_module(x, r1, "R", graded=True)
-    assert out.real_dim == 4 and out.grading == x.grading
-
-    r2 = GradedSpace("R", 2, (1, -1))
-    out = tensor_module(r2, r2, "R", graded=True)
-    assert out.real_dim == 4
-    assert out.plus_count() == 2 and out.minus_count() == 2
+@pytest.mark.parametrize("field", ["C", "H"])
+def test_left_version_is_right_multiplication_by_conjugate(field):
+    k = alg.ALGEBRA_DIM[field]
+    rng = random.Random(k)
+    for _ in range(5):
+        e = alg.kelem(field, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)])
+        assert _left_version(alg.lmul_matrix(e), k) == alg.rmul_matrix(alg.conj(e))
 
 
 def test_koszul_sign_on_odd_block():
@@ -90,7 +81,7 @@ def test_koszul_sign_on_odd_block():
     assert op == QMat.diag([1, -1])
     # identity tensor identity is the identity
     t = QMat.identity(2)
-    assert graded_tensor_operator(t, s, m_space, n_space, deg_s=0) == QMat.identity(2)
+    assert tensor_op_left(t, m_space, n_space) * tensor_op_right(s, m_space, n_space, odd=False) == QMat.identity(2)
 
 
 def test_graded_tensor_clifford_condition_on_s4_square():
@@ -103,11 +94,8 @@ def test_graded_tensor_clifford_condition_on_s4_square():
     for _ in range(4):
         u = alg.kelem("H", [Fraction(rng.randint(-3, 3)) for _ in range(4)])
         v = alg.kelem("H", [Fraction(rng.randint(-3, 3)) for _ in range(4)])
-        left = tensor_op_left(c4_action(u).realify(), m_space, n_space)
-        right_km = KMatrix(
-            "H", 2, 2, tuple(alg.conj(e) for e in c4_action(v).entries), "left"
-        )
-        right = tensor_op_right(right_km.realify(), m_space, n_space, odd=True)
+        left = tensor_op_left(c4_action(u), m_space, n_space)
+        right = tensor_op_right(_left_version(c4_action(v), 4), m_space, n_space, odd=True)
         total = left + right
         expect = QMat.identity(16).scale(-(alg.norm_sq(u) + alg.norm_sq(v)))
         assert total * total == expect
@@ -120,20 +108,21 @@ def test_koszul_coherence():
     rng = random.Random(12)
     units = [alg.kelem("H", [Fraction(rng.randint(-2, 2)) for _ in range(4)]) for _ in range(4)]
     t1, t2 = c4_action(units[0]), c4_action(units[1])
-    s1 = KMatrix("H", 2, 2, tuple(alg.conj(e) for e in c4_action(units[2]).entries), "left")
-    s2 = KMatrix("H", 2, 2, tuple(alg.conj(e) for e in c4_action(units[3]).entries), "left")
-    lhs = graded_tensor_operator(t1.realify(), s1.realify(), m_space, n_space) * graded_tensor_operator(
-        t2.realify(), s2.realify(), m_space, n_space
-    )
-    rhs = graded_tensor_operator((t1 * t2).realify(), (s1 * s2).realify(), m_space, n_space, deg_s=0)
+    s1, s2 = _left_version(c4_action(units[2]), 4), _left_version(c4_action(units[3]), 4)
+
+    def graded(t, s, odd=True):
+        return tensor_op_left(t, m_space, n_space) * tensor_op_right(s, m_space, n_space, odd=odd)
+
+    lhs = graded(t1, s1) * graded(t2, s2)
+    rhs = graded(t1 * t2, s1 * s2, odd=False)
     # deg S = deg T' = 1: one sign flip
     assert lhs == rhs.scale(-1)
 
 
 def test_commutant_examples():
     # left multiplications by i and j on H: the Cl(0,2) module, commutant H
-    li = KMatrix("H", 1, 1, (alg.unit("H", 1),), "right").realify()
-    lj = KMatrix("H", 1, 1, (alg.unit("H", 2),), "right").realify()
+    li = alg.lmul_matrix(alg.unit("H", 1))
+    lj = alg.lmul_matrix(alg.unit("H", 2))
     com = commutant([li, lj], 4)
     assert com.real_dimension == 4 and com.division_algebra == "H"
     for b in com.basis:
