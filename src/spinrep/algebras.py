@@ -12,7 +12,6 @@ evaluated at call time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -32,21 +31,23 @@ _H_TABLE = (
 )
 
 
-@dataclass(frozen=True)
 class KElement:
     """Element of R, C, H or O as a fixed-length tuple of rational coefficients."""
 
-    algebra: str
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("algebra", "coeffs")
 
-    def __post_init__(self):
-        if self.algebra not in ALGEBRA_DIM:
-            raise InputError(f"unknown algebra tag {self.algebra!r}")
-        if len(self.coeffs) != ALGEBRA_DIM[self.algebra]:
-            raise InputError(
-                f"{self.algebra} element needs {ALGEBRA_DIM[self.algebra]} coefficients, "
-                f"got {len(self.coeffs)}"
-            )
+    def __init__(self, algebra: str, coeffs: tuple[Fraction, ...]):
+        if algebra not in ALGEBRA_DIM:
+            raise InputError(f"unknown algebra tag {algebra!r}")
+        if len(coeffs) != ALGEBRA_DIM[algebra]:
+            raise InputError(f"{algebra} element needs {ALGEBRA_DIM[algebra]} coefficients, got {len(coeffs)}")
+        self.algebra = algebra
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, KElement):
+            return NotImplemented
+        return self.algebra == other.algebra and self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"KElement({self.algebra}, {tuple(str(c) for c in self.coeffs)})"

@@ -21,7 +21,6 @@ signs come from integer bit arithmetic (``_sign_mask``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -94,20 +93,27 @@ def _integer_terms(terms: dict[int, Fraction]) -> tuple[int, list[tuple[int, int
     return den, [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
 
 
-@dataclass(frozen=True)
 class Multivector:
-    """Element of Cl(r,s): sparse blade-to-coefficient map with its signature."""
+    """Element of Cl(r,s): sparse blade-to-coefficient map with its signature;
+    equal when both agree."""
 
-    signature: Signature
-    terms: dict[int, Fraction] = field(default_factory=dict)
+    __slots__ = ("signature", "terms")
 
-    def __post_init__(self):
-        limit = 1 << self.signature.n
-        for mask, c in self.terms.items():
+    def __init__(self, signature: Signature, terms: dict[int, Fraction] | None = None):
+        terms = {} if terms is None else terms
+        limit = 1 << signature.n
+        for mask, c in terms.items():
             if not 0 <= mask < limit:
-                raise InputError(f"blade mask {mask} invalid for {self.signature}")
+                raise InputError(f"blade mask {mask} invalid for {signature}")
             if c == 0:
                 raise InputError("stored zero coefficient")
+        self.signature = signature
+        self.terms = terms
+
+    def __eq__(self, other):
+        if not isinstance(other, Multivector):
+            return NotImplemented
+        return self.signature == other.signature and self.terms == other.terms
 
     # -- constructors ------------------------------------------------------
     @staticmethod

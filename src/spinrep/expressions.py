@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -36,14 +35,18 @@ _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**
 _RUNTIME = dict(_FUNCTIONS, log=math.log, sign=partial(math.copysign, 1.0), power=math.pow)
 
 
-@dataclass
 class ParametricSurface:
     """Chart (u,v) -> R^3 with its exact derivatives: ``partials`` returns
     (X_u, X_v) and ``second_partials`` returns (X_uu, X_uv, X_vv)."""
 
-    chart: Callable[[float, float], Vec3]
-    partials: Callable[[float, float], tuple[Vec3, Vec3]]
-    second_partials: Callable[[float, float], tuple[Vec3, Vec3, Vec3]]
+    __slots__ = ("chart", "partials", "second_partials")
+
+    def __init__(self, chart: Callable[[float, float], Vec3],
+                 partials: Callable[[float, float], tuple[Vec3, Vec3]],
+                 second_partials: Callable[[float, float], tuple[Vec3, Vec3, Vec3]]):
+        self.chart = chart
+        self.partials = partials
+        self.second_partials = second_partials
 
     def point(self, u: float, v: float) -> Vec3:
         return tuple(map(float, self.chart(u, v)))

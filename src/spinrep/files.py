@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InputError
@@ -73,6 +72,10 @@ def _matrix_to_rows(m: QMat) -> list[list[str]]:
 
 
 def _matrix_from_rows(rows, size: int) -> QMat:
+    """A size x size matrix of JSON integers (never booleans) and ``"p/q"``
+    strings.  Each distinct string other than ``"0"`` is checked and
+    converted once; cells of value zero (``0``, ``"-0"``, ``"0/7"``) store
+    nothing."""
     from fractions import Fraction
 
     from .linalg import QMat
@@ -80,17 +83,25 @@ def _matrix_from_rows(rows, size: int) -> QMat:
     if (not isinstance(rows, list) or len(rows) != size
             or any(not isinstance(r, list) or len(r) != size for r in rows)):
         raise InputError("matrix rows have the wrong shape")
-    entries = {}
-    for i, row in enumerate(rows):
+    values: dict[str, Fraction] = {}  # string cells only: a key 1 would also match True and 1.0
+    out = []
+    for row in rows:
+        entries = {}
         for j, cell in enumerate(row):
             if cell == "0":
                 continue
-            if type(cell) is not int and not (isinstance(cell, str) and re.fullmatch(_CELL, cell)):
+            if type(cell) is int:
+                v = Fraction(cell)
+            elif type(cell) is str and cell in values:
+                v = values[cell]
+            elif type(cell) is str and re.fullmatch(_CELL, cell):
+                v = values[cell] = Fraction(cell)
+            else:
                 raise InputError(f'matrix cells must be integers or "p/q" strings, got {cell!r}')
-            v = Fraction(cell)
             if v:
-                entries[(i, j)] = v
-    return QMat.from_entries(size, size, entries)
+                entries[j] = v
+        out.append(entries)
+    return QMat(size, size, out)
 
 
 def _matrices(value, size: int, what: str) -> list[QMat]:
@@ -130,18 +141,23 @@ def module_to_payload(module: SpinorModule, volume_sign: int | None = None) -> d
     return payload
 
 
-@dataclass
 class LoadedGammaFile:
-    signature: Signature
-    field: str
-    real_dim: int
-    family: str
-    variant: str
-    generators: list[QMat]
-    spin_metric: QMat
-    commutant_basis: list[QMat]
-    grading: list[int] | None
-    volume_sign: int | None
+    __slots__ = ("signature", "field", "real_dim", "family", "variant", "generators", "spin_metric",
+                 "commutant_basis", "grading", "volume_sign")
+
+    def __init__(self, signature: Signature, field: str, real_dim: int, family: str, variant: str,
+                 generators: list[QMat], spin_metric: QMat, commutant_basis: list[QMat],
+                 grading: list[int] | None, volume_sign: int | None):
+        self.signature = signature
+        self.field = field
+        self.real_dim = real_dim
+        self.family = family
+        self.variant = variant
+        self.generators = generators
+        self.spin_metric = spin_metric
+        self.commutant_basis = commutant_basis
+        self.grading = grading
+        self.volume_sign = volume_sign
 
 
 def payload_to_gamma(payload) -> LoadedGammaFile:

@@ -10,7 +10,6 @@ matrices in this layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -21,7 +20,6 @@ from .linalg import QMat, Rref, inertia, intertwiner_space
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
 class GradedSpace:
     """Module over ``field`` with an optional basis-aligned Z2-grading.
 
@@ -30,18 +28,19 @@ class GradedSpace:
     each slot (grading is constant along a K-orbit).
     """
 
-    field: str
-    dim: int
-    grading: tuple[int, ...] | None = None
+    __slots__ = ("field", "dim", "grading")
 
-    def __post_init__(self):
-        if self.field not in ("R", "C", "H"):
+    def __init__(self, field: str, dim: int, grading: tuple[int, ...] | None = None):
+        if field not in ("R", "C", "H"):
             raise InputError("GradedSpace field must be R, C or H")
-        if self.grading is not None:
-            if len(self.grading) != self.dim:
+        if grading is not None:
+            if len(grading) != dim:
                 raise InputError("grading length must equal dim")
-            if any(g not in (1, -1) for g in self.grading):
+            if any(g not in (1, -1) for g in grading):
                 raise InputError("grading entries must be +1 or -1")
+        self.field = field
+        self.dim = dim
+        self.grading = grading
 
     @property
     def real_dim(self) -> int:
@@ -128,13 +127,15 @@ def tensor_op_right(s: QMat, m: GradedSpace, n: GradedSpace, odd: bool = True) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Commutant:
     """Intertwiner algebra of a generator set: exact basis plus its name."""
 
-    real_dimension: int
-    division_algebra: str
-    basis: list[QMat]
+    __slots__ = ("real_dimension", "division_algebra", "basis")
+
+    def __init__(self, real_dimension: int, division_algebra: str, basis: list[QMat]):
+        self.real_dimension = real_dimension
+        self.division_algebra = division_algebra
+        self.basis = basis
 
 
 def _simple_label(k: int, pos: int, neg: int) -> tuple[int, int, str] | None:

@@ -6,10 +6,13 @@ dimensions, commutant dimensions and Clifford-condition checks are never
 floating-point estimates.  General matrices are ``QMat``s over ``Fraction``s,
 stored sparsely (one dict per row) because nearly every operator we build is
 a signed permutation matrix or close to one, and the few that are not stay
-very sparse.  A matrix with one entry +1 or -1 in every row and column is
-exactly a ``SignedPerm``: products, transposes and comparisons of those are
-index lookups and integer sign products, so the structural audit and the
-even commutant run on them whenever every operand is monomial.
+very sparse.  Their product runs over the integers: each operand's rows are
+written as integers over one common denominator, the products accumulate as
+``int``s, and one ``Fraction`` is built per nonzero output entry.  A matrix
+with one entry +1 or -1 in every row and column is exactly a ``SignedPerm``:
+products, transposes and comparisons of those are index lookups and integer
+sign products, so the structural audit and the even commutant run on them
+whenever every operand is monomial.
 
 Two solvers live here:
 
@@ -36,6 +39,13 @@ MINUS_ONE = Fraction(-1)
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _integer_rows(rows: list[dict[int, Fraction]]) -> tuple[int, list[dict[int, int]]]:
+    """``(den, int_rows)`` with ``rows[i][j] == int_rows[i][j] / den`` and
+    ``den`` the lcm of the entries' denominators."""
+    den = lcm(*{v.denominator for r in rows for v in r.values()})
+    return den, [{j: v.numerator * (den // v.denominator) for j, v in r.items()} for r in rows]
 
 
 class QMat:
@@ -141,20 +151,25 @@ class QMat:
         return QMat(self.nrows, self.ncols, [{j: c * v for j, v in r.items()} for r in self.rows])
 
     def __mul__(self, other):
+        """Matrix product over the integers (see the module docstring), or
+        ``scale`` by a scalar.  An entry that cancels leaves its row's keys
+        and comes back at the end, as in a ``Fraction`` accumulation."""
         if isinstance(other, QMat):
             assert self.ncols == other.nrows, "matrix size mismatch"
+            den_a, rows_a = _integer_rows(self.rows)
+            den_b, rows_b = _integer_rows(other.rows)
+            den = den_a * den_b
             rows = []
-            orows = other.rows
-            for ra in self.rows:
-                acc: dict[int, Fraction] = {}
+            for ra in rows_a:
+                acc: dict[int, int] = {}
                 for k, a in ra.items():
-                    for j, b in orows[k].items():
-                        s = acc.get(j, ZERO) + a * b
+                    for j, b in rows_b[k].items():
+                        s = acc.get(j, 0) + a * b
                         if s:
                             acc[j] = s
                         elif j in acc:
                             del acc[j]
-                rows.append(acc)
+                rows.append({j: Fraction(v, den) for j, v in acc.items()})
             return QMat(self.nrows, other.ncols, rows)
         return self.scale(other)
 

@@ -30,7 +30,6 @@ exact equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,7 +46,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(eq=False)
 class SpinorModule:
     """A represented Clifford module.
 
@@ -58,15 +56,20 @@ class SpinorModule:
     and carry their right action explicitly in ``right_units``.
     """
 
-    signature: Signature
-    field: str
-    generators: tuple[QMat, ...]
-    space: GradedSpace
-    spin_metric: QMat
-    family: str
-    variant: str
-    right_units: tuple[QMat, ...]
-    _blade_ops: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("signature", "field", "generators", "space", "spin_metric", "family", "variant",
+                 "right_units", "_blade_ops")
+
+    def __init__(self, signature: Signature, field: str, generators: tuple[QMat, ...], space: GradedSpace,
+                 spin_metric: QMat, family: str, variant: str, right_units: tuple[QMat, ...]):
+        self.signature = signature
+        self.field = field
+        self.generators = generators
+        self.space = space
+        self.spin_metric = spin_metric
+        self.family = family
+        self.variant = variant
+        self.right_units = right_units
+        self._blade_ops: dict[int, QMat] = {}  # blade mask -> its operator, filled by blade_operator
 
     @property
     def real_dim(self) -> int:
@@ -623,10 +626,12 @@ def grading_from_volume(module: SpinorModule) -> GradedSpace:
     return GradedSpace("R", d, tuple(diag))
 
 
-@dataclass
 class MetricReport:
-    ok: bool
-    failures: list[str]
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: list[str]):
+        self.ok = ok
+        self.failures = failures
 
     def __bool__(self):
         return self.ok
@@ -653,14 +658,24 @@ def _submatrix(m, idxs: list[int]):
     return QMat.from_entries(len(idxs), len(idxs), entries)
 
 
+def _operators(module: SpinorModule) -> list:
+    """The generators as ``SignedPerm``s when every one is a signed
+    permutation, else as the module's ``QMat``s."""
+    return _monomial(module.generators, module.real_dim) or list(module.generators)
+
+
 def even_summand(module: SpinorModule) -> list[int] | None:
     """Basis indices of the +1 volume eigenspace when the volume element is
     even and squares to +1 (the module then splits as an even-subalgebra
     module), else None.  The volume operator must be diagonal there."""
-    if module.signature.n % 2:
+    return _even_summand(_operators(module))
+
+
+def _even_summand(gens: list) -> list[int] | None:
+    """``even_summand`` of the module with generators ``gens``."""
+    if len(gens) % 2:
         return None
-    d = module.real_dim
-    gens = _monomial(module.generators, d) or list(module.generators)
+    d = gens[0].nrows
     vol = gens[0]
     for g in gens[1:]:
         vol = vol * g
@@ -685,9 +700,9 @@ def intertwiners(module: SpinorModule, even_only: bool = False) -> Commutant:
     """
     if not even_only:
         return commutant(list(module.generators), module.real_dim)
-    gens = _monomial(module.generators, module.real_dim) or list(module.generators)
+    gens = _operators(module)
     even = [gens[0] * g for g in gens[1:]] or [type(gens[0]).identity(module.real_dim)]
-    plus = even_summand(module)
+    plus = _even_summand(gens)
     if plus is not None:
         even = [_submatrix(g, plus) for g in even]
     return commutant(even, even[0].nrows)

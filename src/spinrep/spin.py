@@ -12,7 +12,6 @@ separate floating-point quaternions of ``surfaces``; the two never mix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import Multivector, euclidean
@@ -25,7 +24,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class SpinElement:
     """Even versor with rational coefficients.
 
@@ -34,8 +32,11 @@ class SpinElement:
     irrational and never materialized.
     """
 
-    value: Multivector
-    norm2: Fraction
+    __slots__ = ("value", "norm2")
+
+    def __init__(self, value: Multivector, norm2: Fraction):
+        self.value = value
+        self.norm2 = norm2
 
     @staticmethod
     def from_multivector(x: Multivector) -> "SpinElement":
@@ -167,10 +168,12 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
     return SpinElement.from_multivector(g)
 
 
-@dataclass
 class DoubleCoverReport:
-    adjoints_equal: bool
-    actions_differ: bool | None
+    __slots__ = ("adjoints_equal", "actions_differ")
+
+    def __init__(self, adjoints_equal: bool, actions_differ: bool | None):
+        self.adjoints_equal = adjoints_equal
+        self.actions_differ = actions_differ
 
     @property
     def ok(self) -> bool:
@@ -203,7 +206,6 @@ def spin_action(module: SpinorModule, g: SpinElement) -> QMat:
     return module.operator(g.value)
 
 
-@dataclass
 class SpinCoordinateSystem:
     """A module isometry covering a unique oriented frame.
 
@@ -213,9 +215,12 @@ class SpinCoordinateSystem:
     of the isometry (1 for unit elements).
     """
 
-    iso: QMat
-    covered_frame: list[list[Fraction]]
-    scale2: Fraction
+    __slots__ = ("iso", "covered_frame", "scale2")
+
+    def __init__(self, iso: QMat, covered_frame: list[list[Fraction]], scale2: Fraction):
+        self.iso = iso
+        self.covered_frame = covered_frame
+        self.scale2 = scale2
 
 
 def spin_coordinate_system(module: SpinorModule, g: SpinElement) -> SpinCoordinateSystem:

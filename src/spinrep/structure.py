@@ -6,7 +6,6 @@ the exact Clifford and spin-metric checks.  It imports only ``errors`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -27,16 +26,25 @@ FAMILIES = (FAMILY_QUATERNIONIC, FAMILY_POSITIVE, FAMILY_SPLIT, FAMILY_SQRT, FAM
             FAMILY_ASSEMBLED)
 
 
-@dataclass(frozen=True)
 class Signature:
-    """Counts of generators squaring to +1 (r) and to -1 (s)."""
+    """Counts of generators squaring to +1 (r) and to -1 (s); equal and
+    hashed by ``(r, s)``."""
 
-    r: int
-    s: int
+    __slots__ = ("r", "s")
 
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0 or self.r + self.s < 1:
-            raise InputError(f"invalid signature ({self.r},{self.s})")
+    def __init__(self, r: int, s: int):
+        if r < 0 or s < 0 or r + s < 1:
+            raise InputError(f"invalid signature ({r},{s})")
+        self.r = r
+        self.s = s
+
+    def __eq__(self, other):
+        if not isinstance(other, Signature):
+            return NotImplemented
+        return self.r == other.r and self.s == other.s
+
+    def __hash__(self):
+        return hash((self.r, self.s))
 
     @property
     def n(self) -> int:
@@ -90,10 +98,12 @@ def expected_field(r: int, s: int) -> str:
     return "CHHHCRRR"[(s - r - 1) % 8]
 
 
-@dataclass
 class CliffordReport:
-    ok: bool
-    violations: list[tuple[int, int]]
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: list[tuple[int, int]]):
+        self.ok = ok
+        self.violations = violations
 
     def __bool__(self):
         return self.ok
@@ -152,10 +162,12 @@ def _monomial(mats, d: int) -> list[SignedPerm] | None:
     return perms
 
 
-@dataclass
 class ModuleReport:
-    checks: list[tuple[str, bool, str]]
-    volume_sign: int | None = None  # computed when s - r = 3 mod 4: 1, -1, or 0 (not central)
+    __slots__ = ("checks", "volume_sign")
+
+    def __init__(self, checks: list[tuple[str, bool, str]], volume_sign: int | None = None):
+        self.checks = checks
+        self.volume_sign = volume_sign  # computed when s - r = 3 mod 4: 1, -1, or 0 (not central)
 
     @property
     def ok(self) -> bool:

@@ -17,7 +17,6 @@ are shorthands for the specs in BUILTIN_SURFACES and BUILTIN_CURVES.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InputError, IntegrationError
@@ -162,24 +161,32 @@ def surface_frame(surface: ParametricSurface, u: float, v: float) -> tuple[Vec3,
     return e1, e2, nu
 
 
-@dataclass
 class TransportTrace:
-    """Sampled transport data along a curve.
+    """Sampled transport data along a curve, filled one sample at a time.
 
     ``lifts`` hold the spin frame g(t), a unit quaternion with
     g i conj(g) = e1, g j conj(g) = e2 and g k conj(g) = normal; ``spinors``
     the transported spinor values; ``ok`` per-sample flags (every value
     finite and g k conj(g) within FRAME_TOL of the exact surface normal).
+    Two traces are equal when every list is.
     """
 
-    times: list[float] = field(default_factory=list)
-    positions: list[Vec3] = field(default_factory=list)
-    e1: list[Vec3] = field(default_factory=list)
-    e2: list[Vec3] = field(default_factory=list)
-    normals: list[Vec3] = field(default_factory=list)
-    lifts: list[tuple[float, float, float, float]] = field(default_factory=list)
-    spinors: list[tuple[float, float, float, float]] = field(default_factory=list)
-    ok: list[bool] = field(default_factory=list)
+    __slots__ = ("times", "positions", "e1", "e2", "normals", "lifts", "spinors", "ok")
+
+    def __init__(self):
+        self.times: list[float] = []
+        self.positions: list[Vec3] = []
+        self.e1: list[Vec3] = []
+        self.e2: list[Vec3] = []
+        self.normals: list[Vec3] = []
+        self.lifts: list[tuple[float, float, float, float]] = []
+        self.spinors: list[tuple[float, float, float, float]] = []
+        self.ok: list[bool] = []
+
+    def __eq__(self, other):
+        if not isinstance(other, TransportTrace):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __len__(self):
         return len(self.times)

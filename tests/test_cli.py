@@ -386,8 +386,8 @@ def test_help_lists_the_commands():
 
 def _loaded_after(argv: list[str]) -> tuple[set[str], set[str]]:
     """The spinrep modules a fresh interpreter has loaded after running
-    ``spinrep <argv>``, and the top-level names outside the standard library
-    that the run loaded (the interpreter's own start-up modules excepted)."""
+    ``spinrep <argv>``, and the top-level names of every module the run
+    loaded (the interpreter's own start-up modules excepted)."""
     src = str(Path(spinrep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import contextlib, io, sys\n"
@@ -397,11 +397,11 @@ def _loaded_after(argv: list[str]) -> tuple[set[str], set[str]]:
              f"    main({argv!r})\n"
              "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
              "print(*(m for m in sys.modules if m.startswith('spinrep')))\n"
-             "print(*(new - set(sys.stdlib_module_names)))\n")
+             "print(*new)\n")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    spinrep_line, outside_line = done.stdout.split("\n")[:2]
-    return set(spinrep_line.split()), set(outside_line.split())
+    spinrep_line, new_line = done.stdout.split("\n")[:2]
+    return set(spinrep_line.split()), set(new_line.split())
 
 
 def test_commands_load_only_the_layers_they_use(tmp_path):
@@ -418,10 +418,12 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
         (["classify", "--max-n", "3"], base | builders),
     ]
     for argv, expected in cases:
-        loaded, outside = _loaded_after(argv)
+        loaded, new = _loaded_after(argv)
         assert loaded == expected, argv
         # the CLI runs on the standard library alone
-        assert outside == {"spinrep"}, argv
+        assert new - set(sys.stdlib_module_names) == {"spinrep"}, argv
+        # and without dataclasses, which imports inspect: both cost every cold command
+        assert not new & {"dataclasses", "inspect"}, argv
     assert gamma.is_file() and csv.is_file()
 
 

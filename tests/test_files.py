@@ -97,7 +97,8 @@ def test_verify_malformed_bytes_exit_2_without_traceback(tmp_path, content):
     assert done.stderr.startswith("error: malformed file: ")
 
 
-@pytest.mark.parametrize("cell", ["1.5", "1e9", " 1", "1/0", "", "0x1", 0.5, None])
+@pytest.mark.parametrize("cell", ["1.5", "1e9", " 1", "1/0", "", "0x1", 0.5, None,
+                                  1.0, [1], {"1": 1}, "--1", "1/", "/2", "1/-2", "0/0"])
 def test_loader_rejects_cells_outside_the_grammar(cell):
     payload = copy.deepcopy(PAYLOADS[(0, 3)])
     payload["generators"][1][2][3] = cell
@@ -110,6 +111,13 @@ def test_loader_accepts_integer_cells_and_what_the_writer_writes():
     payload = copy.deepcopy(PAYLOADS[(0, 3)])
     payload["generators"] = [[[int(c.split("/")[0]) for c in row] for row in g] for g in payload["generators"]]
     assert _verify_exit(payload) == 0
+    # zero written as 0, "-0" or "0/7" stores nothing
+    zeros = copy.deepcopy(PAYLOADS[(0, 3)])
+    for g in zeros["generators"]:
+        for row in g:
+            row[:] = [(0, "-0", "0/7")[j % 3] if c == "0" else c for j, c in enumerate(row)]
+    assert _verify_exit(zeros) == 0
+    assert payload_to_gamma(zeros).generators == payload_to_gamma(PAYLOADS[(0, 3)]).generators
 
 
 def test_loader_accepts_every_key_the_writer_writes():

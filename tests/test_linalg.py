@@ -7,10 +7,11 @@ Fractions; any kernel must reproduce them exactly.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinrep.kmatrix import classify_commutant, commutant
@@ -225,3 +226,61 @@ def test_sparse_solve_matches_dense_elimination(system):
     assert all(type(v) is Fraction and v for v in sol.values())
     for row, b in zip(rows, rhs):
         assert sum(v * sol.get(j, 0) for j, v in row.items()) == b
+
+
+# ---------------------------------------------------------------------------
+# QMat.__mul__ over the integers against the Fraction loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _fraction_product(a: QMat, b: QMat) -> QMat:
+    """The product as accumulated over Fractions, inserting an entry when it
+    becomes nonzero and deleting it when it cancels."""
+    rows = []
+    for ra in a.rows:
+        acc = {}
+        for k, x in ra.items():
+            for j, y in b.rows[k].items():
+                s = acc.get(j, Fraction(0)) + x * y
+                if s:
+                    acc[j] = s
+                elif j in acc:
+                    del acc[j]
+        rows.append(acc)
+    return QMat(a.nrows, b.ncols, rows)
+
+
+@st.composite
+def sparse_products(draw):
+    """(a, b): a seeded pair of sparse rational matrices of chaining shapes,
+    square or not.  Entries come from a few values of one magnitude class, so
+    that many output entries cancel; ``integral`` pairs hold only ints."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m, k, n = (draw(st.integers(1, 7)) for _ in range(3))
+    integral = draw(st.booleans())
+    values = [1, -1, 2, -2, 3] if integral else [1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 4),
+                                                 Fraction(2, 3), 5]
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+
+    def matrix(nrows, ncols):
+        return QMat.from_entries(nrows, ncols, {(i, j): rng.choice(values)
+                                                for i in range(nrows) for j in range(ncols)
+                                                if rng.random() < density})
+    return matrix(m, k), matrix(k, n)
+
+
+# the entry of column 0 appears, cancels and comes back after column 1's
+CANCEL_AND_REINSERT = (QMat(1, 3, [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}]),
+                       QMat(3, 2, [{0: Fraction(1), 1: Fraction(1, 2)}, {0: Fraction(-1)}, {0: Fraction(3)}]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(CANCEL_AND_REINSERT)
+@given(sparse_products())
+def test_integer_product_matches_the_fraction_loop(pair):
+    a, b = pair
+    got, want = a * b, _fraction_product(a, b)
+    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    assert got.rows == want.rows
+    assert [list(r) for r in got.rows] == [list(r) for r in want.rows]  # same key order
+    assert all(type(v) is Fraction and v for r in got.rows for v in r.values())

@@ -1,7 +1,6 @@
 """The spinor module families: dimensions, Clifford conditions, intertwiner
 tables, variants, gradings and spinor squaring."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ from spinrep.kmatrix import joint_intertwiners
 from spinrep.linalg import QMat, intertwiner_space
 from spinrep import modules
 from spinrep.modules import (
+    SpinorModule,
     _invert,
     assemble_euclidean,
     assemble_positive,
@@ -344,7 +344,8 @@ def _file_audit(module):
 
 def test_generate_and_verify_run_one_audit():
     good = assemble_euclidean(2)
-    bad_metric = dataclasses.replace(good, spin_metric=QMat.diag([1, 2, 1, 1]))
+    bad_metric = SpinorModule(good.signature, good.field, good.generators, good.space,
+                              QMat.diag([1, 2, 1, 1]), good.family, good.variant, good.right_units)
     modules = [
         good, bad_metric, assemble_signature(0, 3, "minus"), assemble_signature(1, 0, "minus"),
         assemble_signature(2, 3), assemble_signature(5, 0), assemble_signature(0, 4),

@@ -1,6 +1,5 @@
 """Reflections, twisted adjoint, rotation lifts and float quaternion conversion."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,6 +12,7 @@ from spinrep.clifford import Multivector, Signature, euclidean
 from spinrep.errors import InputError
 from spinrep.modules import assemble_euclidean, assemble_signature
 from spinrep.spin import (
+    SpinCoordinateSystem,
     SpinElement,
     double_cover_check,
     reflection,
@@ -188,7 +188,7 @@ def test_spin_coordinate_system_even_commutant_checked_on_summand():
     module = assemble_euclidean(4)
     g = spin_lift(random_rational_rotation(4, random.Random(64)))
     system = spin_coordinate_system(module, g)
-    bad = dataclasses.replace(system, iso=system.iso * module.right_units[0])
+    bad = SpinCoordinateSystem(system.iso * module.right_units[0], system.covered_frame, system.scale2)
     assert verify_spin_coordinate_system(module, bad) == [
         "does not commute with even intertwiner 2",
         "does not commute with even intertwiner 3",
