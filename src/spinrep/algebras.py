@@ -49,6 +49,9 @@ class KElement:
             return NotImplemented
         return self.algebra == other.algebra and self.coeffs == other.coeffs
 
+    def __hash__(self):
+        return hash((self.algebra, self.coeffs))
+
     def __repr__(self):
         return f"KElement({self.algebra}, {tuple(str(c) for c in self.coeffs)})"
 

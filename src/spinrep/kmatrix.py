@@ -42,6 +42,14 @@ class GradedSpace:
         self.dim = dim
         self.grading = grading
 
+    def __eq__(self, other):
+        if not isinstance(other, GradedSpace):
+            return NotImplemented
+        return (self.field, self.dim, self.grading) == (other.field, other.dim, other.grading)
+
+    def __hash__(self):
+        return hash((self.field, self.dim, self.grading))
+
     @property
     def real_dim(self) -> int:
         return self.dim * ALGEBRA_DIM[self.field]

@@ -38,6 +38,11 @@ class SpinElement:
         self.value = value
         self.norm2 = norm2
 
+    def __eq__(self, other):
+        if not isinstance(other, SpinElement):
+            return NotImplemented
+        return self.value == other.value and self.norm2 == other.norm2
+
     @staticmethod
     def from_multivector(x: Multivector) -> "SpinElement":
         if not x.is_even():

@@ -46,6 +46,9 @@ class Signature:
     def __hash__(self):
         return hash((self.r, self.s))
 
+    def __repr__(self):
+        return f"Signature(r={self.r}, s={self.s})"
+
     @property
     def n(self) -> int:
         return self.r + self.s

@@ -39,6 +39,13 @@ def test_generate_minus_variant_volume(tmp_path):
     assert payload["volume_sign"] == -1
 
 
+def test_generate_reports_what_it_wrote(tmp_path):
+    result, out = _generate(tmp_path, "g03.json", "--sig", "0,3")
+    assert result.exit_code == 0
+    assert result.stdout == (f"wrote {out}: Cl(0,3) family=quaternionic-multivector variant=plus "
+                             "K=H real_dim=4\n")
+
+
 def test_generate_rejects_bad_family_dimension(tmp_path):
     result, _ = _generate(tmp_path, "bad.json", "--sig", "0,5", "--family", "sqrt-space")
     assert result.exit_code == 2
@@ -432,3 +439,20 @@ def test_every_export_resolves():
     # nothing else checks against the submodules
     missing = [name for name in spinrep.__all__ if not hasattr(spinrep, name)]
     assert not missing
+
+
+def test_exported_values_compare_by_value():
+    # the immutable exported values are equal (and, but for the dict-backed
+    # ones, hashed) by their fields; Signature also reprs them
+    sig = spinrep.Signature(0, 3)
+    assert sig == spinrep.Signature(0, 3) and len({sig, spinrep.Signature(0, 3)}) == 1
+    assert repr(sig) == "Signature(r=0, s=3)" and str(sig) == "Cl(0,3)"
+    space = spinrep.GradedSpace("H", 2, (1, -1))
+    assert space == spinrep.GradedSpace("H", 2, (1, -1)) != spinrep.GradedSpace("H", 2)
+    assert hash(space) == hash(spinrep.GradedSpace("H", 2, (1, -1)))
+    k = spinrep.kelem("C", (1, 2))
+    assert k == spinrep.kelem("C", (1, 2)) and hash(k) == hash(spinrep.kelem("C", (1, 2)))
+    x = spinrep.Multivector.make(sig, {0: 1, 3: Fraction(1, 2)})
+    assert x == spinrep.Multivector.make(sig, {0: 1, 3: Fraction(1, 2)})
+    g = spinrep.SpinElement.from_multivector(x)
+    assert g == spinrep.SpinElement.from_multivector(x) != -g
