@@ -19,12 +19,12 @@ _EXPORTS = {
     "clifford": ("Multivector", "blade_product", "euclidean", "hodge_star", "psi_embed", "volume_element"),
     "errors": ("InputError", "IntegrationError", "SpinrepError", "StructureError"),
     "expressions": ("ParametricSurface",),
-    "kmatrix": ("Commutant", "GradedSpace", "commutant"),
+    "kmatrix": ("Commutant", "commutant"),
     "linalg": ("QMat",),
-    "modules": ("SpinorModule", "assemble_euclidean", "assemble_positive", "assemble_signature",
-                "c4_action", "grading_from_volume", "intertwiners", "octonion_module", "spin_metric_verify",
-                "spinor_square", "split_clifford_action", "split_signature_module", "sqrt_space_module",
-                "verify_module"),
+    "modules": ("c4_action", "grading_from_volume", "octonion_module", "spin_metric_verify", "spinor_square",
+                "split_clifford_action", "sqrt_space_module"),
+    "recipe": ("GradedSpace", "SpinorModule", "assemble_euclidean", "assemble_positive", "assemble_signature",
+               "intertwiners", "split_signature_module", "verify_module"),
     "spin": ("SpinCoordinateSystem", "SpinElement", "double_cover_check", "reflection", "spin_action",
              "spin_coordinate_system", "spin_lift", "twisted_adjoint", "twisted_adjoint_matrix"),
     "structure": ("CONVENTION", "Signature", "expected_irreducible_dim", "verify_clifford_condition"),

@@ -16,19 +16,13 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import QMat
+from .recipe import _UNITS as _H_TABLE  # quaternion basis products: (index, sign) for basis (1,i,j,k)
+from .structure import FIELD_DIM
 
-ALGEBRA_DIM = {"R": 1, "C": 2, "H": 4, "O": 8}
+ALGEBRA_DIM = {**FIELD_DIM, "O": 8}
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-# quaternion basis products: _H_TABLE[i][j] = (index, sign) for basis (1,i,j,k)
-_H_TABLE = (
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-    ((1, 1), (0, -1), (3, 1), (2, -1)),
-    ((2, 1), (3, -1), (0, -1), (1, 1)),
-    ((3, 1), (2, 1), (1, -1), (0, -1)),
-)
 
 
 class KElement:

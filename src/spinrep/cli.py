@@ -19,7 +19,7 @@ from .errors import InputError, IntegrationError, SpinrepError
 if TYPE_CHECKING:
     from .structure import Signature
 
-# Each command imports the layers it uses (structure, modules, files,
+# Each command imports the layers it uses (structure, recipe, modules, files,
 # surfaces, expressions), so that a command loads only its own code and
 # ``--help`` loads none of it.
 
@@ -47,10 +47,12 @@ def _parse_sig(text: str) -> Signature:
 
 
 def _build_module(sig: Signature, family: str, variant: str):
-    from .modules import assemble_signature, octonion_module, sqrt_space_module
-
     if family == "recipe":
+        from .recipe import assemble_signature
+
         return assemble_signature(sig.r, sig.s, variant)
+    from .modules import octonion_module, sqrt_space_module
+
     if family == "sqrt-space":
         if sig.r != 0 or not 1 <= sig.s <= 4:
             raise InputError("sqrt-space family exists for signatures 0,n with n <= 4")
@@ -69,7 +71,7 @@ def _build_module(sig: Signature, family: str, variant: str):
 def generate(sig_text: str, family: str, variant: str, out_path: str) -> None:
     """Build a module, self-verify it, and write the gamma JSON file."""
     from .files import dump_gamma_json, module_to_payload
-    from .modules import verify_module
+    from .recipe import verify_module
 
     try:
         sig = _parse_sig(sig_text)
@@ -120,6 +122,8 @@ def verify(path: str) -> None:
         status = "PASS" if ok else "FAIL"
         suffix = f" ({detail})" if detail and not ok else ""
         print(f"{status} {name}{suffix}")
+    for name, reason in report.skipped:
+        print(f"SKIP {name}: {reason}")
     sys.exit(0 if report.ok else EXIT_VERIFY_FAILED)
 
 
@@ -129,8 +133,8 @@ _K0_DIMS = [4, 8, 4, 4, 4, 2, 1, 1]
 
 def classify(max_n: int) -> None:
     """Compute dims and intertwiner algebras for Cl(0,n) against the tables."""
-    from .modules import assemble_signature, intertwiners
-    from .structure import expected_field, expected_irreducible_dim
+    from .recipe import assemble_signature, intertwiners
+    from .structure import FIELD_DIM, expected_field, expected_irreducible_dim
 
     if not 1 <= max_n <= 16:
         _fail(EXIT_INPUT, "--max-n must be between 1 and 16")
@@ -147,7 +151,7 @@ def classify(max_n: int) -> None:
             exp_dim, exp_k = expected_irreducible_dim(0, n), expected_field(0, n)
             ok = (
                 module.real_dim == exp_dim
-                and full.real_dimension == {"R": 1, "C": 2, "H": 4}[exp_k]
+                and full.real_dimension == FIELD_DIM[exp_k]
                 and full.division_algebra == exp_k
                 and even.real_dimension == _K0_DIMS[idx]
                 and even.division_algebra == _K0_TAGS[idx]

@@ -23,8 +23,8 @@ from .errors import InputError
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .linalg import QMat
-    from .modules import SpinorModule
+    from .linalg import QMat, SignedPerm
+    from .recipe import SpinorModule
     from .structure import Signature
     from .surfaces import TransportTrace
 
@@ -60,14 +60,10 @@ def _choice(value, allowed: tuple[str, ...], what: str) -> str:
     return value
 
 
-def _matrix_to_rows(m: QMat) -> list[list[str]]:
-    zero = ["0"] * m.ncols
-    rows = []
-    for r in m.rows:
-        row = zero.copy()
-        for j, v in r.items():
-            row[j] = _frac_str(v)
-        rows.append(row)
+def _matrix_to_rows(m: QMat | SignedPerm) -> list[list[str]]:
+    rows = [["0"] * m.ncols for _ in range(m.nrows)]
+    for i, j, v in m.entries():
+        rows[i][j] = _frac_str(v)
     return rows
 
 
@@ -111,9 +107,10 @@ def _matrices(value, size: int, what: str) -> list[QMat]:
 
 
 def module_to_payload(module: SpinorModule, volume_sign: int | None = None) -> dict:
-    """The v1 payload of a module.  ``volume_sign`` is the sign ``audit``
-    computed (``ModuleReport.volume_sign``); without it the volume element
-    is multiplied out here."""
+    """The v1 payload of a module, written from its matrices as built
+    (``SignedPerm``s for a recipe module).  ``volume_sign`` is the sign
+    ``audit`` computed (``ModuleReport.volume_sign``); without it the volume
+    element is multiplied out here."""
     from .linalg import QMat
     from .structure import CONVENTION
 
@@ -125,10 +122,10 @@ def module_to_payload(module: SpinorModule, volume_sign: int | None = None) -> d
         "real_dim": module.real_dim,
         "family": module.family,
         "variant": module.variant,
-        "generators": [_matrix_to_rows(g) for g in module.generators],
-        "spin_metric": _matrix_to_rows(module.spin_metric),
-        "commutant_basis": [_matrix_to_rows(QMat.identity(module.real_dim))]
-        + [_matrix_to_rows(u) for u in module.right_units],
+        "generators": [_matrix_to_rows(g) for g in module.gens],
+        "spin_metric": _matrix_to_rows(module.metric),
+        "commutant_basis": [_matrix_to_rows(type(module.metric).identity(module.real_dim))]
+        + [_matrix_to_rows(u) for u in module.units],
     }
     grading = module.real_grading()
     if grading is not None:

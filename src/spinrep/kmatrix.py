@@ -1,11 +1,9 @@
-"""Realified matrices over R/C/H, one-slot tensor operators and commutant
-(intertwiner) computation.
+"""Commutant (intertwiner) algebras: their exact bases and their names.
 
-A matrix over K is stored realified: a ``QMat`` over the rationals in the
-K-blocked layout that ``GradedSpace`` describes, where the real basis is
-grouped in runs of dim(K) vectors forming one K-orbit per slot, with the
-K-coordinate fastest-varying.  The tensor operators below take and return
-matrices in this layout.
+A matrix over K is stored realified, as a ``QMat`` or ``SignedPerm`` over
+the rationals in the K-blocked layout of ``spinrep.recipe.GradedSpace``; the
+one-slot tensor operators on that layout live in ``spinrep.recipe`` and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -13,126 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .algebras import ALGEBRA_DIM
 from .errors import InputError
 from .linalg import QMat, Rref, inertia, intertwiner_space
+from .recipe import GradedSpace, tensor_op_left, tensor_op_right  # noqa: F401
+from .structure import FIELD_DIM
 
 ZERO = Fraction(0)
-
-
-class GradedSpace:
-    """Module over ``field`` with an optional basis-aligned Z2-grading.
-
-    ``dim`` counts K-basis slots; the realified dimension is
-    ``dim * dim_R(field)``.  When present, ``grading`` assigns +1 or -1 to
-    each slot (grading is constant along a K-orbit).
-    """
-
-    __slots__ = ("field", "dim", "grading")
-
-    def __init__(self, field: str, dim: int, grading: tuple[int, ...] | None = None):
-        if field not in ("R", "C", "H"):
-            raise InputError("GradedSpace field must be R, C or H")
-        if grading is not None:
-            if len(grading) != dim:
-                raise InputError("grading length must equal dim")
-            if any(g not in (1, -1) for g in grading):
-                raise InputError("grading entries must be +1 or -1")
-        self.field = field
-        self.dim = dim
-        self.grading = grading
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedSpace):
-            return NotImplemented
-        return (self.field, self.dim, self.grading) == (other.field, other.dim, other.grading)
-
-    def __hash__(self):
-        return hash((self.field, self.dim, self.grading))
-
-    @property
-    def real_dim(self) -> int:
-        return self.dim * ALGEBRA_DIM[self.field]
-
-    def plus_count(self) -> int:
-        return sum(1 for g in self.grading or () if g == 1)
-
-    def minus_count(self) -> int:
-        return sum(1 for g in self.grading or () if g == -1)
-
-    def real_grading(self) -> tuple[int, ...] | None:
-        """Grading expanded to the realified basis (constant on K-orbits)."""
-        if self.grading is None:
-            return None
-        k = ALGEBRA_DIM[self.field]
-        return tuple(g for g in self.grading for _ in range(k))
-
-
-# ---------------------------------------------------------------------------
-# One-slot operators on realified tensor products
-# ---------------------------------------------------------------------------
-
-
-def _blocks_of(t: QMat, k: int) -> dict[tuple[int, int], list[tuple[int, int, Fraction]]]:
-    blocks: dict[tuple[int, int], list[tuple[int, int, Fraction]]] = {}
-    for i, j, v in t.entries():
-        key = (i // k, j // k)
-        blocks.setdefault(key, []).append((i % k, j % k, v))
-    return blocks
-
-
-def tensor_op_left(t: QMat, m: GradedSpace, n: GradedSpace) -> QMat:
-    """Realified ``T (x) I`` on M (x)_K N for a right-K-linear T given by its
-    realified matrix on M (K-blocked basis)."""
-    if m.field != n.field:
-        raise InputError("factors are over different fields")
-    k = ALGEBRA_DIM[m.field]
-    b = n.dim
-    if t.nrows != m.real_dim or t.ncols != m.real_dim:
-        raise InputError("operator size does not match left factor")
-    entries: dict[tuple[int, int], Fraction] = {}
-    for (u, p), items in _blocks_of(t, k).items():
-        for q in range(b):
-            ro = (u * b + q) * k
-            co = (p * b + q) * k
-            for bi, bj, v in items:
-                entries[(ro + bi, co + bj)] = v
-    dim = k * m.dim * b
-    return QMat.from_entries(dim, dim, entries)
-
-
-def tensor_op_right(s: QMat, m: GradedSpace, n: GradedSpace, odd: bool = True) -> QMat:
-    """Realified ``I (x)^ S`` on M (x)_K N with the graded sign rule, for a
-    left-K-linear S given by its realified matrix on N (K-blocked basis; for
-    C and H, the conjugate J S' J of a right-K-linear S', see
-    ``modules._left_version``).
-
-    When M carries a grading and ``odd`` is set, slot p of M contributes the
-    sign (-1)^(deg m_p); this is the sign rule
-    (T (x)^ S)(m (x) n) = (-1)^(deg S * deg m) T m (x) S n  for one slot.
-    """
-    if m.field != n.field:
-        raise InputError("factors are over different fields")
-    k = ALGEBRA_DIM[m.field]
-    a, b = m.dim, n.dim
-    if s.nrows != n.real_dim or s.ncols != n.real_dim:
-        raise InputError("operator size does not match right factor")
-    blocks = _blocks_of(s, k)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for p in range(a):
-        flip = odd and m.grading is not None and m.grading[p] == -1
-        for (v_idx, q), items in blocks.items():
-            ro = (p * b + v_idx) * k
-            co = (p * b + q) * k
-            for bi, bj, v in items:
-                entries[(ro + bi, co + bj)] = -v if flip else v
-    dim = k * a * b
-    return QMat.from_entries(dim, dim, entries)
-
-
-# ---------------------------------------------------------------------------
-# Commutants
-# ---------------------------------------------------------------------------
 
 
 class Commutant:
@@ -149,7 +33,7 @@ class Commutant:
 def _simple_label(k: int, pos: int, neg: int) -> tuple[int, int, str] | None:
     """(k, field rank, name) of the M_n(D) with real dimension k whose trace
     form tr(XY) has inertia (pos, neg), or None when there is none."""
-    for rank, (field, dim) in enumerate((("R", 1), ("C", 2), ("H", 4))):
+    for rank, (field, dim) in enumerate(FIELD_DIM.items()):
         n = isqrt(k // dim)
         want = {"R": n * (n + 1) // 2, "C": n * n, "H": n * (2 * n - 1)}[field]
         if dim * n * n == k and (pos, neg) == (want, k - want):

@@ -41,26 +41,22 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _integer_rows(rows: list[dict[int, Fraction]]) -> tuple[int, list[dict[int, int]]]:
-    """``(den, int_rows)`` with ``rows[i][j] == int_rows[i][j] / den`` and
-    ``den`` the lcm of the entries' denominators."""
-    den = lcm(*{v.denominator for r in rows for v in r.values()})
-    return den, [{j: v.numerator * (den // v.denominator) for j, v in r.items()} for r in rows]
-
-
 class QMat:
     """Sparse matrix with exact rational entries.
 
     Rows are dicts mapping column index to a nonzero Fraction.  Instances are
-    treated as immutable by every consumer; methods return new matrices.
+    treated as immutable by every consumer; methods return new matrices, and
+    the integer form of the rows is built on a matrix's first product and
+    kept.
     """
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows", "_ints")
 
     def __init__(self, nrows: int, ncols: int, rows: list[dict[int, Fraction]] | None = None):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows if rows is not None else [dict() for _ in range(nrows)]
+        self._ints: tuple[int, list[dict[int, int]]] | None = None
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -112,6 +108,14 @@ class QMat:
             for j, v in r.items():
                 yield i, j, v
 
+    def _integer_rows(self) -> tuple[int, list[dict[int, int]]]:
+        """``(den, int_rows)`` with ``rows[i][j] == int_rows[i][j] / den`` and
+        ``den`` the lcm of the entries' denominators."""
+        if self._ints is None:
+            den = lcm(*{v.denominator for r in self.rows for v in r.values()})
+            self._ints = den, [{j: v.numerator * (den // v.denominator) for j, v in r.items()} for r in self.rows]
+        return self._ints
+
     def trace(self) -> Fraction:
         return sum((r[i] for i, r in enumerate(self.rows) if i in r), ZERO)
 
@@ -156,8 +160,8 @@ class QMat:
         and comes back at the end, as in a ``Fraction`` accumulation."""
         if isinstance(other, QMat):
             assert self.ncols == other.nrows, "matrix size mismatch"
-            den_a, rows_a = _integer_rows(self.rows)
-            den_b, rows_b = _integer_rows(other.rows)
+            den_a, rows_a = self._integer_rows()
+            den_b, rows_b = other._integer_rows()
             den = den_a * den_b
             rows = []
             for ra in rows_a:
@@ -241,6 +245,17 @@ class SignedPerm:
             perm[j] = i
         # n rows with one entry each in distinct columns cover all n columns
         return SignedPerm(perm, signs)
+
+    @staticmethod
+    def from_entries(nrows: int, ncols: int, entries: dict[tuple[int, int], int]) -> "SignedPerm":
+        """``QMat.from_entries`` for entries {(row, column): +1 or -1}, one per column."""
+        perm, signs = [0] * ncols, [0] * ncols
+        for (i, j), s in entries.items():
+            perm[j], signs[j] = i, s
+        return SignedPerm(perm, signs)
+
+    def to_qmat(self) -> QMat:
+        return QMat.from_entries(len(self.perm), len(self.perm), {(i, j): s for i, j, s in self.entries()})
 
     @staticmethod
     def identity(n: int) -> "SignedPerm":

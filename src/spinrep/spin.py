@@ -17,7 +17,7 @@ from fractions import Fraction
 from .clifford import Multivector, euclidean
 from .errors import InputError, StructureError
 from .linalg import QMat
-from .modules import SpinorModule, _submatrix, even_summand, intertwiners
+from .recipe import SpinorModule, _submatrix, even_summand, intertwiners
 from .structure import Signature
 
 ZERO = Fraction(0)

@@ -16,6 +16,9 @@ CONVENTION = (
     "e_1..e_r square to +1, e_(r+1)..e_(r+s) square to -1"
 )
 
+# real dimension of each intertwiner field K
+FIELD_DIM = {"R": 1, "C": 2, "H": 4}
+
 FAMILY_QUATERNIONIC = "quaternionic-multivector"
 FAMILY_POSITIVE = "positive-multivector"
 FAMILY_SPLIT = "split-exterior"
@@ -165,12 +168,22 @@ def _monomial(mats, d: int) -> list[SignedPerm] | None:
     return perms
 
 
-class ModuleReport:
-    __slots__ = ("checks", "volume_sign")
+# every check ``audit`` may run after generator-count, in order
+CHECKS = ("classification-table", "clifford-condition", "spin-metric", "spin-metric-definite", "commutant-basis",
+          "commutant-dimension", "generators-odd", "volume-central-sign", "volume-sign-recorded", "volume-variant")
 
-    def __init__(self, checks: list[tuple[str, bool, str]], volume_sign: int | None = None):
+
+class ModuleReport:
+    """The checks that ran, as (name, passed, detail), and the ones that did
+    not apply, as (name, reason); a skipped check passes and fails nothing."""
+
+    __slots__ = ("checks", "volume_sign", "skipped")
+
+    def __init__(self, checks: list[tuple[str, bool, str]], volume_sign: int | None = None,
+                 skipped: list[tuple[str, str]] | None = None):
         self.checks = checks
         self.volume_sign = volume_sign  # computed when s - r = 3 mod 4: 1, -1, or 0 (not central)
+        self.skipped = skipped or []
 
     @property
     def ok(self) -> bool:
@@ -193,7 +206,8 @@ def audit(
     """The structural audit of a module given as plain data; ``generate``
     runs it before writing a gamma file and ``verify`` after reading one.
 
-    Checks, in order: generator count (reported only when wrong), the
+    Checks, in order: generator count (reported only when wrong; every
+    other check is then skipped), the
     classification table (the real dimension and the field K are the
     irreducible module's), the Clifford condition, the spin metric
     (symmetric, generators self- or skew-adjoint, commutant basis elements
@@ -204,8 +218,9 @@ def audit(
     Schur's lemma it spans the commutant), odd generators when a
     ``grading`` is given, and for s - r = 3 mod 4 a central volume element
     whose sign matches the recorded ``volume_sign`` and, on definite
-    signatures, the ``variant``.  The report carries the computed sign,
-    which ``generate`` writes.
+    signatures, the ``variant``.  A check that does not apply is listed in
+    the report's ``skipped`` with its reason.  The report carries the
+    computed sign, which ``generate`` writes.
 
     When every matrix operand is a d x d signed permutation, as every recipe
     module's is, the checks run on ``SignedPerm``s; otherwise on ``QMat``s.
@@ -214,7 +229,7 @@ def audit(
     checks: list[tuple[str, bool, str]] = []
     if len(generators) != sig.n:
         checks.append(("generator-count", False, f"{len(generators)} != {sig.n}"))
-        return ModuleReport(checks)
+        return ModuleReport(checks, skipped=[(name, "wrong generator count") for name in CHECKS])
     d = metric.nrows
     want = (expected_irreducible_dim(sig.r, sig.s), expected_field(sig.r, sig.s))
     checks.append(("classification-table", (d, field) == want,
@@ -247,28 +262,33 @@ def audit(
     rr = Rref()
     for b in commutant_basis:
         rr.add_row({i * d + j: v for i, j, v in b.entries()})
-    k = {"R": 1, "C": 2, "H": 4}[want[1]]
+    k = FIELD_DIM[want[1]]
     checks.append(("commutant-dimension", len(commutant_basis) == rr.rank == k,
                    f"{len(commutant_basis)} elements of rank {rr.rank}; K={want[1]} has dimension {k}"))
 
+    skipped = [] if grading is not None else [("generators-odd", "no grading")]
     if grading is not None:
         eps = mat.diag(grading)
         odd_ok = all((eps * g) == (g * eps).scale(-1) for g in generators)
         checks.append(("generators-odd", odd_ok, ""))
 
-    if (sig.s - sig.r) % 4 == 3:
-        vol = generators[0]
-        for g in generators[1:]:
-            vol = vol * g
-        sign = 1 if vol == ident else (-1 if vol == ident.scale(-1) else 0)
-        checks.append(("volume-central-sign", sign != 0, ""))
-        if volume_sign is not None:
-            checks.append(("volume-sign-recorded", sign == volume_sign,
-                           f"computed {sign}, recorded {volume_sign}"))
-        # the sign itself is pinned only for the definite signatures
-        if sig.r == 0 or sig.s == 0:
-            plus_sign = -1 if sig.r == 0 else 1
-            expect = plus_sign if variant == "plus" else -plus_sign
-            checks.append(("volume-variant", sign == expect, f"variant {variant}"))
-        return ModuleReport(checks, sign)
-    return ModuleReport(checks)
+    if (sig.s - sig.r) % 4 != 3:
+        reason = f"s - r = {(sig.s - sig.r) % 4} mod 4, not 3"
+        return ModuleReport(checks, skipped=skipped + [(name, reason) for name in CHECKS[-3:]])
+    vol = generators[0]
+    for g in generators[1:]:
+        vol = vol * g
+    sign = 1 if vol == ident else (-1 if vol == ident.scale(-1) else 0)
+    checks.append(("volume-central-sign", sign != 0, ""))
+    if volume_sign is not None:
+        checks.append(("volume-sign-recorded", sign == volume_sign, f"computed {sign}, recorded {volume_sign}"))
+    else:
+        skipped.append(("volume-sign-recorded", "no volume_sign recorded"))
+    # the sign itself is pinned only for the definite signatures
+    if sig.r == 0 or sig.s == 0:
+        plus_sign = -1 if sig.r == 0 else 1
+        expect = plus_sign if variant == "plus" else -plus_sign
+        checks.append(("volume-variant", sign == expect, f"variant {variant}"))
+    else:
+        skipped.append(("volume-variant", "indefinite signature"))
+    return ModuleReport(checks, sign, skipped)

@@ -12,6 +12,7 @@ import pytest
 
 import spinrep
 from conftest import run_cli
+from spinrep import structure
 
 
 def _generate(tmp_path, name, *args):
@@ -53,6 +54,30 @@ def test_generate_rejects_bad_family_dimension(tmp_path):
     assert result.exit_code == 2
     result, _ = _generate(tmp_path, "bad3.json", "--sig", "0,2", "--variant", "minus")
     assert result.exit_code == 2
+
+
+def test_verify_reports_the_checks_it_skips(tmp_path):
+    # Cl(0,7) has no grading; Cl(5,5) has s - r = 0 mod 4, so no volume checks
+    _, out = _generate(tmp_path, "g07.json", "--sig", "0,7")
+    verify = run_cli(["verify", str(out)])
+    assert verify.exit_code == 0
+    assert "SKIP generators-odd: no grading\n" in verify.output
+    assert "PASS volume-central-sign" in verify.output and "SKIP volume" not in verify.output
+    _, out = _generate(tmp_path, "g55.json", "--sig", "5,5")
+    verify = run_cli(["verify", str(out)])
+    assert verify.exit_code == 0 and "PASS generators-odd" in verify.output
+    skips = [line for line in verify.output.splitlines() if line.startswith("SKIP")]
+    assert skips == [f"SKIP {name}: s - r = 0 mod 4, not 3"
+                     for name in ("volume-central-sign", "volume-sign-recorded", "volume-variant")]
+    # after a wrong generator count nothing else runs, and each check says so
+    payload = json.loads(out.read_text())
+    payload["generators"].pop()
+    out.write_text(json.dumps(payload))
+    verify = run_cli(["verify", str(out)])
+    assert verify.exit_code == 1
+    lines = verify.output.splitlines()
+    assert lines[0] == "FAIL generator-count (9 != 10)"
+    assert lines[1:] == [f"SKIP {name}: wrong generator count" for name in structure.CHECKS]
 
 
 def test_verify_detects_corruption(tmp_path):
@@ -415,14 +440,18 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
     gamma, csv = tmp_path / "g.json", tmp_path / "t.csv"
     base = {"spinrep", "spinrep.cli", "spinrep.errors"}
     exact = {"spinrep.structure", "spinrep.linalg"}
-    builders = exact | {"spinrep.modules", "spinrep.kmatrix", "spinrep.algebras", "spinrep.clifford"}
+    recipe = base | exact | {"spinrep.recipe"}
+    builders = recipe | {"spinrep.modules", "spinrep.algebras", "spinrep.clifford", "spinrep.files"}
     cases = [
         (["--help"], base),
-        (["generate", "--sig", "1,1", "--out", str(gamma)], base | builders | {"spinrep.files"}),
+        # the recipe family compiles neither the other families nor the commutant solve
+        (["generate", "--sig", "1,1", "--out", str(gamma)], recipe | {"spinrep.files"}),
+        (["generate", "--sig", "0,8", "--family", "octonion", "--out", str(tmp_path / "o.json")], builders),
+        (["generate", "--sig", "0,4", "--family", "sqrt-space", "--out", str(tmp_path / "s.json")], builders),
         (["verify", str(gamma)], base | exact | {"spinrep.files"}),
         (["transport", "--steps", "50", "--out", str(csv)],
          base | {"spinrep.expressions", "spinrep.surfaces", "spinrep.files"}),
-        (["classify", "--max-n", "3"], base | builders),
+        (["classify", "--max-n", "3"], recipe | {"spinrep.kmatrix"}),
     ]
     for argv, expected in cases:
         loaded, new = _loaded_after(argv)
@@ -431,7 +460,7 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
         assert new - set(sys.stdlib_module_names) == {"spinrep"}, argv
         # and without dataclasses, which imports inspect: both cost every cold command
         assert not new & {"dataclasses", "inspect"}, argv
-    assert gamma.is_file() and csv.is_file()
+    assert gamma.is_file() and csv.is_file() and (tmp_path / "o.json").is_file() and (tmp_path / "s.json").is_file()
 
 
 def test_every_export_resolves():
