@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -178,14 +177,9 @@ def _parse_q0(text: str):
     if text in _Q0_SHORTHAND:
         return _Q0_SHORTHAND[text]
     try:
-        parts = [float(p) for p in text.split(",")]
+        return tuple(float(p) for p in text.split(","))
     except ValueError as exc:
-        raise InputError(f"bad spinor {text!r}") from exc
-    if len(parts) != 4:
-        raise InputError("spinor must be w,x,y,z or one of 1,i,j,k")
-    if not all(map(math.isfinite, parts)) or not any(parts):
-        raise InputError(f"spinor {text!r} must be finite and nonzero")
-    return tuple(parts)
+        raise InputError(f"bad spinor {text!r}: expected w,x,y,z or one of 1,i,j,k") from exc
 
 
 def transport(surface_spec, curve_spec, q0_text, steps, sign, t0, t1, out_path) -> None:
@@ -197,18 +191,9 @@ def transport(surface_spec, curve_spec, q0_text, steps, sign, t0, t1, out_path) 
     try:
         surface = compile_surface(BUILTIN_SURFACES.get(surface_spec, surface_spec))
         curve, velocity = compile_curve(BUILTIN_CURVES.get(curve_spec, curve_spec))
-        q0 = _parse_q0(q0_text)
-        if steps < 2:
-            raise InputError("steps must be at least 2")
-        if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
-            raise InputError("--t0 and --t1 must be finite and different")
-        initial_sign = 1 if sign == "+1" else -1
-    except InputError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    try:
         trace = spin_parallel_transport(
-            surface, curve, q0, initial_sign=initial_sign, steps=steps,
-            t0=t0, t1=t1, velocity=velocity,
+            surface, curve, _parse_q0(q0_text), initial_sign=1 if sign == "+1" else -1,
+            steps=steps, t0=t0, t1=t1, velocity=velocity,
         )
     except IntegrationError as exc:
         _fail(EXIT_NUMERIC, f"integration failed at t={exc.t}: {exc}")

@@ -23,10 +23,6 @@ from .errors import InputError, IntegrationError
 from .expressions import ParametricSurface, Vec3, compile_surface
 
 
-def _add(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
 def _sub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
@@ -111,13 +107,6 @@ def quat_conj(a):
     return (a[0], -a[1], -a[2], -a[3])
 
 
-def quat_rotate(q, v):
-    """Rotate the 3-vector v by the unit quaternion q (q v conj(q))."""
-    p = (0.0, v[0], v[1], v[2])
-    w = quat_mul(quat_mul(q, p), quat_conj(q))
-    return (w[1], w[2], w[3])
-
-
 # The builtin surfaces and curves of ``transport``: each name is shorthand
 # for a spec, compiled like any other.
 BUILTIN_SURFACES = {
@@ -136,14 +125,6 @@ def unit_sphere() -> ParametricSurface:
 def plane() -> ParametricSurface:
     """The plane z = 0: X(u, v) = (u, v, 0), normal e3."""
     return compile_surface(BUILTIN_SURFACES["plane"])
-
-
-def _unit_normal(surface: ParametricSurface, u: float, v: float) -> Vec3:
-    xu, xv = surface.partials(u, v)
-    n = _cross(xu, xv)
-    if _norm(n) < 1e-14:
-        raise InputError(f"chart is not an immersion at (u,v)=({u},{v})")
-    return _normalize(n)
 
 
 def surface_frame(surface: ParametricSurface, u: float, v: float) -> tuple[Vec3, Vec3, Vec3]:
@@ -206,26 +187,6 @@ FRAME_TOL = 1e-9
 _EVAL_ERRORS = (InputError, ArithmeticError, ValueError)
 
 
-def _normal_and_velocity(surface, curve, velocity, t):
-    """(u, v) = curve(t), the unit normal n there and dn/dt, by the chain rule
-    from the curve's velocity (du/dt, dv/dt) = velocity(t)."""
-    u, v = curve(t)
-    du, dv = velocity(t)
-    xu, xv = surface.partials(u, v)
-    xuu, xuv, xvv = surface.second_partials(u, v)
-    n_raw = _cross(xu, xv)
-    n_len = _norm(n_raw)
-    if n_len < 1e-14:
-        raise IntegrationError("immersion failure along the curve", t)
-    n_hat = _scale(n_raw, 1.0 / n_len)
-    dxu = _add(_scale(xuu, du), _scale(xuv, dv))
-    dxv = _add(_scale(xuv, du), _scale(xvv, dv))
-    dn_raw = _add(_cross(dxu, xv), _cross(xu, dxv))
-    # derivative of n_raw/|n_raw|
-    dn = _scale(_sub(dn_raw, _scale(n_hat, _dot(n_hat, dn_raw))), 1.0 / n_len)
-    return (u, v), n_hat, dn
-
-
 def spin_parallel_transport(
     surface: ParametricSurface,
     curve: Callable[[float], tuple[float, float]],
@@ -247,87 +208,141 @@ def spin_parallel_transport(
     (+1 or -1) picks one of its two lifts, and the other negates the whole
     trace.  The frame is e1 = g i conj(g), e2 = g j conj(g) and the spinor
     q(t) = g(t) * q0.  ``velocity(t)`` is the curve's exact (du/dt, dv/dt),
-    as ``expressions.compile_curve`` returns it with the curve."""
+    as ``expressions.compile_curve`` returns it with the curve.
+
+    The loop keeps every product by 0.0 and 1.0 of the quaternion formulas:
+    dropping one can turn a -0.0 into 0.0, or the NaN of inf * 0 into inf."""
     if steps < 2:
         raise InputError("steps must be at least 2")
     if initial_sign not in (1, -1):
         raise InputError("initial_sign must be +1 or -1")
+    if not math.isfinite(t1 - t0) or t0 == t1:  # NaN or inf when either is, or on overflow
+        raise InputError("t0 and t1 must be finite and different, with t1 - t0 finite")
+    q_model = tuple(map(float, q0))
+    if len(q_model) != 4 or not all(map(math.isfinite, q_model)) or not any(q_model):
+        raise InputError("q0 must be four finite numbers, not all zero")
     try:
         uv = curve(t0)
-        nu0, x0 = _unit_normal(surface, *uv), surface.point(*uv)
+        nu0 = _cross(*surface.partials(*uv))
+        if _norm(nu0) < 1e-14:
+            raise InputError(f"chart is not an immersion at (u,v)=({uv[0]},{uv[1]})")
+        nu0, x0 = _normalize(nu0), surface.point(*uv)
     except (ArithmeticError, ValueError) as exc:  # InputError at t0 stays an input error
         raise IntegrationError(str(exc), t0) from exc
     if frame0 is None:
         e1, e2, _ = surface_frame(surface, *uv)
     else:
         e1, e2 = tuple(map(float, frame0[0])), tuple(map(float, frame0[1]))
+        # each test is written so that a NaN fails it
         for name, vec in (("e1", e1), ("e2", e2)):
-            if abs(_dot(vec, nu0)) > FRAME_TOL:
+            if not abs(_dot(vec, nu0)) <= FRAME_TOL:
                 raise InputError(f"initial {name} is not tangent")
-        if abs(_dot(e1, e1) - 1) > FRAME_TOL or abs(_dot(e2, e2) - 1) > FRAME_TOL:
-            raise InputError("initial frame is not orthonormal")
-        if abs(_dot(e1, e2)) > FRAME_TOL:
-            raise InputError("initial frame is not orthonormal")
-        if _dot(_cross(e1, e2), nu0) < 0:
+        for dot, want in ((_dot(e1, e1), 1), (_dot(e2, e2), 1), (_dot(e1, e2), 0)):
+            if not abs(dot - want) <= FRAME_TOL:
+                raise InputError("initial frame is not orthonormal")
+        if not _dot(_cross(e1, e2), nu0) >= 0:
             raise InputError("initial frame is left-handed: e1 x e2 must be the normal")
     g = rotation_to_quaternion([[e1[i], e2[i], nu0[i]] for i in range(3)])
-    g = tuple(initial_sign * c for c in g)
-    q_model = tuple(map(float, q0))
-    dt = (t1 - t0) / steps
-    trace = TransportTrace()
+    gw, gx, gy, gz = (initial_sign * c for c in g)
+    qw, qx, qy, qz = q_model
+    partials, second_partials, point = surface.partials, surface.second_partials, surface.point
 
-    def half_rate(t):
-        """(u, v), the unit normal and 1/2 (0, n x dn/dt) at t."""
+    def rate(t):
+        """(u, v, n, x, y, z): u, v = curve(t), the unit normal n there and
+        (x, y, z) = 1/2 n x dn/dt = w/2, with dn/dt by the chain rule."""
         try:
-            uv, n, dn = _normal_and_velocity(surface, curve, velocity, t)
+            u, v = curve(t)
+            du, dv = velocity(t)
+            (xu0, xu1, xu2), (xv0, xv1, xv2) = partials(u, v)
+            (uu0, uu1, uu2), (uv0, uv1, uv2), (vv0, vv1, vv2) = second_partials(u, v)
+            r0, r1, r2 = xu1 * xv2 - xu2 * xv1, xu2 * xv0 - xu0 * xv2, xu0 * xv1 - xu1 * xv0
+            n_len = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+            if n_len < 1e-14:
+                raise IntegrationError("immersion failure along the curve", t)
+            inv = 1.0 / n_len
+            n0, n1, n2 = r0 * inv, r1 * inv, r2 * inv
+            # d/dt of X_u and X_v, then of X_u x X_v and of its unit vector
+            a0, a1, a2 = uu0 * du + uv0 * dv, uu1 * du + uv1 * dv, uu2 * du + uv2 * dv
+            b0, b1, b2 = uv0 * du + vv0 * dv, uv1 * du + vv1 * dv, uv2 * du + vv2 * dv
+            d0 = (a1 * xv2 - a2 * xv1) + (xu1 * b2 - xu2 * b1)
+            d1 = (a2 * xv0 - a0 * xv2) + (xu2 * b0 - xu0 * b2)
+            d2 = (a0 * xv1 - a1 * xv0) + (xu0 * b1 - xu1 * b0)
+            along = n0 * d0 + n1 * d1 + n2 * d2
+            d0, d1, d2 = (d0 - n0 * along) * inv, (d1 - n1 * along) * inv, (d2 - n2 * along) * inv
+            return (u, v, (n0, n1, n2),
+                    (n1 * d2 - n2 * d1) * 0.5, (n2 * d0 - n0 * d2) * 0.5, (n0 * d1 - n1 * d0) * 0.5)
         except _EVAL_ERRORS as exc:
             raise IntegrationError(str(exc), t) from exc
-        return uv, n, (0.0, *_scale(_cross(n, dn), 0.5))
 
-    def record(t, x, n, g):
-        e1 = quat_rotate(g, (1.0, 0.0, 0.0))
-        e2 = quat_rotate(g, (0.0, 1.0, 0.0))
-        e3 = quat_rotate(g, (0.0, 0.0, 1.0))
-        q = quat_mul(g, q_model)
-        trace.times.append(t)
-        trace.positions.append(x)
-        trace.e1.append(e1)
-        trace.e2.append(e2)
-        trace.normals.append(n)
-        trace.lifts.append(g)
-        trace.spinors.append(q)
-        values = (t, *x, *e1, *e2, *n, *g, *q)
-        defect = max(abs(a - b) for a, b in zip(e3, n))
-        trace.ok.append(all(map(math.isfinite, values)) and defect <= FRAME_TOL)
-
-    def step_by(g, h, k):
-        return tuple(a + h * b for a, b in zip(g, k))
-
-    record(t0, x0, nu0, g)
-    w_start = half_rate(t0)[2]
-    for step in range(steps):
-        t = t0 + step * dt
+    trace = TransportTrace()
+    times, positions, e1s, e2s = trace.times, trace.positions, trace.e1, trace.e2
+    normals, lifts, spinors, oks = trace.normals, trace.lifts, trace.spinors, trace.ok
+    isfinite = math.isfinite
+    dt = (t1 - t0) / steps
+    dt2, dt6 = dt / 2, dt / 6
+    t, x, n = t0, x0, nu0
+    sx, sy, sz = rate(t0)[3:]  # w/2 at the start of the step; m.. at its midpoint, e.. at its end
+    for step in range(steps + 1):
+        # the sample at t: e1, e2, e3 = (g p) conj(g) for p = i, j, k, and q = g q0
+        gw0, gx0, gy0, gz0 = gw * 0.0, gx * 0.0, gy * 0.0, gz * 0.0
+        gw1, gx1, gy1, gz1 = gw * 1.0, gx * 1.0, gy * 1.0, gz * 1.0
+        cx, cy, cz = -gx, -gy, -gz
+        a0, a1 = gw0 - gx1 - gy0 - gz0, gw1 + gx0 + gy0 - gz0
+        a2, a3 = gw0 - gx0 + gy0 + gz1, gw0 + gx0 - gy1 + gz0
+        e1 = (a0 * cx + a1 * gw + a2 * cz - a3 * cy, a0 * cy - a1 * cz + a2 * gw + a3 * cx,
+              a0 * cz + a1 * cy - a2 * cx + a3 * gw)
+        a0, a1 = gw0 - gx0 - gy1 - gz0, gw0 + gx0 + gy0 - gz1
+        a2, a3 = gw1 - gx0 + gy0 + gz0, gw0 + gx1 - gy0 + gz0
+        e2 = (a0 * cx + a1 * gw + a2 * cz - a3 * cy, a0 * cy - a1 * cz + a2 * gw + a3 * cx,
+              a0 * cz + a1 * cy - a2 * cx + a3 * gw)
+        a0, a1 = gw0 - gx0 - gy0 - gz1, gw0 + gx0 + gy1 - gz0
+        a2, a3 = gw0 - gx1 + gy0 + gz0, gw1 + gx0 - gy0 + gz0
+        e3x, e3y, e3z = (a0 * cx + a1 * gw + a2 * cz - a3 * cy, a0 * cy - a1 * cz + a2 * gw + a3 * cx,
+                         a0 * cz + a1 * cy - a2 * cx + a3 * gw)
+        g = (gw, gx, gy, gz)
+        q = (gw * qw - gx * qx - gy * qy - gz * qz, gw * qx + gx * qw + gy * qz - gz * qy,
+             gw * qy - gx * qz + gy * qw + gz * qx, gw * qz + gx * qy - gy * qx + gz * qw)
+        n0, n1, n2 = n
+        times.append(t)
+        positions.append(x)
+        e1s.append(e1)
+        e2s.append(e2)
+        normals.append(n)
+        lifts.append(g)
+        spinors.append(q)
+        defect = max(abs(e3x - n0), abs(e3y - n1), abs(e3z - n2))
+        oks.append(all(map(isfinite, (t, *x, *e1, *e2, *n, *g, *q))) and defect <= FRAME_TOL)
+        if step == steps:
+            return trace
+        # one RK4 step: w depends on t alone, so the midpoint serves k2 and
+        # k3, and the end point serves k4, the next sample and the next k1
         t_next = t1 if step == steps - 1 else t0 + (step + 1) * dt
-        # w depends on t alone: the midpoint serves k2 and k3, and the end
-        # point serves k4, the sample's normal and the next step's k1
-        w_mid = half_rate(t + dt / 2)[2]
-        uv, n, w_end = half_rate(t_next)
-        k1 = quat_mul(w_start, g)
-        k2 = quat_mul(w_mid, step_by(g, dt / 2, k1))
-        k3 = quat_mul(w_mid, step_by(g, dt / 2, k2))
-        k4 = quat_mul(w_end, step_by(g, dt, k3))
-        g = tuple(
-            gc + (a + 2.0 * (b + c) + d) * (dt / 6) for gc, a, b, c, d in zip(g, k1, k2, k3, k4)
-        )
-        norm = math.sqrt(sum(c * c for c in g))
-        g = tuple(c / norm for c in g)
+        mx, my, mz = rate(t0 + step * dt + dt2)[3:]
+        u, v, n, ex, ey, ez = rate(t_next)
+        k1w, k1x = 0.0 * gw - sx * gx - sy * gy - sz * gz, 0.0 * gx + sx * gw + sy * gz - sz * gy
+        k1y, k1z = 0.0 * gy - sx * gz + sy * gw + sz * gx, 0.0 * gz + sx * gy - sy * gx + sz * gw
+        aw, ax, ay, az = gw + dt2 * k1w, gx + dt2 * k1x, gy + dt2 * k1y, gz + dt2 * k1z
+        k2w, k2x = 0.0 * aw - mx * ax - my * ay - mz * az, 0.0 * ax + mx * aw + my * az - mz * ay
+        k2y, k2z = 0.0 * ay - mx * az + my * aw + mz * ax, 0.0 * az + mx * ay - my * ax + mz * aw
+        aw, ax, ay, az = gw + dt2 * k2w, gx + dt2 * k2x, gy + dt2 * k2y, gz + dt2 * k2z
+        k3w, k3x = 0.0 * aw - mx * ax - my * ay - mz * az, 0.0 * ax + mx * aw + my * az - mz * ay
+        k3y, k3z = 0.0 * ay - mx * az + my * aw + mz * ax, 0.0 * az + mx * ay - my * ax + mz * aw
+        aw, ax, ay, az = gw + dt * k3w, gx + dt * k3x, gy + dt * k3y, gz + dt * k3z
+        k4w, k4x = 0.0 * aw - ex * ax - ey * ay - ez * az, 0.0 * ax + ex * aw + ey * az - ez * ay
+        k4y, k4z = 0.0 * ay - ex * az + ey * aw + ez * ax, 0.0 * az + ex * ay - ey * ax + ez * aw
+        gw += (k1w + 2.0 * (k2w + k3w) + k4w) * dt6
+        gx += (k1x + 2.0 * (k2x + k3x) + k4x) * dt6
+        gy += (k1y + 2.0 * (k2y + k3y) + k4y) * dt6
+        gz += (k1z + 2.0 * (k2z + k3z) + k4z) * dt6
+        # sum(), not +: from Python 3.12 on sum() compensates its rounding, and
+        # the traces must stay the ones sum() gives
+        norm = math.sqrt(sum((gw * gw, gx * gx, gy * gy, gz * gz)))
+        gw, gx, gy, gz = gw / norm, gx / norm, gy / norm, gz / norm
         try:
-            x = surface.point(*uv)
+            x = point(u, v)
         except _EVAL_ERRORS as exc:
             raise IntegrationError(str(exc), t_next) from exc
-        record(t_next, x, n, g)
-        w_start = w_end
-    return trace
+        t, sx, sy, sz = t_next, ex, ey, ez
 
 
 def hypersurface4_action(normal, v, q):

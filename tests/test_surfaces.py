@@ -286,3 +286,51 @@ def test_csv_flags_non_finite_rows_without_trace_flags():
     rows = trace_to_csv(trace).splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["1", "1", "1", "0", "0"]
     assert "nan" in rows[-1]
+
+
+@pytest.mark.parametrize("steps", [2, 100])
+def test_transport_evaluation_counts(steps):
+    # one curve(t0) for the start frame, then the rate at t0 and at the
+    # midpoint and end of each step; one chart evaluation per sample
+    calls = {"curve": 0, "velocity": 0, "chart": 0}
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    surface = unit_sphere()
+    surface.chart = counted("chart", surface.chart)
+    spin_parallel_transport(surface, counted("curve", great_circle), ONE, steps=steps,
+                            velocity=counted("velocity", loop_velocity))
+    assert calls == {"curve": 2 * steps + 2, "velocity": 2 * steps + 1, "chart": steps + 1}
+
+
+@pytest.mark.parametrize("frame0", [
+    ((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ((1.0, 0.0, 0.0), (0.0, math.nan, 0.0)),
+    ((math.inf, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ((1.0, 0.0, math.nan), (0.0, 1.0, 0.0)),
+])
+def test_non_finite_frame0_is_rejected(frame0):
+    with pytest.raises(InputError, match="initial"):
+        spin_parallel_transport(plane(), lambda t: (t, 0.0), ONE, frame0=frame0, steps=10,
+                                velocity=lambda t: (1.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [
+    {"t0": 1.0, "t1": 1.0},
+    {"t0": math.nan},
+    {"t1": math.inf},
+    {"t0": -math.inf},
+    {"t0": -1e308, "t1": 1e308},  # t1 - t0 overflows: the step would be inf
+    {"q0": (0.0, 0.0, 0.0, 0.0)},
+    {"q0": (math.nan, 1.0, 0.0, 0.0)},
+    {"q0": (0.0, 1.0, math.inf, 0.0)},
+    {"q0": (1.0, 0.0, 0.0)},
+])
+def test_transport_rejects_degenerate_times_and_spinors(bad):
+    kwargs = {"q0": ONE, "steps": 10, "velocity": loop_velocity, **bad}
+    with pytest.raises(InputError):
+        spin_parallel_transport(unit_sphere(), great_circle, **kwargs)
