@@ -1,13 +1,13 @@
 """Exact arithmetic for the coefficient algebras R, C, H and the octonions O.
 
 Scalars are ``fractions.Fraction`` throughout, so every algebraic identity in
-the test suite is checked with exact equality.  The octonions are represented
-as pairs of quaternions with the doubling product
+the test suite is checked with exact equality.  Each algebra has the first
+1, 2, 4 or 8 units of the octonions, and ``mul`` and ``conj`` read the one
+signed unit table ``spinrep.recipe._UNITS``, in which the octonions are pairs
+of quaternions with the doubling product
 
     (a, b) * (c, d) = (a*c - conj(d)*b, d*a + b*conj(c))
     conj((a, b))    = (conj(a), -b)
-
-evaluated at call time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import QMat
-from .recipe import _UNITS as _H_TABLE  # quaternion basis products: (index, sign) for basis (1,i,j,k)
+from .recipe import _UNITS  # e_t e_j = sign e_i as (i, sign), for the units of R, C, H and O
 from .structure import FIELD_DIM
 
 ALGEBRA_DIM = {**FIELD_DIM, "O": 8}
@@ -91,48 +91,21 @@ def scale(a: KElement, c) -> KElement:
     return KElement(a.algebra, tuple(c * x for x in a.coeffs))
 
 
-def _h_mul(a: tuple, b: tuple) -> tuple:
-    out = [ZERO, ZERO, ZERO, ZERO]
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        row = _H_TABLE[i]
-        for j, y in enumerate(b):
-            if not y:
-                continue
-            idx, sgn = row[j]
-            out[idx] += x * y if sgn > 0 else -x * y
-    return tuple(out)
-
-
-def _h_conj(a: tuple) -> tuple:
-    return (a[0], -a[1], -a[2], -a[3])
-
-
 def mul(a: KElement, b: KElement) -> KElement:
     _check_same(a, b)
-    ca, cb = a.coeffs, b.coeffs
-    if a.algebra == "R":
-        return KElement("R", (ca[0] * cb[0],))
-    if a.algebra == "C":
-        return KElement("C", (ca[0] * cb[0] - ca[1] * cb[1], ca[0] * cb[1] + ca[1] * cb[0]))
-    if a.algebra == "H":
-        return KElement("H", _h_mul(ca, cb))
-    # octonions via the quaternion doubling product
-    p, q = ca[:4], ca[4:]
-    r, s = cb[:4], cb[4:]
-    first = tuple(x - y for x, y in zip(_h_mul(p, r), _h_mul(_h_conj(s), q)))
-    second = tuple(x + y for x, y in zip(_h_mul(s, p), _h_mul(q, _h_conj(r))))
-    return KElement("O", first + second)
+    out = [ZERO] * len(a.coeffs)
+    for x, row in zip(a.coeffs, _UNITS):
+        if x:
+            for y, (i, sign) in zip(b.coeffs, row):
+                if y:
+                    out[i] += x * y if sign > 0 else -x * y
+    return KElement(a.algebra, tuple(out))
 
 
 def conj(a: KElement) -> KElement:
-    c = a.coeffs
-    if a.algebra == "R":
-        return a
-    if a.algebra == "O":
-        return KElement("O", _h_conj(c[:4]) + tuple(-x for x in c[4:]))
-    return KElement(a.algebra, (c[0],) + tuple(-x for x in c[1:]))
+    """conj e_u = (e_u e_u) e_u, off the table's diagonal: the real unit is
+    fixed and the imaginary ones, which square to -1, are negated."""
+    return KElement(a.algebra, tuple(c if _UNITS[u][u][1] > 0 else -c for u, c in enumerate(a.coeffs)))
 
 
 def norm_sq(a: KElement) -> Fraction:

@@ -2,28 +2,32 @@
 
 The square-roots-of-space modules are the volume-element half of the
 exterior algebra of R^n under wedge-minus-contraction (dimensions 1..4; the
-whole algebra for n = 1, 2), and the octonion modules act in dimensions
-4..8; both carry an exact rational spin metric and right action.  Also here:
-the quaternionic action ``c4_action``, ``split_clifford_action``, the grading
-by the volume element, the metric audit and spinor squaring.  The recipe
-modules are ``spinrep.recipe``'s, re-exported here.
+whole algebra for n = 1, 2), with an exact rational spin metric and right
+action.  The octonion modules act in dimensions 4..8 by signed permutations
+read off the recipe's signed unit table of R, C, H and O.  Also here: the
+quaternionic action ``c4_action`` (a combination of the recipe's Cl(0,4)
+generators), ``split_clifford_action``, the grading by the volume element,
+the metric audit and spinor squaring.  The recipe modules are
+``spinrep.recipe``'s, re-exported here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from . import algebras as alg
-from .algebras import KElement
 from .clifford import Multivector, blade_product, euclidean
 from .errors import InputError, StructureError
-from .linalg import QMat, Rref, intertwiner_space, sparse_solve
+from .linalg import QMat, Rref, SignedPerm, intertwiner_space, sparse_solve
 # the recipe's names; perfbench/inproc.py clears the builders' lru_caches it finds here
-from .recipe import (GradedSpace, SpinorModule, _definite, _exterior_action, _left_version, _right_units,  # noqa: F401
-                     _submatrix, assemble_euclidean, assemble_positive, assemble_signature, even_summand,
-                     intertwiners, split_signature_module, verify_module)
+from .recipe import (_UNITS, GradedSpace, SpinorModule, _base, _definite, _exterior_action,  # noqa: F401
+                     _left_version, _right_units, _submatrix, _unit_blocks, assemble_euclidean, assemble_positive,
+                     assemble_signature, even_summand, intertwiners, split_signature_module, verify_module)
 from .structure import FAMILY_OCTONION, FAMILY_SQRT, FIELD_DIM, Signature, _metric_failures
+
+if TYPE_CHECKING:
+    from .algebras import KElement
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,26 +38,16 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 
 
-def _realified(rows: list[list[KElement]]) -> QMat:
-    """Realified matrix, in the K-blocked layout, of the right-K-linear map
-    with these K-entries: one left-multiplication block per entry."""
-    k = FIELD_DIM[rows[0][0].algebra]
-    entries = {}
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            for bi, bj, v in alg.lmul_matrix(e).entries():
-                entries[(i * k + bi, j * k + bj)] = v
-    return QMat.from_entries(len(rows) * k, len(rows[0]) * k, entries)
-
-
 def c4_action(q: KElement) -> QMat:
     """Odd right-H-linear action of q on the quaternionic multivectors H (+) H:
     wedge by q on the degree-0 part minus contraction (left multiplication by
-    conj(q)) on the degree-1 part."""
+    conj(q)) on the degree-1 part.  It is linear in q, and the units act as
+    the generators of the Cl(0,4) base module."""
     if q.algebra != "H":
         raise InputError("c4_action expects a quaternion")
-    z = alg.zero("H")
-    return _realified([[z, alg.neg(alg.conj(q))], [q, z]])
+    # the generators of distinct units have disjoint supports
+    gens = _base(4, False, "plus")[1]
+    return QMat.from_entries(8, 8, {(i, j): sign * c for c, g in zip(q.coeffs, gens) for i, j, sign in g.entries()})
 
 
 def split_clifford_action(i: int, xs, omegas) -> QMat:
@@ -198,7 +192,7 @@ def sqrt_space_module(n: int) -> SpinorModule:
 # imaginary units used for the embeddings: the second quaternionic half
 # first (matching the dimension-4 construction q -> (0, q)), then the
 # imaginary units of the first half
-_OCT_IMAGINARY = [(4, 1), (5, 1), (6, 1), (7, 1), (1, 1), (2, 1), (3, 1)]
+_OCT_IMAGINARY = (4, 5, 6, 7, 1, 2, 3)
 
 
 @lru_cache(maxsize=None)
@@ -206,39 +200,32 @@ def octonion_module(k: int) -> SpinorModule:
     """Octonion models: Cl(0,k) acting on O for 4 <= k <= 7 by right
     multiplication with imaginary units, and on O (+) O for k = 8 by
     x -> ((u,v) -> (-conj(x) v, x u)).  Alternativity makes the Clifford
-    condition exact even though O is not associative."""
+    condition exact even though O is not associative.  Unit products permute
+    the units up to sign, so the data are signed permutations read off the
+    unit table."""
     if not 4 <= k <= 8:
         raise InputError("octonion modules exist for dimensions 4..8 only")
     sig = euclidean(k)
     if k <= 7:
-        gens = [alg.rmul_matrix(alg.unit("O", _OCT_IMAGINARY[t][0])) for t in range(k)]
-        dim = 8
+        # e_j -> e_j e_u
+        gens = [SignedPerm([_UNITS[j][u][0] for j in range(8)], [_UNITS[j][u][1] for j in range(8)])
+                for u in _OCT_IMAGINARY[:k]]
         field_tag = {4: "H", 5: "C"}.get(k, "R")
         # diagonal right action (a,b).q = (aq, bq) of H, or of its C = span(1, i)
-        right_units = [u.to_qmat() for u in _right_units(GradedSpace("H", 2))[: FIELD_DIM[field_tag] - 1]]
+        right_units = _right_units(GradedSpace("H", 2))[: FIELD_DIM[field_tag] - 1]
     else:
-        dim = 16
-        gens = []
-        for t in range(8):
-            o = alg.unit("O", t)
-            top = alg.lmul_matrix(alg.conj(o)).scale(-1)
-            bottom = alg.lmul_matrix(o)
-            entries = {}
-            for i, j, v in top.entries():
-                entries[(i, j + 8)] = v
-            for i, j, v in bottom.entries():
-                entries[(i + 8, j)] = v
-            gens.append(QMat.from_entries(16, 16, entries))
+        gens = [_unit_blocks([[None, (t, 1 if t else -1)], [(t, 1), None]], 8) for t in range(8)]
         field_tag = "R"
         right_units = ()
+    dim = gens[0].nrows
     variant = "plus"
     if (sig.s - sig.r) % 4 == 3:
         vol = gens[0]
         for g in gens[1:]:
             vol = vol * g
-        variant = "plus" if vol == QMat.identity(dim).scale(-1) else "minus"
+        variant = "plus" if vol == -SignedPerm.identity(dim) else "minus"
     space = GradedSpace("R", dim)
-    return SpinorModule(sig, field_tag, gens, space, QMat.identity(dim), FAMILY_OCTONION, variant, right_units)
+    return SpinorModule(sig, field_tag, gens, space, SignedPerm.identity(dim), FAMILY_OCTONION, variant, right_units)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ permutation matrix (a monomial representation, Hile and Lounesto 1990): the
 base modules' entries are signed units of R, C or H, whose multiplications
 permute the units up to sign, and tensor placements and products keep that.
 They are built and stored as ``SignedPerm``s, which the audit, the commutant
-solve and the gamma-file writer take as they are.  This module imports only
+solve and the gamma-file writer take as they are.  The unit products are one
+signed table, ``_UNITS``, of the octonion units e_0..e_7, whose first 1, 2
+and 4 units are those of R, C and H; the octonion modules and
+``spinrep.algebras`` read it too.  This module imports only
 ``errors``, ``linalg`` and ``structure``; the other families live in
 ``spinrep.modules`` and the commutant solve in ``spinrep.kmatrix``.
 """
@@ -177,21 +180,46 @@ class SpinorModule:
 # Base modules in dimensions 1..4
 # ---------------------------------------------------------------------------
 
-# _UNITS[t][j] = (i, sign): e_t e_j = sign e_i for the units (1, i, j, k) of H;
-# the units 1, i span C, closed under these products
-_UNITS = (
+def _doubled(units: tuple) -> tuple:
+    """Signed unit table of the Cayley-Dickson double A (+) A of the algebra
+    with these units: (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)), where
+    conj fixes the real unit and negates the others."""
+    n = len(units)
+
+    def product(t: int, j: int) -> tuple[int, int]:
+        x, y = t % n, j % n
+        bar = 1 if y == 0 else -1  # conj e_y = bar e_y
+        if t < n and j < n:
+            return units[x][y]
+        if t < n:  # (x, 0)(0, y) = (0, yx)
+            i, s = units[y][x]
+            return n + i, s
+        if j < n:  # (0, x)(y, 0) = (0, x conj y)
+            i, s = units[x][y]
+            return n + i, bar * s
+        i, s = units[y][x]  # (0, x)(0, y) = (-conj(y) x, 0)
+        return i, -bar * s
+
+    return tuple(tuple(product(t, j) for j in range(2 * n)) for t in range(2 * n))
+
+
+# _UNITS[t][j] = (i, sign): e_t e_j = sign e_i for the units e_0..e_7 of the
+# octonions, doubled from the hand-written units (1, i, j, k) of H; the first
+# 1, 2 and 4 units span R, C and H, each closed under these products
+_UNITS = _doubled((
     ((0, 1), (1, 1), (2, 1), (3, 1)),
     ((1, 1), (0, -1), (3, 1), (2, -1)),
     ((2, 1), (3, -1), (0, -1), (1, 1)),
     ((3, 1), (2, 1), (1, -1), (0, -1)),
-)
+))
 
 
 def _unit_blocks(blocks: list[list[tuple[int, int] | None]], k: int) -> SignedPerm:
     """Realified matrix, in the K-blocked layout (dim_R K = k), of the
     right-K-linear map whose K-entries are the signed units ``(t, sign)``, or
     None for 0, one in every block row and column: one left-multiplication
-    block per entry."""
+    block per entry.  With k = 8 the blocks are left multiplications by
+    octonion units, which are not right-O-linear."""
     d = len(blocks) * k
     perm, signs = [0] * d, [0] * d
     for a, row in enumerate(blocks):

@@ -129,13 +129,14 @@ def plane() -> ParametricSurface:
 
 def surface_frame(surface: ParametricSurface, u: float, v: float) -> tuple[Vec3, Vec3, Vec3]:
     """Oriented orthonormal frame: e1 along X_u, e2 the Gram-Schmidt
-    complement of X_v, normal e1 x e2."""
+    complement of X_v, normal e1 x e2.  A length that is NaN or overflows to
+    inf fails the tests as a zero one does."""
     xu, xv = surface.partials(u, v)
-    if _norm(xu) < 1e-14:
+    if not 1e-14 <= _norm(xu) < math.inf:
         raise InputError(f"degenerate X_u at (u,v)=({u},{v})")
     e1 = _normalize(xu)
     xv_perp = _sub(xv, _scale(e1, _dot(xv, e1)))
-    if _norm(xv_perp) < 1e-14:
+    if not 1e-14 <= _norm(xv_perp) < math.inf:
         raise InputError(f"degenerate frame at (u,v)=({u},{v})")
     e2 = _normalize(xv_perp)
     nu = _cross(e1, e2)
@@ -224,7 +225,10 @@ def spin_parallel_transport(
     try:
         uv = curve(t0)
         nu0 = _cross(*surface.partials(*uv))
-        if _norm(nu0) < 1e-14:
+        n_len = _norm(nu0)
+        if not n_len < math.inf:  # NaN, or an overflow that would normalize to 0 or NaN
+            raise IntegrationError(f"start normal is not finite at (u,v)=({uv[0]},{uv[1]})", t0)
+        if n_len < 1e-14:
             raise InputError(f"chart is not an immersion at (u,v)=({uv[0]},{uv[1]})")
         nu0, x0 = _normalize(nu0), surface.point(*uv)
     except (ArithmeticError, ValueError) as exc:  # InputError at t0 stays an input error

@@ -134,3 +134,85 @@ def test_mul_matrix_is_multiplication():
         assert tuple(left) == alg.mul(x, y).coeffs
         right = alg.mul_matrix(x, "right").apply(list(y.coeffs))
         assert tuple(right) == alg.mul(y, x).coeffs
+
+
+# -- the signed unit table against the doubling product ------------------------
+#
+# The R and C formulas and the quaternion doubling product that ``mul`` and
+# ``conj`` evaluated before they read the one signed unit table, frozen here
+# as the reference.
+
+_H_REFERENCE = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, -1), (0, -1), (1, 1)),
+    ((3, 1), (2, 1), (1, -1), (0, -1)),
+)
+
+
+def _reference_h_mul(a, b):
+    out = [Fraction(0)] * 4
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        row = _H_REFERENCE[i]
+        for j, y in enumerate(b):
+            if not y:
+                continue
+            idx, sgn = row[j]
+            out[idx] += x * y if sgn > 0 else -x * y
+    return tuple(out)
+
+
+def _reference_h_conj(a):
+    return (a[0], -a[1], -a[2], -a[3])
+
+
+def reference_mul(a, b):
+    ca, cb = a.coeffs, b.coeffs
+    if a.algebra == "R":
+        return alg.kelem("R", (ca[0] * cb[0],))
+    if a.algebra == "C":
+        return alg.kelem("C", (ca[0] * cb[0] - ca[1] * cb[1], ca[0] * cb[1] + ca[1] * cb[0]))
+    if a.algebra == "H":
+        return alg.kelem("H", _reference_h_mul(ca, cb))
+    # (p, q)(r, s) = (pr - conj(s) q, sp + q conj(r))
+    p, q, r, s = ca[:4], ca[4:], cb[:4], cb[4:]
+    first = tuple(x - y for x, y in zip(_reference_h_mul(p, r), _reference_h_mul(_reference_h_conj(s), q)))
+    second = tuple(x + y for x, y in zip(_reference_h_mul(s, p), _reference_h_mul(q, _reference_h_conj(r))))
+    return alg.kelem("O", first + second)
+
+
+def reference_conj(a):
+    c = a.coeffs
+    if a.algebra == "R":
+        return a
+    if a.algebra == "O":
+        return alg.kelem("O", _reference_h_conj(c[:4]) + tuple(-x for x in c[4:]))
+    return alg.kelem(a.algebra, (c[0],) + tuple(-x for x in c[1:]))
+
+
+@pytest.mark.parametrize("algebra", ["R", "C", "H", "O"])
+def test_table_product_matches_the_doubling_product_on_units(algebra):
+    for x in alg.basis(algebra):
+        assert alg.conj(x) == reference_conj(x)
+        for y in alg.basis(algebra):
+            assert alg.mul(x, y) == reference_mul(x, y)
+
+
+@pytest.mark.parametrize("algebra", ["R", "C", "H", "O"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_product_matches_the_doubling_product(algebra, data):
+    x = data.draw(elements(algebra))
+    y = data.draw(elements(algebra))
+    assert alg.mul(x, y) == reference_mul(x, y)
+    assert alg.conj(x) == reference_conj(x)
+
+
+def test_octonion_unit_blocks_are_left_multiplications():
+    from spinrep.recipe import _unit_blocks
+
+    for t in range(8):
+        assert _unit_blocks([[(t, 1)]], 8).to_qmat() == alg.lmul_matrix(alg.unit("O", t))
+        assert _unit_blocks([[(t, -1)]], 8).to_qmat() == alg.lmul_matrix(alg.neg(alg.unit("O", t)))

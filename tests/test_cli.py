@@ -287,6 +287,17 @@ def test_transport_domain_error_exit_4(tmp_path, curve):
     assert "t=0.5" in result.output
 
 
+def test_transport_overflowing_start_normal_exit_4(tmp_path):
+    # X_u x X_v overflows to (inf, -1e200, 0) at the start: its unit vector
+    # would be NaN, and every frame, g and q cell with it
+    out = tmp_path / "overflow.csv"
+    result = run_cli(["transport", "--surface", "x=u; y=u*1e200; z=v*1e200", "--curve", "u=t; v=0",
+                      "--steps", "4", "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "t=0.0" in result.output and "start normal is not finite" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -441,7 +452,8 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
     base = {"spinrep", "spinrep.cli", "spinrep.errors"}
     exact = {"spinrep.structure", "spinrep.linalg"}
     recipe = base | exact | {"spinrep.recipe"}
-    builders = recipe | {"spinrep.modules", "spinrep.algebras", "spinrep.clifford", "spinrep.files"}
+    # the other families read the recipe's unit table and compile no spinrep.algebras
+    builders = recipe | {"spinrep.modules", "spinrep.clifford", "spinrep.files"}
     cases = [
         (["--help"], base),
         # the recipe family compiles neither the other families nor the commutant solve

@@ -9,8 +9,9 @@ from spinrep import algebras as alg
 from spinrep.clifford import Signature, euclidean
 from spinrep.errors import InputError
 from spinrep.kmatrix import GradedSpace, commutant, tensor_op_left, tensor_op_right
-from spinrep.linalg import QMat
-from spinrep.modules import _left_version, _realified, assemble_euclidean, c4_action
+from spinrep.linalg import QMat, SignedPerm
+from spinrep.modules import _left_version, assemble_euclidean, c4_action
+from spinrep.recipe import _unit_blocks
 from spinrep.structure import verify_clifford_condition
 
 
@@ -29,35 +30,46 @@ def test_realify_left_multiplication_by_i():
 
 
 def test_realify_identity_and_shapes():
-    one, z = alg.one("C"), alg.zero("C")
-    assert _realified([[one if i == j else z for j in range(3)] for i in range(3)]) == QMat.identity(6)
-    one, z = alg.one("H"), alg.zero("H")
-    assert _realified([[one, z], [z, one]]).nrows == 8
+    one = (0, 1)
+    assert _unit_blocks([[one if i == j else None for j in range(3)] for i in range(3)], 2) == SignedPerm.identity(6)
+    assert _unit_blocks([[one, None], [None, one]], 4).nrows == 8
 
 
-def _random_rows(rng, field, n):
-    dim = alg.ALGEBRA_DIM[field]
-    return [[alg.kelem(field, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)])
-             for _ in range(n)] for _ in range(n)]
+def _random_blocks(rng, k, n):
+    """A random n x n K-matrix of signed units, one in every row and column."""
+    cols = rng.sample(range(n), n)
+    return [[(rng.randrange(k), rng.choice((1, -1))) if j == cols[i] else None for j in range(n)]
+            for i in range(n)]
 
 
-def _product(a, b):
-    """Matrix product over K of two square K-matrices given by their rows."""
-    n, field = len(a), a[0][0].algebra
-    return [[alg.kelem(field, map(sum, zip(*(alg.mul(a[i][t], b[t][j]).coeffs for t in range(n)))))
-             for j in range(n)] for i in range(n)]
+def _product(a, b, field):
+    """Matrix product over K of two signed-unit K-matrices, by ``alg.mul``."""
+    def element(entry):
+        return alg.zero(field) if entry is None else alg.scale(alg.unit(field, entry[0]), entry[1])
+
+    rows = []
+    for row in a:
+        out = []
+        for j in range(len(b)):
+            coeffs = [sum(c) for c in zip(*(alg.mul(element(x), element(b[t][j])).coeffs
+                                            for t, x in enumerate(row)))]
+            unit = [u for u, c in enumerate(coeffs) if c]
+            out.append((unit[0], int(coeffs[unit[0]])) if unit else None)
+        rows.append(out)
+    return rows
 
 
 @pytest.mark.parametrize("field", ["C", "H"])
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_realify_is_homomorphism(field, side):
     """Realification of right-module maps, and their left versions J R J,
-    turn products over K into products of real matrices."""
-    rng = random.Random(hash((field, side)) & 0xFFFF)
+    turn products over K into products of real matrices (for the associative
+    K; the octonions are not)."""
+    rng = random.Random(f"{field}-{side}")
     k = alg.ALGEBRA_DIM[field]
     for _ in range(5):
-        a, b = _random_rows(rng, field, 2), _random_rows(rng, field, 2)
-        real = [_realified(m) for m in (a, b, _product(a, b))]
+        a, b = _random_blocks(rng, k, 3), _random_blocks(rng, k, 3)
+        real = [_unit_blocks(m, k) for m in (a, b, _product(a, b, field))]
         if side == "left":
             real = [_left_version(m, k) for m in real]
         assert real[2] == real[0] * real[1]

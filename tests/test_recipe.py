@@ -18,7 +18,8 @@ def _cached(namespace: dict) -> list:
 
 def test_recipe_builds_no_qmat():
     # assembly, the audit and the gamma-file payload of every recipe module
-    # with r + s <= 10 run on signed permutations alone
+    # with r + s <= 10, and of the octonion modules, run on signed
+    # permutations alone
     built = []
     real_init = QMat.__init__
 
@@ -26,17 +27,18 @@ def test_recipe_builds_no_qmat():
         built.append(args[:2])
         real_init(self, *args, **kwargs)
 
-    for f in _cached(vars(recipe)):
+    for f in _cached(vars(recipe)) + [modules.octonion_module]:
         f.cache_clear()
     with mock.patch.object(QMat, "__init__", counting_init):
-        for n in range(1, 11):
-            for r in range(n + 1):
-                for variant in ("plus", "minus") if (n - 2 * r) % 4 == 3 else ("plus",):
-                    module = recipe.assemble_signature(r, n - r, variant)
-                    assert all(isinstance(g, SignedPerm) for g in module.gens + module.units + (module.metric,))
-                    report = recipe.verify_module(module)
-                    assert report.ok, (r, n - r, variant)
-                    module_to_payload(module, report.volume_sign)
+        inputs = [(recipe.assemble_signature(r, n - r, variant), (r, n - r, variant))
+                  for n in range(1, 11) for r in range(n + 1)
+                  for variant in (("plus", "minus") if (n - 2 * r) % 4 == 3 else ("plus",))]
+        inputs += [(modules.octonion_module(k), ("octonion", k)) for k in range(4, 9)]
+        for module, name in inputs:
+            assert all(isinstance(g, SignedPerm) for g in module.gens + module.units + (module.metric,)), name
+            report = recipe.verify_module(module)
+            assert report.ok, name
+            module_to_payload(module, report.volume_sign)
     assert built == []
     # the QMat views are built on first access, once
     module = recipe.assemble_signature(2, 3)

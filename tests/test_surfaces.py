@@ -72,6 +72,21 @@ def test_frame_orthonormality_random_points():
                 assert abs(dot - target) < 1e-12
 
 
+@pytest.mark.parametrize("spec, u, v", [
+    # |X_u| overflows to inf: normalizing gave e1 = e2 = nu = (0, 0, 0)
+    ("x=u; y=u*1e200; z=exp(v*1e200)**2", 0.0, 0.0),
+    # |X_v - (X_v.e1) e1| overflows to inf
+    ("x=u; y=v*1e200; z=v*1e200", 0.0, 0.0),
+    # X_u is NaN: inf - inf
+    ("x=u*1e200*1e200 - u*1e200*1e200; y=v; z=0", 1.0, 0.0),
+])
+def test_frame_rejects_non_finite_partials(spec, u, v):
+    from spinrep.expressions import compile_surface
+
+    with pytest.raises(InputError, match="degenerate"):
+        surface_frame(compile_surface(spec), u, v)
+
+
 def test_frame_transport_great_circle():
     sph = unit_sphere()
     trace = spin_parallel_transport(sph, great_circle, ONE, steps=10000, velocity=loop_velocity)

@@ -2,8 +2,10 @@
 copy of the tuple-helper integrator it replaced: every trace list (by
 ``repr``, since NaN rows never compare equal) and every CSV byte must match,
 and so must every exception, with its message and failing ``t``.  The one
-intended difference: a ``frame0`` checked against a start normal that is not
-finite is now rejected, since its tests are written so that a NaN fails them.
+intended difference: a start chart whose X_u x X_v, X_u or X_v has a length
+that is NaN or overflows to inf is now rejected at t0, where the old
+integrator normalized it to NaN or zero vectors and went on, or checked a
+``frame0`` against it by tests that a NaN passes.
 
 The frozen copy below is the old integrator verbatim, with the vector and
 quaternion helpers it used; only its name is changed.  Do not edit it."""
@@ -316,11 +318,13 @@ def _start_frame(surface, curve, t0, turn):
             tuple(c * b - s * a for a, b in zip(e1, e2)))
 
 
-def _finite_start_normal(surface, curve, t0):
+def _start_overflows(surface, curve, t0):
+    """Whether X_u, X_v or X_u x X_v at t0 has a length that is not finite."""
     try:
-        return all(map(math.isfinite, _unit_normal(surface, *curve(t0))))
-    except InputError:  # no normal at all: both integrators reject the chart alike
-        return True
+        xu, xv = surface.partials(*curve(t0))
+    except Exception:  # both integrators meet the same failure
+        return False
+    return not all(_norm(a) < math.inf for a in (xu, xv, _cross(xu, xv)))
 
 
 def _assert_same(surface_spec, curve_spec, q0, steps, initial_sign=1, t0=0.0, t1=1.0, turn=None):
@@ -333,11 +337,12 @@ def _assert_same(surface_spec, curve_spec, q0, steps, initial_sign=1, t0=0.0, t1
     args = (surface, curve, q0, initial_sign, steps, t0, t1, frame0)
     want = _outcome(frozen_spin_parallel_transport, *args, velocity=velocity)
     got = _outcome(spin_parallel_transport, *args, velocity=velocity)
-    if got != want and frame0 is not None and not _finite_start_normal(surface, curve, t0):
-        # The one intended difference: the old frame0 tests let a NaN pass
-        # them, so against a start normal that is not finite they accepted
-        # any frame0, or rejected it by a later test.
-        assert got[:2] == ("raised", "InputError") and got[2].startswith("initial "), got[:1]
+    if got != want and _start_overflows(surface, curve, t0):
+        # The one intended difference: a start normal whose length is not
+        # finite is an IntegrationError at t0, and a start frame whose X_u or
+        # X_v complement has such a length is degenerate.
+        assert (got[:2] == ("raised", "IntegrationError") and got[3] == repr(t0)
+                or got[:2] == ("raised", "InputError") and got[2].startswith("degenerate ")), got[:3]
         return
     if "raised" in (got[0], want[0]):
         assert got[:2] == want[:2] and got[2:] == want[2:], (got[:1], want[:1])
@@ -417,6 +422,8 @@ _TIME = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.25]), st.floats(-2.0, 2.0))
          q0=(0.0, 0.0, 0.0, 1.0), steps=2, initial_sign=1, times=(0.0, 1.0), turn=0)
 @example(surface="x=u; y=(u)*(1e200); z=(exp((v)*(1e200)))**2", curve="great-circle",
          q0=(0.0, 0.0, 0.0, 1.0), steps=2, initial_sign=1, times=(0.0, 1.0), turn=0)
+@example(surface="x=u; y=(u)*(1e200); z=(v)*(1e200)", curve="u=t; v=0", q0=(1.0, 0.0, 0.0, 0.0), steps=4,
+         initial_sign=1, times=(0.0, 1.0), turn=None)
 @example(surface="plane", curve="escaping", q0=(1.0, 0.0, 0.0, 0.0), steps=10, initial_sign=1,
          times=(0.0, 1.0), turn=None)
 @example(surface="plane", curve="u=-(t)*(0.3); v=t", q0=(-0.0, 1.0, 0.0, -0.0), steps=7, initial_sign=-1,
