@@ -35,6 +35,14 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _write(out_path: str, text: str) -> None:
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail(EXIT_IO, f"cannot write {out_path}: {exc}")
+
+
 def _parse_sig(text: str) -> Signature:
     from .structure import Signature
 
@@ -84,12 +92,7 @@ def generate(sig_text: str, family: str, variant: str, out_path: str) -> None:
             print(f"FAIL {name}: {detail}", file=sys.stderr)
         sys.exit(EXIT_VERIFY_FAILED)
     payload = module_to_payload(module, report.volume_sign)
-    text = dump_gamma_json(payload)
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write {out_path}: {exc}")
+    _write(out_path, dump_gamma_json(payload))
     print(
         f"wrote {out_path}: {module.signature} family={module.family} "
         f"variant={module.variant} K={module.field} real_dim={module.real_dim}"
@@ -201,12 +204,7 @@ def transport(surface_spec, curve_spec, q0_text, steps, sign, t0, t1, out_path) 
         _fail(EXIT_INPUT, str(exc))
     except SpinrepError as exc:
         _fail(EXIT_NUMERIC, str(exc))
-    text = trace_to_csv(trace)
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write {out_path}: {exc}")
+    _write(out_path, trace_to_csv(trace))
     breaches = sum(1 for flag in trace.ok if not flag)
     suffix = f" ({breaches} rows breach tolerance)" if breaches else ""
     print(f"wrote {out_path}: {len(trace)} samples{suffix}")

@@ -75,13 +75,6 @@ def blade_product(sig: Signature, a: int, b: int) -> tuple[Fraction, int]:
     return (-ONE if odd else ONE), a ^ b
 
 
-def wedge_sign(a: int, b: int) -> int | None:
-    """Sign of ``e_a ^ e_b`` or None when the blades share a factor."""
-    if a & b:
-        return None
-    return reorder_sign(a, b)
-
-
 def _grade(mask: int) -> int:
     return mask.bit_count()
 
@@ -218,23 +211,6 @@ class Multivector:
                     acc[mask] = acc.get(mask, 0) + va * vb
         den = den_a * den_b
         return Multivector(sig, {m: Fraction(v, den) for m, v in acc.items() if v})
-
-    def wedge(self, other: "Multivector") -> "Multivector":
-        """Exterior product on the shared blade basis."""
-        self._same_sig(other)
-        out: dict[int, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                sgn = wedge_sign(ma, mb)
-                if sgn is None:
-                    continue
-                mask = ma | mb
-                s = out.get(mask, ZERO) + sgn * ca * cb
-                if s:
-                    out[mask] = s
-                elif mask in out:
-                    del out[mask]
-        return Multivector(self.signature, out)
 
     # -- involutions ------------------------------------------------------------
     def grade_involution(self) -> "Multivector":

@@ -110,8 +110,7 @@ def module_to_payload(module: SpinorModule, volume_sign: int | None = None) -> d
     """The v1 payload of a module, written from its matrices as built
     (``SignedPerm``s for a recipe module).  ``volume_sign`` is the sign
     ``audit`` computed (``ModuleReport.volume_sign``); without it the volume
-    element is multiplied out here."""
-    from .linalg import QMat
+    element is multiplied out here from the module's own matrices."""
     from .structure import CONVENTION
 
     payload = {
@@ -133,7 +132,10 @@ def module_to_payload(module: SpinorModule, volume_sign: int | None = None) -> d
     sig = module.signature
     if (sig.s - sig.r) % 4 == 3:
         if volume_sign is None:
-            volume_sign = 1 if module.volume_operator() == QMat.identity(module.real_dim) else -1
+            vol = module.gens[0]
+            for g in module.gens[1:]:
+                vol = vol * g
+            volume_sign = 1 if vol == type(vol).identity(module.real_dim) else -1
         payload["volume_sign"] = volume_sign
     return payload
 

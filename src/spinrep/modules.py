@@ -2,13 +2,16 @@
 
 The square-roots-of-space modules are the volume-element half of the
 exterior algebra of R^n under wedge-minus-contraction (dimensions 1..4; the
-whole algebra for n = 1, 2), with an exact rational spin metric and right
-action.  The octonion modules act in dimensions 4..8 by signed permutations
-read off the recipe's signed unit table of R, C, H and O.  Also here: the
-quaternionic action ``c4_action`` (a combination of the recipe's Cl(0,4)
-generators), ``split_clifford_action``, the grading by the volume element,
-the metric audit and spinor squaring.  The recipe modules are
-``spinrep.recipe``'s, re-exported here.
+whole algebra for n = 1, 2).  Their right units, exact rational spin metric
+and field K are the recipe module's, carried over through one explicit
+intertwiner.  The octonion modules act in dimensions 4..8 by signed
+permutations read off the recipe's signed unit table of R, C, H and O.  Also
+here: the quaternionic action ``c4_action`` (a combination of the recipe's
+Cl(0,4) generators), ``split_clifford_action``, the grading by the volume
+element, the metric audit and spinor squaring.  The recipe modules are
+``spinrep.recipe``'s, re-exported here.  Loading this module compiles
+neither ``spinrep.algebras`` nor ``spinrep.clifford``; ``spinor_square``
+imports ``clifford`` when it is called.
 """
 
 from __future__ import annotations
@@ -17,17 +20,18 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .clifford import Multivector, blade_product, euclidean
 from .errors import InputError, StructureError
 from .linalg import QMat, Rref, SignedPerm, intertwiner_space, sparse_solve
 # the recipe's names; perfbench/inproc.py clears the builders' lru_caches it finds here
 from .recipe import (_UNITS, GradedSpace, SpinorModule, _base, _definite, _exterior_action,  # noqa: F401
                      _left_version, _right_units, _submatrix, _unit_blocks, assemble_euclidean, assemble_positive,
-                     assemble_signature, even_summand, intertwiners, split_signature_module, verify_module)
+                     assemble_signature, even_summand, intertwiners, split_signature_module, verify_module,
+                     volume_diagonal)
 from .structure import FAMILY_OCTONION, FAMILY_SQRT, FIELD_DIM, Signature, _metric_failures
 
 if TYPE_CHECKING:
     from .algebras import KElement
+    from .clifford import Multivector
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,6 +73,16 @@ def split_clifford_action(i: int, xs, omegas) -> QMat:
 # Square roots of space (Euclidean, dimensions 1..4)
 # ---------------------------------------------------------------------------
 
+def _volume_partner(acts: list[SignedPerm], x: int) -> tuple[int, int]:
+    """Sign and blade of e_x vol, applying the left multiplications ``acts``
+    by e_1..e_n to the volume blade, last factor of e_x first."""
+    sign, mask = 1, len(acts[0].perm) - 1
+    for j in reversed(range(len(acts))):
+        if x >> j & 1:
+            sign, mask = sign * acts[j].signs[mask], acts[j].perm[mask]
+    return sign, mask
+
+
 def _sqrt_gens(n: int) -> list[QMat]:
     """Wedge-minus-contraction on the exterior algebra of R^n, which is left
     multiplication in Cl(0,n).  Where the volume element squares to +1
@@ -80,9 +94,10 @@ def _sqrt_gens(n: int) -> list[QMat]:
     below the middle degree and x + eps x vol for a middle-degree x that
     contains e_1, ordered by (grade, mask).  x vol is never a key blade, so
     coordinates are read off at the key blades."""
-    gens = [_exterior_action(n, j, -1).to_qmat() for j in range(n)]
-    sig, vol = euclidean(n), (1 << n) - 1
-    if blade_product(sig, vol, vol)[0] < 0:
+    acts = [_exterior_action(n, j, -1) for j in range(n)]
+    gens = [a.to_qmat() for a in acts]
+    vol = (1 << n) - 1
+    if _volume_partner(acts, vol)[0] < 0:
         return gens
     eps = -1 if n % 2 else 1
     key = sorted(
@@ -92,7 +107,7 @@ def _sqrt_gens(n: int) -> list[QMat]:
     span, read = {}, {}
     for k, x in enumerate(key):
         weight = ONE if 2 * x.bit_count() == n else Fraction(1, 2)
-        sign, partner = blade_product(sig, x, vol)
+        sign, partner = _volume_partner(acts, x)
         span[(x, k)], span[(partner, k)] = weight, eps * sign * weight
         read[(k, x)] = 1 / weight
     span = QMat.from_entries(vol + 1, len(key), span)
@@ -105,42 +120,6 @@ def _sqrt_gens(n: int) -> list[QMat]:
             raise StructureError("sqrt-space image left the volume-element eigenspace")
         halves.append(half)
     return halves
-
-
-def _solve_invariant_metric(gens, sig: Signature, right_units) -> QMat:
-    """Unique-up-to-scale symmetric form making generators skew (e^2 = -1) or
-    self-adjoint (e^2 = +1) and right units skew; normalized to 1 at (0,0).
-
-    Each condition G^T X = -form * X G is an intertwining relation
-    X G = (-form * G^T) X."""
-    d = gens[0].nrows
-    pairs = [(g, g.transpose().scale(-sig.form(idx))) for idx, g in enumerate(gens)]
-    pairs += [(u, u.transpose().scale(-1)) for u in right_units]
-    basis = intertwiner_space(pairs, d, d)
-    if len(basis) != 1:
-        raise StructureError(f"invariant metric space has dimension {len(basis)}")
-    scale = basis[0].get(0, 0)
-    if not scale:
-        raise StructureError("invariant metric is degenerate at the first basis vector")
-    metric = basis[0].scale(1 / scale)
-    if metric.transpose() != metric:
-        raise StructureError("invariant metric is not symmetric")
-    for i in range(d):
-        if metric.get(i, i) <= 0:
-            raise StructureError("invariant metric is not positive on the basis")
-    return metric
-
-
-def _transported_right_units(target: SpinorModule, source: SpinorModule) -> tuple[QMat, ...]:
-    """Push the right K-action of ``source`` through an explicit intertwiner
-    onto ``target`` (both modules over the same signature and K)."""
-    pairs = list(zip(source.generators, target.generators))
-    basis = intertwiner_space(pairs, source.real_dim, target.real_dim)
-    if not basis:
-        raise StructureError("modules are not isomorphic: no intertwiner")
-    x = basis[0]
-    xi = _invert(x)
-    return tuple(x * u * xi for u in source.right_units)
 
 
 def _invert(m: QMat) -> QMat:
@@ -161,28 +140,33 @@ def sqrt_space_module(n: int) -> SpinorModule:
     """Euclidean modules on the exterior algebra of R^n, halved by right
     multiplication with the volume element (the Hodge star up to sign) where
     it squares to +1, see ``_sqrt_gens``; available in dimensions 1..4 only
-    (beyond 4 the construction exceeds the irreducible dimension)."""
+    (beyond 4 the construction exceeds the irreducible dimension).
+
+    One explicit intertwiner x from the recipe module ``assemble_euclidean``
+    (variants matched first in dimension 3), the only exact solve here,
+    carries over what the generators do not fix: the right units as
+    x u x^-1, the spin metric as x^-T x^-1 (the recipe's identity metric
+    moved through x: invariant by construction and, up to scale, the only
+    symmetric invariant form; scaled to 1 at (0,0)) and the field K.
+    Nothing on this path loads ``spinrep.clifford``."""
     if not 1 <= n <= 4:
         raise InputError("sqrt-space modules exist for dimensions 1..4 only")
     gens = _sqrt_gens(n)
     dim = gens[0].nrows
-    field_tag = {1: "C", 2: "H", 3: "H", 4: "H"}[n]
-    space = GradedSpace("R", dim)
-    sig = euclidean(n)
-    # the right K-action is transported from the quaternionic model through
-    # an explicit intertwiner (variants matched first in dimension 3)
     variant = "plus"
     if n == 3:
         vol = gens[0] * gens[1] * gens[2]
         variant = "plus" if vol == QMat.identity(dim).scale(-1) else "minus"
     reference = assemble_euclidean(n, variant)
-    stub = SpinorModule(sig, field_tag, gens, space, QMat.identity(dim), FAMILY_SQRT, variant, ())
-    units = _transported_right_units(stub, reference)
-    if n <= 3:
-        metric = QMat.identity(dim)
-    else:
-        metric = _solve_invariant_metric(gens, sig, units)
-    return SpinorModule(sig, field_tag, gens, space, metric, FAMILY_SQRT, variant, units)
+    basis = intertwiner_space(list(zip(reference.generators, gens)), dim, dim)
+    if not basis:
+        raise StructureError("modules are not isomorphic: no intertwiner")
+    x = basis[0]
+    xi = _invert(x)
+    metric = xi.transpose() * xi
+    units = tuple(x * u * xi for u in reference.right_units)
+    return SpinorModule(reference.signature, reference.field, gens, GradedSpace("R", dim),
+                        metric.scale(1 / metric.get(0, 0)), FAMILY_SQRT, variant, units)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +189,7 @@ def octonion_module(k: int) -> SpinorModule:
     unit table."""
     if not 4 <= k <= 8:
         raise InputError("octonion modules exist for dimensions 4..8 only")
-    sig = euclidean(k)
+    sig = Signature(0, k)
     if k <= 7:
         # e_j -> e_j e_u
         gens = [SignedPerm([_UNITS[j][u][0] for j in range(8)], [_UNITS[j][u][1] for j in range(8)])
@@ -234,30 +218,12 @@ def octonion_module(k: int) -> SpinorModule:
 
 
 def grading_from_volume(module: SpinorModule) -> GradedSpace:
-    """Grading by the eigenspaces of the volume operator.
-
-    Requires the volume element to square to +1; the projector ranks are read
-    off exactly from the trace (the operator is an involution).  The returned
-    grading is basis-aligned, which requires the volume operator to be
-    diagonal in the module basis; all recipe modules satisfy this.
-    """
-    vol = module.volume_operator()
-    d = module.real_dim
-    if vol * vol != QMat.identity(d):
+    """Grading by the eigenspaces of the volume operator, which must square
+    to +1 and be diagonal in the module basis, as on every recipe module."""
+    diag = volume_diagonal(module)
+    if diag is None:
         raise InputError("volume element does not square to +1 on this module")
-    tr = vol.trace()
-    plus_rank = (d + tr) / 2
-    if plus_rank.denominator != 1:
-        raise StructureError("volume trace is not integral")
-    diag = []
-    for i in range(d):
-        row = vol.rows[i]
-        if set(row) != {i} or row[i] not in (1, -1):
-            raise StructureError(
-                f"volume operator is not diagonal; projector ranks are {plus_rank} and {d - plus_rank}"
-            )
-        diag.append(1 if row[i] == 1 else -1)
-    return GradedSpace("R", d, tuple(diag))
+    return GradedSpace("R", module.real_dim, tuple(diag))
 
 
 class MetricReport:
@@ -287,6 +253,8 @@ def spinor_square(module: SpinorModule, s1: list, s2: list) -> Multivector:
     solve runs over even blades only (the full algebra acts through its even
     part there).  The solve is exact; a singular system raises.
     """
+    from .clifford import Multivector
+
     d = module.real_dim
     s1 = [Fraction(c) for c in s1]
     s2 = [Fraction(c) for c in s2]

@@ -534,23 +534,29 @@ def _operators(module: SpinorModule) -> list:
     return _monomial(module.gens, module.real_dim) or list(module.gens)
 
 
-def even_summand(module: SpinorModule) -> list[int] | None:
-    """Basis indices of the +1 volume eigenspace when the volume element is
-    even and squares to +1 (the module then splits as an even-subalgebra
-    module), else None.  The volume operator must be diagonal there."""
+def volume_diagonal(module: SpinorModule) -> list[int] | None:
+    """The +-1 diagonal of the volume operator e_1 ... e_n, multiplied out of
+    the module's own matrices, or None when it does not square to 1.  A
+    square root of 1 that is not diagonal in the module basis raises."""
     gens = _operators(module)
-    if len(gens) % 2:
-        return None
-    d = gens[0].nrows
     vol = gens[0]
     for g in gens[1:]:
         vol = vol * g
+    d = vol.nrows
     if vol * vol != type(vol).identity(d):
         return None
     diag = SignedPerm.of(vol)  # a diagonal square root of 1 has entries +-1
     if diag is None or diag.perm != list(range(d)):
-        raise StructureError("even commutant on a split module needs a diagonal volume operator")
-    return [i for i in range(d) if diag.signs[i] == 1]
+        raise StructureError("volume operator is not diagonal in the module basis")
+    return diag.signs
+
+
+def even_summand(module: SpinorModule) -> list[int] | None:
+    """Basis indices of the +1 volume eigenspace when the volume element is
+    even and squares to +1 (the module then splits as an even-subalgebra
+    module), else None.  The volume operator must be diagonal there."""
+    diag = None if module.signature.n % 2 else volume_diagonal(module)
+    return None if diag is None else [i for i, s in enumerate(diag) if s == 1]
 
 
 def intertwiners(module: SpinorModule, even_only: bool = False) -> Commutant:

@@ -173,14 +173,6 @@ class TransportTrace:
     def __len__(self):
         return len(self.times)
 
-    @property
-    def rotations(self) -> list[list[list[float]]]:
-        """R(t) with columns (e1, e2, normal), one per sample."""
-        return [
-            [[e1[i], e2[i], n[i]] for i in range(3)]
-            for e1, e2, n in zip(self.e1, self.e2, self.normals)
-        ]
-
 
 FRAME_TOL = 1e-9
 # what evaluating a chart, a curve or their derivatives raises at a bad point

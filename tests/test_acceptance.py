@@ -158,12 +158,13 @@ def test_criterion_6_sphere_example():
 
     trace = spin_parallel_transport(sph, curve, (0.0, 1.0, 0.0, 0.0), steps=10000, velocity=velocity)
     worst_r = worst_g = worst_q = 0.0
-    for t, rot, g, q in zip(trace.times, trace.rotations, trace.lifts, trace.spinors):
+    for t, e1, e2, nu, g, q in zip(trace.times, trace.e1, trace.e2, trace.normals, trace.lifts, trace.spinors):
         c, s = math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)
         expect_r = [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]
+        cols = (e1, e2, nu)  # R(t) has the columns (e1, e2, normal)
         worst_r = max(
             worst_r,
-            max(abs(rot[i][j] - expect_r[i][j]) for i in range(3) for j in range(3)),
+            max(abs(cols[j][i] - expect_r[i][j]) for i in range(3) for j in range(3)),
         )
         expect_g = (math.cos(math.pi * t), 0.0, math.sin(math.pi * t), 0.0)
         worst_g = max(worst_g, max(abs(a - b) for a, b in zip(g, expect_g)))

@@ -452,8 +452,8 @@ def test_commands_load_only_the_layers_they_use(tmp_path):
     base = {"spinrep", "spinrep.cli", "spinrep.errors"}
     exact = {"spinrep.structure", "spinrep.linalg"}
     recipe = base | exact | {"spinrep.recipe"}
-    # the other families read the recipe's unit table and compile no spinrep.algebras
-    builders = recipe | {"spinrep.modules", "spinrep.clifford", "spinrep.files"}
+    # the other families read the recipe's unit table and compile neither spinrep.algebras nor spinrep.clifford
+    builders = recipe | {"spinrep.modules", "spinrep.files"}
     cases = [
         (["--help"], base),
         # the recipe family compiles neither the other families nor the commutant solve

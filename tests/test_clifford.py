@@ -238,8 +238,9 @@ def test_hodge_star_properties():
         for mask in range(1 << n):
             blade = mv(sig, {mask: 1})
             star = hodge_star(n, blade)
-            # omega ^ star(omega) = |omega|^2 vol for basis blades
-            assert blade.wedge(star) == vol
+            # omega ^ star(omega) = |omega|^2 vol for basis blades; the blades
+            # share no factor, so their wedge is their geometric product
+            assert blade * star == vol
             # star star = (-1)^(k(n-k))
             k = bin(mask).count("1")
             sign = (-1) ** (k * (n - k))

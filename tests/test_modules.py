@@ -7,19 +7,21 @@ from fractions import Fraction
 import pytest
 
 from spinrep import algebras as alg
-from spinrep.clifford import Multivector, Signature, euclidean
+from spinrep.clifford import Multivector, Signature, blade_product, euclidean
 from spinrep.errors import InputError, StructureError
 from spinrep.files import module_to_payload, payload_to_gamma
 from spinrep.kmatrix import joint_intertwiners
-from spinrep.linalg import QMat, intertwiner_space
+from spinrep.linalg import QMat, inertia, intertwiner_space
 from spinrep import modules
 from spinrep.modules import (
+    GradedSpace,
     SpinorModule,
     _invert,
     assemble_euclidean,
     assemble_positive,
     assemble_signature,
     c4_action,
+    even_summand,
     grading_from_volume,
     intertwiners,
     octonion_module,
@@ -204,6 +206,24 @@ def test_grading_from_volume_s4():
     assert vol == QMat.diag(g.grading)
 
 
+def test_non_diagonal_volume_is_refused():
+    """Cl(0,4) with vol^2 = 1, conjugated by a shear that mixes the two
+    volume eigenspaces: neither reader of the volume diagonal accepts it."""
+    m = assemble_euclidean(4)
+    d = m.real_dim
+    vol = m.volume_operator()
+    # a basis vector in the other volume eigenspace than the first one
+    other = next(i for i in range(d) if vol.get(i, i) == -vol.get(0, 0))
+    shear = QMat.identity(d) + QMat.from_entries(d, d, {(0, other): Fraction(1)})
+    gens = [shear * g * _invert(shear) for g in m.generators]
+    sheared = SpinorModule(m.signature, m.field, gens, GradedSpace("R", d), QMat.identity(d), m.family,
+                           m.variant, ())
+    assert sheared.volume_operator() * sheared.volume_operator() == QMat.identity(d)
+    for reader in (grading_from_volume, even_summand):
+        with pytest.raises(StructureError, match="not diagonal"):
+            reader(sheared)
+
+
 # -- split signature ------------------------------------------------------------
 
 
@@ -271,11 +291,44 @@ def test_sqrt_space_range():
 def test_sqrt_space_refuses_a_span_that_is_not_invariant(monkeypatch, n):
     """Pairing each key blade with the wrong partner spans no submodule; the
     images are then not reproduced by their key-blade coordinates."""
-    real = modules.blade_product
-    monkeypatch.setattr(modules, "blade_product",
-                        lambda sig, a, b: (real(sig, a, b)[0], a ^ b ^ (1 << n - 1)))
+    real = modules._volume_partner
+
+    def wrong_partner(acts, x):
+        sign, partner = real(acts, x)
+        return sign, partner ^ (1 << n - 1)
+
+    monkeypatch.setattr(modules, "_volume_partner", wrong_partner)
     with pytest.raises(StructureError, match="eigenspace"):
         modules._sqrt_gens(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sqrt_space_volume_partner_is_the_blade_product(n):
+    acts = [modules._exterior_action(n, j, -1) for j in range(n)]
+    vol = (1 << n) - 1
+    for x in range(vol + 1):
+        sign, partner = blade_product(euclidean(n), x, vol)
+        assert modules._volume_partner(acts, x) == (sign, partner)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sqrt_space_metric_spans_the_symmetric_invariant_forms(n):
+    """The forms that make every generator and right unit skew-adjoint: the
+    symmetric ones are the line of the module's positive definite metric.
+    For n >= 2 that line is the whole space; over K = C (n = 1) the space
+    also holds the skew form of the unit i, which commutes with everything."""
+    m = sqrt_space_module(n)
+    d = m.real_dim
+    pairs = [(g, g.transpose().scale(-m.signature.form(i))) for i, g in enumerate(m.generators)]
+    pairs += [(u, u.transpose().scale(-1)) for u in m.right_units]
+    basis = intertwiner_space(pairs, d, d)
+    assert len(basis) == (2 if n == 1 else 1)
+    symmetric = [b for b in basis if b.transpose() == b]
+    assert len(symmetric) == 1
+    assert all(b.transpose() == -b for b in basis if b is not symmetric[0])
+    assert symmetric[0] == m.spin_metric.scale(symmetric[0].get(0, 0))
+    assert m.spin_metric.get(0, 0) == 1
+    assert inertia([[m.spin_metric.get(i, j) for j in range(d)] for i in range(d)]) == (d, 0, 0)
 
 
 def test_invert_reduces_once_and_rejects_singular():

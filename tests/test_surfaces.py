@@ -93,11 +93,12 @@ def test_frame_transport_great_circle():
     worst_r = 0.0
     worst_e2 = 0.0
     worst_norm = 0.0
-    for t, rot, e2, e1 in zip(trace.times, trace.rotations, trace.e2, trace.e1):
+    for t, e1, e2, nu in zip(trace.times, trace.e1, trace.e2, trace.normals):
         expect = _closed_rotation(t)
+        cols = (e1, e2, nu)  # R(t) has the columns (e1, e2, normal)
         worst_r = max(
             worst_r,
-            max(abs(rot[i][j] - expect[i][j]) for i in range(3) for j in range(3)),
+            max(abs(cols[j][i] - expect[i][j]) for i in range(3) for j in range(3)),
         )
         worst_e2 = max(worst_e2, max(abs(a - b) for a, b in zip(e2, (0.0, 1.0, 0.0))))
         worst_norm = max(worst_norm, abs(sum(a * a for a in e1) - 1.0))
