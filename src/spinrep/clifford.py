@@ -12,17 +12,17 @@ because conventions differ between sources.
 
 Blades are bitmasks: bit ``i`` set means generator ``e_{i+1}`` is a factor,
 factors in ascending index order.  A multivector is a sparse map from blade
-masks to rational coefficients.  The geometric product stays exact without
-building a rational per blade pair: each operand is brought to integer
-numerators over one common denominator, the blade-pair products accumulate as
-integers, and one rational is formed per nonzero output term.  Blade-pair
-signs come from integer bit arithmetic (``_sign_mask``).
+masks to integer numerators over one positive denominator, in lowest terms.
+Sums, products, involutions and inverses work on the numerators and build no
+rational (the product reduces by one gcd); ``terms`` reads out ``Fraction``s.
+Blade-pair signs come from integer bit arithmetic (``_sign_mask``), computed
+once per blade mask and signature.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError, StructureError
 from .linalg import sparse_solve
@@ -75,22 +75,18 @@ def blade_product(sig: Signature, a: int, b: int) -> tuple[Fraction, int]:
     return (-ONE if odd else ONE), a ^ b
 
 
-def _grade(mask: int) -> int:
-    return mask.bit_count()
-
-
-def _integer_terms(terms: dict[int, Fraction]) -> tuple[int, list[tuple[int, int]]]:
-    """``(den, [(mask, numerator)])`` with ``terms[mask] == numerator / den``
-    and ``den`` the lcm of the coefficients' denominators."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
+# neg_mask -> {blade mask a: _sign_mask(a, neg_mask)}, filled as products meet
+# new masks (the sign mask depends on the signature through neg_mask only)
+_SIGN_MASKS: dict[int, dict[int, int]] = {}
 
 
 class Multivector:
-    """Element of Cl(r,s): sparse blade-to-coefficient map with its signature;
-    equal when both agree."""
+    """Element of Cl(r,s): numerators ``nums`` (blade mask -> nonzero ``int``)
+    over ``den > 0`` in lowest terms, so equal multivectors hold equal data.
+    The constructor takes ``int`` or ``Fraction`` coefficients; ``make``
+    converts anything ``Fraction`` takes."""
 
-    __slots__ = ("signature", "terms")
+    __slots__ = ("signature", "den", "nums")
 
     def __init__(self, signature: Signature, terms: dict[int, Fraction] | None = None):
         terms = {} if terms is None else terms
@@ -98,15 +94,36 @@ class Multivector:
         for mask, c in terms.items():
             if not 0 <= mask < limit:
                 raise InputError(f"blade mask {mask} invalid for {signature}")
+            if type(c) is not int and not isinstance(c, Fraction):
+                raise InputError(f"coefficient {c!r} is not an int or a Fraction")
             if c == 0:
                 raise InputError("stored zero coefficient")
+        # lowest terms already: no prime of the lcm divides every numerator
+        den = lcm(*(c.denominator for c in terms.values()))
         self.signature = signature
-        self.terms = terms
+        self.den = den
+        self.nums = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+    @staticmethod
+    def _of(sig: Signature, den: int, nums: dict[int, int]) -> "Multivector":
+        """``nums / den`` for ``den > 0`` and nonzero numerators, brought to lowest terms."""
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {m: v // g for m, v in nums.items()}
+        x = Multivector.__new__(Multivector)
+        x.signature, x.den, x.nums = sig, den, nums
+        return x
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        den = self.den
+        return {m: Fraction(v, den) for m, v in self.nums.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.signature == other.signature and self.terms == other.terms
+        return self.signature == other.signature and self.den == other.den and self.nums == other.nums
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -138,21 +155,21 @@ class Multivector:
 
     # -- inspection ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_scalar(self) -> bool:
-        return all(m == 0 for m in self.terms)
+        return all(m == 0 for m in self.nums)
 
     def scalar_part(self) -> Fraction:
-        return self.terms.get(0, ZERO)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def vector_coords(self) -> list[Fraction]:
-        if any(_grade(m) != 1 for m in self.terms):
+        if any(m.bit_count() != 1 for m in self.nums):
             raise StructureError("multivector is not homogeneous of grade 1")
-        return [self.terms.get(1 << i, ZERO) for i in range(self.signature.n)]
+        return [Fraction(self.nums.get(1 << i, 0), self.den) for i in range(self.signature.n)]
 
     def is_even(self) -> bool:
-        return all(_grade(m) % 2 == 0 for m in self.terms)
+        return all(m.bit_count() % 2 == 0 for m in self.nums)
 
     # -- linear structure ----------------------------------------------------
     def _same_sig(self, other: "Multivector") -> None:
@@ -161,26 +178,29 @@ class Multivector:
 
     def __add__(self, other: "Multivector") -> "Multivector":
         self._same_sig(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {m: v * fa for m, v in self.nums.items()}
+        for m, v in other.nums.items():
+            s = out.get(m, 0) + v * fb
             if s:
                 out[m] = s
             elif m in out:
                 del out[m]
-        return Multivector(self.signature, out)
+        return Multivector._of(self.signature, den, out)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.signature, {m: -c for m, c in self.terms.items()})
+        return Multivector._of(self.signature, self.den, {m: -v for m, v in self.nums.items()})
 
     def scale(self, c) -> "Multivector":
         c = Fraction(c)
         if not c:
             return Multivector(self.signature, {})
-        return Multivector(self.signature, {m: c * v for m, v in self.terms.items()})
+        return Multivector._of(self.signature, self.den * c.denominator,
+                               {m: v * c.numerator for m, v in self.nums.items()})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -189,71 +209,70 @@ class Multivector:
     def __mul__(self, other):
         """Geometric product (bilinear extension of ``blade_product``).
 
-        Exact: both operands are scaled to integer numerators over their
-        common denominators, the blade-pair products accumulate as integers,
-        and one rational is formed per nonzero output term.
+        Exact: the numerators' blade-pair products accumulate as integers
+        over the product of the denominators, reduced by one gcd at the end.
         """
         if not isinstance(other, Multivector):
             return self.scale(other)
         self._same_sig(other)
-        sig = self.signature
-        neg = sig.neg_mask
-        den_a, ints_a = _integer_terms(self.terms)
-        den_b, ints_b = _integer_terms(other.terms)
+        neg = self.signature.neg_mask
+        signs = _SIGN_MASKS.setdefault(neg, {})
+        items_b = other.nums.items()
         acc: dict[int, int] = {}
-        for ma, va in ints_a:
-            sa = _sign_mask(ma, neg)
-            for mb, vb in ints_b:
+        for ma, va in self.nums.items():
+            sa = signs.get(ma)
+            if sa is None:
+                sa = signs[ma] = _sign_mask(ma, neg)
+            for mb, vb in items_b:
                 mask = ma ^ mb
                 if (sa & mb).bit_count() & 1:
                     acc[mask] = acc.get(mask, 0) - va * vb
                 else:
                     acc[mask] = acc.get(mask, 0) + va * vb
-        den = den_a * den_b
-        return Multivector(sig, {m: Fraction(v, den) for m, v in acc.items() if v})
+        return Multivector._of(self.signature, self.den * other.den, {m: v for m, v in acc.items() if v})
 
     # -- involutions ------------------------------------------------------------
     def grade_involution(self) -> "Multivector":
-        return Multivector(
-            self.signature,
-            {m: (-c if _grade(m) & 1 else c) for m, c in self.terms.items()},
-        )
+        return Multivector._of(self.signature, self.den,
+                               {m: (-v if m.bit_count() & 1 else v) for m, v in self.nums.items()})
 
     def reversion(self) -> "Multivector":
-        out = {}
-        for m, c in self.terms.items():
-            k = _grade(m)
-            out[m] = -c if (k * (k - 1) // 2) & 1 else c
-        return Multivector(self.signature, out)
+        # the grade-k part changes sign when k(k-1)/2 is odd, i.e. k = 2, 3 mod 4
+        return Multivector._of(self.signature, self.den,
+                               {m: (-v if m.bit_count() & 2 else v) for m, v in self.nums.items()})
 
     # -- inverse -----------------------------------------------------------------
     def inverse(self) -> "Multivector":
         """Exact inverse; fast for versors, linear solve otherwise."""
         if self.is_zero():
             raise InputError("zero multivector has no inverse")
-        t = self * self.reversion()
-        if t.is_scalar() and t.scalar_part() != 0:
-            return self.reversion().scale(ONE / t.scalar_part())
-        # generic: solve self * x = 1 on the 2^n coefficient space
+        rev = self.reversion()
+        t = self * rev
+        if t.is_scalar() and t.nums:
+            return rev.scale(Fraction(t.den, t.nums[0]))
+        # generic: solve nums * x = den (that is, self * x = 1) on the 2^n
+        # coefficient space
         sig = self.signature
         dim = 1 << sig.n
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(dim)]
+        terms = [(ma, va, _sign_mask(ma, sig.neg_mask)) for ma, va in self.nums.items()]
+        rows: list[dict[int, int]] = [dict() for _ in range(dim)]
         for mb in range(dim):
-            for ma, ca in self.terms.items():
-                sign, mask = blade_product(sig, ma, mb)
-                rows[mask][mb] = rows[mask].get(mb, ZERO) + sign * ca
-        rhs = [ONE if m == 0 else ZERO for m in range(dim)]
+            for ma, va, sa in terms:
+                row = rows[ma ^ mb]
+                row[mb] = row.get(mb, 0) + (-va if (sa & mb).bit_count() & 1 else va)
+        rhs = [self.den if m == 0 else 0 for m in range(dim)]
         sol, _unique = sparse_solve(rows, rhs, dim)
         if sol is None:
             raise InputError("multivector is not invertible")
-        return Multivector.make(sig, {m: c for m, c in sol.items()})
+        return Multivector.make(sig, sol)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
+        terms = self.terms
         bits = []
-        for m in sorted(self.terms, key=lambda x: (_grade(x), x)):
-            c = self.terms[m]
+        for m in sorted(terms, key=lambda x: (x.bit_count(), x)):
+            c = terms[m]
             if m == 0:
                 bits.append(str(c))
             else:

@@ -32,7 +32,9 @@ and 4 units are those of R, C and H; the octonion modules and
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import InputError, StructureError
@@ -122,7 +124,7 @@ class SpinorModule:
         self.family = family
         self.variant = variant
         self.units = tuple(right_units)
-        self._blade_ops: dict[int, QMat] = {}  # blade mask -> its operator, filled by blade_operator
+        self._blade_ops: dict[int, QMat | SignedPerm] = {}  # blade mask -> its operator, filled by blade_operator
 
     @cached_property
     def generators(self) -> tuple[QMat, ...]:
@@ -143,31 +145,50 @@ class SpinorModule:
     def real_grading(self) -> tuple[int, ...] | None:
         return self.space.real_grading()
 
-    def blade_operator(self, mask: int) -> QMat:
-        """Representing matrix of the basis blade with the given mask."""
-        if mask in self._blade_ops:
-            return self._blade_ops[mask]
-        if mask == 0:
-            op = QMat.identity(self.real_dim)
-        else:
-            low = mask & -mask
-            rest = mask & (mask - 1)
-            # ascending factor order: e_low * e_rest
-            op = self.generators[low.bit_length() - 1] * self.blade_operator(rest)
-        self._blade_ops[mask] = op
+    def blade_operator(self, mask: int) -> QMat | SignedPerm:
+        """Representing matrix of the basis blade with the given mask, a
+        product of ``gens`` and of their type."""
+        op = self._blade_ops.get(mask)
+        if op is None:
+            if mask == 0:
+                d = self.real_dim
+                op = SignedPerm.identity(d) if isinstance(self.gens[0], SignedPerm) else QMat.identity(d)
+            else:
+                # ascending factor order: e_low * e_rest
+                low = mask & -mask
+                op = self.gens[low.bit_length() - 1] * self.blade_operator(mask & (mask - 1))
+            self._blade_ops[mask] = op
         return op
 
     def operator(self, x: Multivector) -> QMat:
-        """Representing matrix of an arbitrary multivector."""
+        """Representing matrix of an arbitrary multivector: x's integer
+        numerators times the blade operators' integer entries, accumulated
+        over one common denominator, and one ``QMat`` built at the end."""
         if x.signature != self.signature:
             raise InputError("multivector signature does not match module")
-        out = QMat.zeros(self.real_dim, self.real_dim)
-        for mask, c in x.terms.items():
-            out = out + self.blade_operator(mask).scale(c)
-        return out
+        ops = [(self.blade_operator(mask), v) for mask, v in x.nums.items()]
+        # SignedPerm entries are integers; a QMat's are integers over its own denominator
+        scale = lcm(*(op._integer_rows()[0] for op, _ in ops if isinstance(op, QMat)))
+        d = self.real_dim
+        acc: list[dict[int, int]] = [{} for _ in range(d)]
+        for op, v in ops:
+            if isinstance(op, SignedPerm):
+                f = v * scale
+                for j, (i, s) in enumerate(zip(op.perm, op.signs)):
+                    row = acc[i]
+                    row[j] = row.get(j, 0) + s * f
+            else:
+                op_den, op_rows = op._integer_rows()
+                f = v * (scale // op_den)
+                for i, op_row in enumerate(op_rows):
+                    row = acc[i]
+                    for j, a in op_row.items():
+                        row[j] = row.get(j, 0) + a * f
+        den = x.den * scale
+        return QMat(d, d, [{j: Fraction(a, den) for j, a in row.items() if a} for row in acc])
 
     def volume_operator(self) -> QMat:
-        return self.blade_operator((1 << self.signature.n) - 1)
+        return _qmat(self.blade_operator((1 << self.signature.n) - 1))
 
     def describe(self) -> str:
         return (

@@ -13,6 +13,7 @@ separate floating-point quaternions of ``surfaces``; the two never mix.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .clifford import Multivector, euclidean
 from .errors import InputError, StructureError
@@ -20,8 +21,7 @@ from .linalg import QMat
 from .recipe import SpinorModule, _submatrix, even_summand, intertwiners
 from .structure import Signature
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+_NOT_SPECIAL_ORTHOGONAL = "input is not an exact special orthogonal matrix"
 
 
 class SpinElement:
@@ -113,18 +113,6 @@ def twisted_adjoint_matrix(g: Multivector) -> list[list[Fraction]]:
     return [[cols[j][i] for j in range(sig.n)] for i in range(sig.n)]
 
 
-def _is_orthogonal(rows: list[list[Fraction]], n: int) -> bool:
-    """R^T R = I, checked exactly."""
-    if len(rows) != n or any(len(r) != n for r in rows):
-        return False
-    for i in range(n):
-        for j in range(n):
-            dot = sum(rows[k][i] * rows[k][j] for k in range(n))
-            if dot != (1 if i == j else 0):
-                return False
-    return True
-
-
 def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement:
     """Even versor whose twisted adjoint is the given rotation, exactly.
 
@@ -133,7 +121,9 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
     by column reduction (map column j to e_j, one reflection or none per
     column).  k reflections H_k ... H_1 R = I give det R = (-1)^k, so an odd
     count is a determinant -1 and is refused.  The returned element is one
-    of the two lifts; negate for the other.
+    of the two lifts; negate for the other.  The work is on integers: M = D R
+    (D the common denominator) is checked as M^T M = D^2 I, and each column is
+    reduced as numerators over its own denominator, in lowest terms.
     """
     rows = [[Fraction(c) for c in r] for r in rotation]
     n = len(rows)
@@ -143,34 +133,50 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
         raise InputError("spin_lift expects a Euclidean signature")
     if sig.n != n:
         raise InputError("matrix size does not match signature")
-    if not _is_orthogonal(rows, n):
-        raise InputError("input is not an exact special orthogonal matrix")
+    if any(len(r) != n for r in rows):
+        raise InputError(_NOT_SPECIAL_ORTHOGONAL)
+    den = lcm(*(c.denominator for r in rows for c in r))
+    cols = [[rows[i][j].numerator * (den // rows[i][j].denominator) for i in range(n)] for j in range(n)]
+    if any(_dot(cols[i], cols[j]) != (den * den if i == j else 0) for i in range(n) for j in range(i, n)):
+        raise InputError(_NOT_SPECIAL_ORTHOGONAL)
 
-    mirrors: list[list[Fraction]] = []
-    work = [row[:] for row in rows]
+    units = [([int(i == j) for i in range(n)], 1) for j in range(n)]
+    work = [_lowest(col, den) for col in cols]
+    mirrors: list[Multivector] = []
     for j in range(n):
-        col = [work[i][j] for i in range(n)]
-        target = [ONE if i == j else ZERO for i in range(n)]
-        if col == target:
+        if work[j] == units[j]:
             continue
-        w = [a - b for a, b in zip(col, target)]
-        mirrors.append(w)
+        col, d = work[j]
+        w = col[:]
+        w[j] -= d  # column j - e_j, over d
+        mirrors.append(Multivector._of(sig, d, {1 << i: a for i, a in enumerate(w) if a}))
         # reflect the columns not yet reduced; columns c < j are e_c, and
-        # w[c] = 0 there because the matrix stays orthogonal, so they are fixed
-        ww = sig.bilinear(w, w)
+        # w[c] = 0 there because the matrix stays orthogonal, so they are fixed.
+        # v - 2 g(v,w)/g(w,w) w is (ww v - 2 vw w) / (dv ww) on numerators,
+        # whatever w's denominator
+        ww = _dot(w, w)
         for c in range(j, n):
-            column = [work[i][c] for i in range(n)]
-            coef = 2 * sig.bilinear(column, w) / ww
-            for i in range(n):
-                work[i][c] = column[i] - coef * w[i]
-    if any(work[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
+            v, dv = work[c]
+            vw2 = 2 * _dot(v, w)
+            work[c] = _lowest([ww * a - vw2 * b for a, b in zip(v, w)], dv * ww)
+    if work != units:
         raise StructureError("reflection reduction did not reach the identity")
     if len(mirrors) % 2 != 0:
-        raise InputError("input is not an exact special orthogonal matrix")
+        raise InputError(_NOT_SPECIAL_ORTHOGONAL)
     g = Multivector.scalar(sig, 1)
     for w in mirrors:
-        g = g * Multivector.vector(sig, w)
+        g = g * w
     return SpinElement.from_multivector(g)
+
+
+def _dot(v: list[int], w: list[int]) -> int:
+    return sum(a * b for a, b in zip(v, w))
+
+
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """``(nums, den)`` divided by their gcd."""
+    g = gcd(den, *nums)
+    return [a // g for a in nums], den // g
 
 
 class DoubleCoverReport:

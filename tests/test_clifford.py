@@ -3,6 +3,7 @@ and the Euclidean Hodge star."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from spinrep.clifford import (
     volume_square_sign,
 )
 from spinrep.errors import InputError
+from spinrep.linalg import sparse_solve
 
 
 def mv(sig, terms):
@@ -58,13 +60,18 @@ def _ref_blade_product(sig, a, b):
     return sign, a ^ b
 
 
-def _ref_product(x, y):
+def _ref_terms_product(sig, x_terms, y_terms):
+    """The product of two Fraction-dict multivectors, as a Fraction dict."""
     out = {}
-    for ma, ca in x.terms.items():
-        for mb, cb in y.terms.items():
-            sign, mask = _ref_blade_product(x.signature, ma, mb)
+    for ma, ca in x_terms.items():
+        for mb, cb in y_terms.items():
+            sign, mask = _ref_blade_product(sig, ma, mb)
             out[mask] = out.get(mask, 0) + sign * ca * cb
-    return Multivector.make(x.signature, out)
+    return {m: Fraction(c) for m, c in out.items() if c}
+
+
+def _ref_product(x, y):
+    return Multivector.make(x.signature, _ref_terms_product(x.signature, x.terms, y.terms))
 
 
 def test_blade_sign_rule_exhaustive():
@@ -265,3 +272,154 @@ def test_multivector_inverse():
             continue
         assert x * inv == Multivector.scalar(sig, 1)
         count += 1
+
+
+def test_constructor_refuses_coefficients_that_are_not_int_or_fraction():
+    sig = euclidean(2)
+    for c in (0.5, 1.0, "1/2", True, False):
+        with pytest.raises(InputError):
+            Multivector(sig, {0: c})
+    assert Multivector(sig, {0: 2, 3: Fraction(-1, 3)}).terms == {0: 2, 3: Fraction(-1, 3)}
+    # make converts exactly through Fraction
+    assert Multivector.make(sig, {0: 0.5, 3: "1/3"}) == mv(sig, {0: Fraction(1, 2), 3: Fraction(1, 3)})
+
+
+@pytest.mark.parametrize("rs", [(0, 40), (20, 20)])
+def test_products_with_forty_generators_follow_the_blade_rule(rs):
+    """Single-blade and two-term products far beyond any 2^n-sized table."""
+    sig = Signature(*rs)
+    top = (1 << 40) - 1
+    rng = random.Random(sum(rs) + rs[0])
+    masks = [0, 1, 1 << 39, top, top ^ 1] + [rng.getrandbits(40) for _ in range(12)]
+    for a in masks:
+        for b in masks[:6] + [a]:
+            sign, mask = _ref_blade_product(sig, a, b)
+            assert Multivector.blade(sig, a) * Multivector.blade(sig, b) == mv(sig, {mask: sign})
+    for _ in range(20):
+        a, b, c, d = (rng.choice(masks) for _ in range(4))
+        x = mv(sig, {a: Fraction(3, 4), c: -2})
+        y = mv(sig, {b: 5, d: Fraction(-1, 6)})
+        assert x * y == _ref_product(x, y)
+        assert (x * y).terms == _ref_terms_product(sig, x.terms, y.terms)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the Fraction-dict arithmetic that Multivector had
+# before it stored integer numerators over one denominator (frozen copy)
+# ---------------------------------------------------------------------------
+
+
+def _frozen_add(x, y):
+    out = dict(x)
+    for m, c in y.items():
+        s = out.get(m, Fraction(0)) + c
+        if s:
+            out[m] = s
+        elif m in out:
+            del out[m]
+    return out
+
+
+def _frozen_neg(x):
+    return {m: -c for m, c in x.items()}
+
+
+def _frozen_scale(x, c):
+    c = Fraction(c)
+    return {m: c * v for m, v in x.items()} if c else {}
+
+
+def _frozen_grade_involution(x):
+    return {m: (-c if bin(m).count("1") & 1 else c) for m, c in x.items()}
+
+
+def _frozen_reversion(x):
+    out = {}
+    for m, c in x.items():
+        k = bin(m).count("1")
+        out[m] = -c if (k * (k - 1) // 2) & 1 else c
+    return out
+
+
+def _frozen_inverse(sig, x):
+    """None when x is not invertible."""
+    t = _ref_terms_product(sig, x, _frozen_reversion(x))
+    if all(m == 0 for m in t) and t.get(0, 0) != 0:
+        return _frozen_scale(_frozen_reversion(x), 1 / t[0])
+    dim = 1 << sig.n
+    rows = [dict() for _ in range(dim)]
+    for mb in range(dim):
+        for ma, ca in x.items():
+            sign, mask = _ref_blade_product(sig, ma, mb)
+            rows[mask][mb] = rows[mask].get(mb, Fraction(0)) + sign * ca
+    sol, _unique = sparse_solve(rows, [Fraction(int(m == 0)) for m in range(dim)], dim)
+    return None if sol is None else {m: c for m, c in sol.items() if c}
+
+
+@st.composite
+def _mixed_operand(draw, sig):
+    """Sparse, empty, scalar, top-blade or versor (a product of vectors, so
+    ``inverse`` takes its versor path) operands; dense ones for n <= 5."""
+    full = (1 << sig.n) - 1
+    shape = draw(st.sampled_from(["sparse", "empty", "scalar", "top", "versor", "dense"]))
+    if shape == "versor":
+        x = Multivector.scalar(sig, draw(_COEFF.filter(bool)))
+        for _ in range(draw(st.integers(1, 3))):
+            coords = draw(st.lists(st.fractions(-5, 5, max_denominator=4), min_size=sig.n, max_size=sig.n))
+            x = x * Multivector.vector(sig, coords)
+        return x
+    if shape == "dense" and sig.n <= 5:
+        masks = range(full + 1)
+    elif shape in ("sparse", "dense"):
+        masks = draw(st.lists(st.integers(0, full), max_size=10))
+    else:
+        masks = {"empty": [], "scalar": [0], "top": [full]}[shape]
+    return Multivector.make(sig, {m: draw(_COEFF) for m in masks})
+
+
+@st.composite
+def _mixed_case(draw):
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(0, n))
+    sig = Signature(r, n - r)
+    return sig, draw(_mixed_operand(sig)), draw(_mixed_operand(sig)), draw(_COEFF)
+
+
+def _canonical(x):
+    """Numerators over one positive denominator, in lowest terms, no zeros."""
+    return x.den > 0 and all(x.nums.values()) and gcd(x.den, *x.nums.values()) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(_mixed_case())
+def test_arithmetic_matches_the_fraction_dict_arithmetic(case):
+    sig, x, y, c = case
+    xt, yt = x.terms, y.terms
+    results = {
+        "product": (x * y, _ref_terms_product(sig, xt, yt)),
+        "sum": (x + y, _frozen_add(xt, yt)),
+        "difference": (x - y, _frozen_add(xt, _frozen_neg(yt))),
+        "negation": (-x, _frozen_neg(xt)),
+        "scale": (x.scale(c), _frozen_scale(xt, c)),
+        "grade involution": (x.grade_involution(), _frozen_grade_involution(xt)),
+        "reversion": (x.reversion(), _frozen_reversion(xt)),
+    }
+    for name, (got, want) in results.items():
+        assert got.terms == want, name
+        assert _canonical(got), name
+    # the solve path on 2^n unknowns is left to n <= 6
+    if not x.is_zero() and (sig.n <= 6 or (x * x.reversion()).is_scalar()):
+        want = _frozen_inverse(sig, xt)
+        if want is None:
+            with pytest.raises(InputError):
+                x.inverse()
+        else:
+            assert x.inverse().terms == want
+    # equality is equality of the read-out terms, whatever the construction
+    assert (x == y) == (xt == yt)
+    same = Multivector.make(sig, dict(reversed(list(xt.items()))))
+    assert same == x and same.den == x.den and same.nums == x.nums
+    assert x.scale(7).scale(Fraction(1, 7)) == x
+    half = x.scale(Fraction(1, 2))
+    assert (half == x) == (half.terms == xt) == x.is_zero()
+    assert (x + y) - y == x
