@@ -15,14 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import QMat
+from .linalg import ONE, ZERO, QMat
 from .recipe import _UNITS  # e_t e_j = sign e_i as (i, sign), for the units of R, C, H and O
 from .structure import FIELD_DIM
 
 ALGEBRA_DIM = {**FIELD_DIM, "O": 8}
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class KElement:
@@ -131,11 +128,3 @@ def mul_matrix(x: KElement, side: str) -> QMat:
             if c:
                 entries[(i, j)] = c
     return QMat.from_entries(d, d, entries)
-
-
-def lmul_matrix(x: KElement) -> QMat:
-    return mul_matrix(x, "left")
-
-
-def rmul_matrix(x: KElement) -> QMat:
-    return mul_matrix(x, "right")

@@ -25,11 +25,17 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError, StructureError
-from .linalg import sparse_solve
+from .linalg import ONE, ZERO, sparse_solve
 from .structure import Signature
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def _exact(c) -> Fraction:
+    """``Fraction(c)``, with what ``Fraction`` refuses (a bad string, a NaN,
+    an infinity, a zero denominator) raised as an ``InputError``."""
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InputError(f"{c!r} is not an exact rational number") from exc
 
 
 def euclidean(n: int) -> Signature:
@@ -128,12 +134,12 @@ class Multivector:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def make(sig: Signature, terms: dict[int, Fraction]) -> "Multivector":
-        clean = {m: Fraction(c) for m, c in terms.items() if c != 0}
+        clean = {m: _exact(c) for m, c in terms.items() if c != 0}
         return Multivector(sig, clean)
 
     @staticmethod
     def scalar(sig: Signature, c) -> "Multivector":
-        return Multivector.make(sig, {0: Fraction(c)})
+        return Multivector.make(sig, {0: _exact(c)})
 
     @staticmethod
     def generator(sig: Signature, i: int) -> "Multivector":
@@ -144,14 +150,14 @@ class Multivector:
 
     @staticmethod
     def vector(sig: Signature, coords) -> "Multivector":
-        terms = {1 << i: Fraction(c) for i, c in enumerate(coords) if Fraction(c) != 0}
+        terms = {1 << i: c for i, c in enumerate(map(_exact, coords)) if c}
         if len(coords) != sig.n:
             raise InputError("coordinate length mismatch")
         return Multivector(sig, terms)
 
     @staticmethod
     def blade(sig: Signature, mask: int, c=1) -> "Multivector":
-        return Multivector.make(sig, {mask: Fraction(c)})
+        return Multivector.make(sig, {mask: _exact(c)})
 
     # -- inspection ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -196,7 +202,7 @@ class Multivector:
         return Multivector._of(self.signature, self.den, {m: -v for m, v in self.nums.items()})
 
     def scale(self, c) -> "Multivector":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return Multivector(self.signature, {})
         return Multivector._of(self.signature, self.den * c.denominator,
@@ -284,20 +290,6 @@ class Multivector:
 def volume_element(sig: Signature) -> Multivector:
     """The full ascending product e_1 e_2 ... e_n as a multivector."""
     return Multivector(sig, {(1 << sig.n) - 1: ONE})
-
-
-def volume_square_sign(sig: Signature) -> int:
-    """Exact sign of nu^2, computed from the blade product."""
-    vol = volume_element(sig)
-    sq = vol * vol
-    if not sq.is_scalar():
-        raise StructureError("volume square is not scalar")
-    c = sq.scalar_part()
-    if c == 1:
-        return 1
-    if c == -1:
-        return -1
-    raise StructureError(f"volume square is {c}")
 
 
 def psi_embed(x: Multivector, target: Signature | None = None) -> Multivector:

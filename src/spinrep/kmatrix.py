@@ -2,8 +2,7 @@
 
 A matrix over K is stored realified, as a ``QMat`` or ``SignedPerm`` over
 the rationals in the K-blocked layout of ``spinrep.recipe.GradedSpace``; the
-one-slot tensor operators on that layout live in ``spinrep.recipe`` and are
-re-exported here.
+one-slot tensor operators on that layout live in ``spinrep.recipe``.
 """
 
 from __future__ import annotations
@@ -12,11 +11,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import InputError
-from .linalg import QMat, Rref, inertia, intertwiner_space
-from .recipe import GradedSpace, tensor_op_left, tensor_op_right  # noqa: F401
+from .linalg import ZERO, QMat, Rref, inertia, intertwiner_space
 from .structure import FIELD_DIM
-
-ZERO = Fraction(0)
 
 
 class Commutant:
@@ -156,12 +152,3 @@ def commutant(generators: list[QMat], size: int) -> Commutant:
     basis = intertwiner_space([(g, g) for g in generators], size, size)
     tag = classify_commutant(basis) if basis else "0"
     return Commutant(len(basis), tag, basis)
-
-
-def joint_intertwiners(gens_a: list[QMat], gens_b: list[QMat]) -> list[QMat]:
-    """Basis of {X : X a_i = b_i X} between two generator lists."""
-    if len(gens_a) != len(gens_b):
-        raise InputError("generator lists must pair up")
-    d_in = gens_a[0].nrows
-    d_out = gens_b[0].nrows
-    return intertwiner_space(list(zip(gens_a, gens_b)), d_in, d_out)

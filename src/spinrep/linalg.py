@@ -74,20 +74,6 @@ class QMat:
         return QMat(len(vals), len(vals), rows)
 
     @staticmethod
-    def from_dense(dense: list[list]) -> "QMat":
-        nrows = len(dense)
-        ncols = len(dense[0]) if nrows else 0
-        rows = []
-        for r in dense:
-            row = {}
-            for j, v in enumerate(r):
-                fv = _frac(v)
-                if fv:
-                    row[j] = fv
-            rows.append(row)
-        return QMat(nrows, ncols, rows)
-
-    @staticmethod
     def from_entries(nrows: int, ncols: int, entries: dict[tuple[int, int], Fraction]) -> "QMat":
         rows: list[dict[int, Fraction]] = [dict() for _ in range(nrows)]
         for (i, j), v in entries.items():

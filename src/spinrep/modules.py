@@ -8,10 +8,11 @@ intertwiner.  The octonion modules act in dimensions 4..8 by signed
 permutations read off the recipe's signed unit table of R, C, H and O.  Also
 here: the quaternionic action ``c4_action`` (a combination of the recipe's
 Cl(0,4) generators), ``split_clifford_action``, the grading by the volume
-element, the metric audit and spinor squaring.  The recipe modules are
-``spinrep.recipe``'s, re-exported here.  Loading this module compiles
-neither ``spinrep.algebras`` nor ``spinrep.clifford``; ``spinor_square``
-imports ``clifford`` when it is called.
+element, the metric audit and spinor squaring.  The recipe modules live in
+``spinrep.recipe``; the six recipe names imported here but not used are the
+ones the benchmark harness reaches through this module.  Loading this module
+compiles neither ``spinrep.algebras`` nor ``spinrep.clifford``;
+``spinor_square`` imports ``clifford`` when it is called.
 """
 
 from __future__ import annotations
@@ -21,20 +22,17 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import InputError, StructureError
-from .linalg import QMat, Rref, SignedPerm, intertwiner_space, sparse_solve
-# the recipe's names; perfbench/inproc.py clears the builders' lru_caches it finds here
-from .recipe import (_UNITS, GradedSpace, SpinorModule, _base, _definite, _exterior_action,  # noqa: F401
-                     _left_version, _right_units, _submatrix, _unit_blocks, assemble_euclidean, assemble_positive,
-                     assemble_signature, even_summand, intertwiners, split_signature_module, verify_module,
-                     volume_diagonal)
+from .linalg import ONE, ZERO, QMat, Rref, SignedPerm, intertwiner_space, sparse_solve
+from .recipe import (_UNITS, GradedSpace, SpinorModule, _base, _exterior_action, _right_units, _unit_blocks,
+                     assemble_euclidean, volume_diagonal)
+# not used in this module: perfbench/inproc.py wraps them here and clears the lru_caches it finds here
+from .recipe import (_definite, assemble_positive, assemble_signature, intertwiners,  # noqa: F401
+                     split_signature_module, verify_module)
 from .structure import FAMILY_OCTONION, FAMILY_SQRT, FIELD_DIM, Signature, _metric_failures
 
 if TYPE_CHECKING:
     from .algebras import KElement
     from .clifford import Multivector
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,6 @@ class GradedSpace:
     def real_dim(self) -> int:
         return self.dim * FIELD_DIM[self.field]
 
-    def plus_count(self) -> int:
-        return sum(1 for g in self.grading or () if g == 1)
-
-    def minus_count(self) -> int:
-        return sum(1 for g in self.grading or () if g == -1)
-
     def real_grading(self) -> tuple[int, ...] | None:
         """Grading expanded to the realified basis (constant on K-orbits)."""
         if self.grading is None:
@@ -186,15 +180,6 @@ class SpinorModule:
                         row[j] = row.get(j, 0) + a * f
         den = x.den * scale
         return QMat(d, d, [{j: Fraction(a, den) for j, a in row.items() if a} for row in acc])
-
-    def volume_operator(self) -> QMat:
-        return _qmat(self.blade_operator((1 << self.signature.n) - 1))
-
-    def describe(self) -> str:
-        return (
-            f"{self.signature} module, family={self.family}, variant={self.variant}, "
-            f"K={self.field}, real_dim={self.real_dim}"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .clifford import Multivector, euclidean
+from .clifford import Multivector, _exact, euclidean
 from .errors import InputError, StructureError
 from .linalg import QMat
 from .recipe import SpinorModule, _submatrix, even_summand, intertwiners
@@ -65,25 +65,12 @@ class SpinElement:
     def __mul__(self, other: "SpinElement") -> "SpinElement":
         return SpinElement(self.value * other.value, self.norm2 * other.norm2)
 
-    def is_unit(self) -> bool:
-        return self.norm2 == 1
-
-    def same_projective(self, other: "SpinElement") -> bool:
-        """True when both normalize to the same unit spin element, i.e. the
-        same rotation with the same lift sign.  Exact: value_a/sqrt(na) =
-        value_b/sqrt(nb) iff a * reversion(b) is the scalar +sqrt(na*nb)."""
-        cross = self.value * other.value.reversion()
-        if not cross.is_scalar():
-            return False
-        c = cross.scalar_part()
-        return c > 0 and c * c == self.norm2 * other.norm2
-
 
 def reflection(w, v, sig: Signature) -> list[Fraction]:
     """Reflect ``v`` through the hyperplane orthogonal to ``w``:
     v - 2 g(v,w)/g(w,w) w.  Exact; ``w`` need not be normalized."""
-    w = [Fraction(c) for c in w]
-    v = [Fraction(c) for c in v]
+    w = [_exact(c) for c in w]
+    v = [_exact(c) for c in v]
     ww = sig.bilinear(w, w)
     if ww == 0:
         raise InputError("reflection vector has g(w,w) = 0")
@@ -125,7 +112,7 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
     (D the common denominator) is checked as M^T M = D^2 I, and each column is
     reduced as numerators over its own denominator, in lowest terms.
     """
-    rows = [[Fraction(c) for c in r] for r in rotation]
+    rows = [[_exact(c) for c in r] for r in rotation]
     n = len(rows)
     if sig is None:
         sig = euclidean(n)

@@ -330,9 +330,9 @@ def spin_parallel_transport(
         gx += (k1x + 2.0 * (k2x + k3x) + k4x) * dt6
         gy += (k1y + 2.0 * (k2y + k3y) + k4y) * dt6
         gz += (k1z + 2.0 * (k2z + k3z) + k4z) * dt6
-        # sum(), not +: from Python 3.12 on sum() compensates its rounding, and
-        # the traces must stay the ones sum() gives
-        norm = math.sqrt(sum((gw * gw, gx * gx, gy * gy, gz * gz)))
+        # +, not sum(): from Python 3.12 on sum() compensates its rounding, and
+        # this chain gives the bits Python 3.10 and 3.11 sum() gave on every version
+        norm = math.sqrt(gw * gw + gx * gx + gy * gy + gz * gz)
         gw, gx, gy, gz = gw / norm, gx / norm, gy / norm, gz / norm
         try:
             x = point(u, v)

@@ -17,18 +17,9 @@ from conftest import random_rational_rotation, run_cli
 
 from spinrep import algebras as alg
 from spinrep.clifford import euclidean
-from spinrep.kmatrix import joint_intertwiners
-from spinrep.linalg import QMat
-from spinrep.modules import (
-    assemble_euclidean,
-    assemble_signature,
-    grading_from_volume,
-    intertwiners,
-    octonion_module,
-    spinor_square,
-    split_signature_module,
-    sqrt_space_module,
-)
+from spinrep.linalg import QMat, SignedPerm, intertwiner_space
+from spinrep.modules import grading_from_volume, octonion_module, spinor_square, sqrt_space_module
+from spinrep.recipe import assemble_euclidean, assemble_signature, intertwiners, split_signature_module
 from spinrep.spin import double_cover_check, spin_action, spin_lift, twisted_adjoint_matrix
 from spinrep.structure import expected_irreducible_dim, verify_clifford_condition
 from spinrep.surfaces import spin_parallel_transport, unit_sphere
@@ -95,12 +86,12 @@ def test_criterion_3_volume_grading():
     bad = []
     for n in (4, 8, 12):
         m = assemble_euclidean(n)
-        vol = m.volume_operator()
-        if vol * vol != QMat.identity(m.real_dim):
+        vol = m.blade_operator((1 << n) - 1)
+        if vol * vol != SignedPerm.identity(m.real_dim):
             bad.append(f"nu^2 n={n}")
             continue
         g = grading_from_volume(m)
-        if g.plus_count() != g.minus_count():
+        if g.grading.count(1) != g.grading.count(-1):
             bad.append(f"ranks n={n}")
         eps = QMat.diag(g.grading)
         if not all(eps * gen == (gen * eps).scale(-1) for gen in m.generators):
@@ -111,10 +102,10 @@ def test_criterion_3_volume_grading():
 def test_criterion_4_plus_minus_distinctness():
     plus = assemble_euclidean(3)
     minus = assemble_euclidean(3, "minus")
-    ident = QMat.identity(4)
-    ok = plus.volume_operator() == ident.scale(-1)
-    ok &= minus.volume_operator() == ident
-    joint = joint_intertwiners(list(plus.generators), list(minus.generators))
+    ident = SignedPerm.identity(4)
+    ok = plus.blade_operator(0b111) == ident.scale(-1)
+    ok &= minus.blade_operator(0b111) == ident
+    joint = intertwiner_space(list(zip(plus.generators, minus.generators)), 4, 4)
     ok &= len(joint) == 0
     _report(4, "plus/minus S3 distinctness", ok, f"joint dim {len(joint)}")
 

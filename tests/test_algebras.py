@@ -214,5 +214,5 @@ def test_octonion_unit_blocks_are_left_multiplications():
     from spinrep.recipe import _unit_blocks
 
     for t in range(8):
-        assert _unit_blocks([[(t, 1)]], 8).to_qmat() == alg.lmul_matrix(alg.unit("O", t))
-        assert _unit_blocks([[(t, -1)]], 8).to_qmat() == alg.lmul_matrix(alg.neg(alg.unit("O", t)))
+        assert _unit_blocks([[(t, 1)]], 8).to_qmat() == alg.mul_matrix(alg.unit("O", t), "left")
+        assert _unit_blocks([[(t, -1)]], 8).to_qmat() == alg.mul_matrix(alg.neg(alg.unit("O", t)), "left")

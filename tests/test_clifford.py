@@ -18,7 +18,6 @@ from spinrep.clifford import (
     psi_embed,
     reorder_sign,
     volume_element,
-    volume_square_sign,
 )
 from spinrep.errors import InputError
 from spinrep.linalg import sparse_solve
@@ -200,11 +199,12 @@ def test_involution_properties_random():
 
 def test_volume_square_closed_form():
     for n in range(1, 13):
-        sign = volume_square_sign(euclidean(n))
-        assert sign == (-1) ** (n * (n + 1) // 2)
+        vol = volume_element(euclidean(n))
+        assert vol * vol == Multivector.scalar(euclidean(n), (-1) ** (n * (n + 1) // 2))
     # Euclidean multiples of 4 square to +1
     for n in (4, 8, 12):
-        assert volume_square_sign(euclidean(n)) == 1
+        vol = volume_element(euclidean(n))
+        assert vol * vol == Multivector.scalar(euclidean(n), 1)
     assert volume_element(euclidean(1)) == Multivector.generator(euclidean(1), 0)
 
 

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from conftest import run_cli
-from spinrep.modules import assemble_signature, intertwiners
+from spinrep.recipe import assemble_signature, intertwiners
 
 MANIFEST = Path(__file__).with_name("commutant_manifest.json")
 CLASSIFY = "classify --max-n 16"

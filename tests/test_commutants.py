@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli
-from spinrep import linalg, modules
-from spinrep.kmatrix import GradedSpace, classify_commutant, commutant, joint_intertwiners
-from spinrep.linalg import QMat, Rref, SignedPerm, signed_perm_intertwiners
-from spinrep.modules import (SpinorModule, assemble_signature, intertwiners, octonion_module,
-                             sqrt_space_module)
+from spinrep import linalg, modules, recipe
+from spinrep.kmatrix import classify_commutant, commutant
+from spinrep.linalg import QMat, Rref, SignedPerm, intertwiner_space, signed_perm_intertwiners
+from spinrep.modules import octonion_module, sqrt_space_module
+from spinrep.recipe import GradedSpace, SpinorModule, assemble_signature, intertwiners
 from test_commutant_manifest import module_set
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_f2_solve_declines_exactly_the_non_clifford_type(problem):
 
 
 def test_f2_solve_drops_sign_inconsistent_orbits():
-    minus = QMat.from_dense([[-1]])
+    minus = QMat.from_entries(1, 1, {(0, 0): -1})
     one = QMat.identity(1)
     assert signed_perm_intertwiners([(minus, one)], 1, 1) == []
     assert signed_perm_intertwiners([(one, one)], 1, 1) == [one]
@@ -170,7 +170,8 @@ def test_f2_solve_canonical_form_on_modules():
     basis = signed_perm_intertwiners([(g, g) for g in m.generators], 4, 4)
     assert len(basis) == 4 and basis[0] == QMat.identity(4)
     _assert_canonical(basis, 4)
-    assert signed_perm_intertwiners([(QMat.from_dense([[1, 1], [0, 1]]), QMat.identity(2))], 2, 2) is None
+    shear = QMat.from_entries(2, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
+    assert signed_perm_intertwiners([(shear, QMat.identity(2))], 2, 2) is None
 
 
 def _direct_sum(mats) -> QMat:
@@ -198,7 +199,7 @@ def test_no_monomial_production_input_reaches_rref():
             declined.append((d_in, d_out, len(pairs)))
         return basis
 
-    for build in (modules._definite, modules.split_signature_module, modules.assemble_signature,
+    for build in (recipe._definite, recipe.split_signature_module, recipe.assemble_signature,
                   modules.sqrt_space_module, modules.octonion_module):
         build.cache_clear()
     with mock.patch.object(linalg, "signed_perm_intertwiners", spy):
@@ -215,7 +216,7 @@ def test_no_monomial_production_input_reaches_rref():
                                 for x, y in ((plus, plus), (plus, minus), (minus, minus))]
         for a in sums:
             for b in sums:
-                joint_intertwiners(list(a), list(b))
+                intertwiner_space(list(zip(a, b)), a[0].nrows, b[0].nrows)
     assert len(calls) >= 2 * len(built) + len(sums) ** 2
     assert not declined
 
@@ -224,13 +225,13 @@ def test_rectangular_intertwiners_between_modules():
     plus = assemble_signature(0, 3, "plus")
     minus = assemble_signature(0, 3, "minus")
     double = [_direct_sum([g, g]) for g in plus.generators]
-    into = joint_intertwiners(list(plus.generators), double)
+    into = intertwiner_space(list(zip(plus.generators, double)), 4, 8)
     assert len(into) == 8 and all((x.nrows, x.ncols) == (8, 4) for x in into)
     pairs = list(zip(plus.generators, double))
     assert _rank(into + _rref_branch(pairs, 4, 8)) == 8
     _assert_canonical(into, 4)
     # S3+ and S3- are inequivalent: every orbit is sign-inconsistent
-    assert joint_intertwiners(list(plus.generators), list(minus.generators)) == []
+    assert intertwiner_space(list(zip(plus.generators, minus.generators)), 4, 4) == []
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def test_direct_sum_labels():
 
 
 def test_non_semisimple_commutant_is_not_named():
-    nilpotent = QMat.from_dense([[0, 1], [0, 0]])
+    nilpotent = QMat.from_entries(2, 2, {(0, 1): 1})
     com = commutant([nilpotent], 2)
     assert com.real_dimension == 2 and com.division_algebra == "A(2)"
 
@@ -264,8 +265,8 @@ def test_non_semisimple_commutant_is_not_named():
 def test_label_does_not_depend_on_the_basis():
     # span{I, J} with J^2 = -1 and span{I, D} with D^2 = 1, both given in bases
     # with no entry owned by a single element
-    j = QMat.from_dense([[0, -1], [1, 0]])
-    diag = QMat.from_dense([[1, 0], [0, -1]])
+    j = QMat.from_entries(2, 2, {(0, 1): -1, (1, 0): 1})
+    diag = QMat.from_entries(2, 2, {(0, 0): 1, (1, 1): -1})
     ident = QMat.identity(2)
     assert classify_commutant([ident + j, ident - j]) == "C"
     assert classify_commutant([ident + diag, ident.scale(2) - diag]) == "R+R"

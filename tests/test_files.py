@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import spinrep
 from spinrep.errors import InputError
 from spinrep.files import FIELDS, PAYLOAD_KEYS, VARIANTS, dump_gamma_json, module_to_payload, payload_to_gamma
-from spinrep.modules import assemble_signature
+from spinrep.recipe import assemble_signature
 from spinrep.structure import FAMILIES
 
 from conftest import run_cli

@@ -20,7 +20,8 @@ import json
 from pathlib import Path
 
 from spinrep.files import dump_gamma_json, module_to_payload
-from spinrep.modules import assemble_signature, octonion_module, sqrt_space_module, verify_module
+from spinrep.modules import octonion_module, sqrt_space_module
+from spinrep.recipe import assemble_signature, verify_module
 
 MANIFEST = Path(__file__).with_name("gamma_manifest.json")
 DEFINITE_MANIFEST = Path(__file__).with_name("definite_manifest.json")

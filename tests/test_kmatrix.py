@@ -8,24 +8,18 @@ import pytest
 from spinrep import algebras as alg
 from spinrep.clifford import Signature, euclidean
 from spinrep.errors import InputError
-from spinrep.kmatrix import GradedSpace, commutant, tensor_op_left, tensor_op_right
+from spinrep.kmatrix import commutant
 from spinrep.linalg import QMat, SignedPerm
-from spinrep.modules import _left_version, assemble_euclidean, c4_action
-from spinrep.recipe import _unit_blocks
+from spinrep.modules import c4_action
+from spinrep.recipe import (GradedSpace, _left_version, _unit_blocks, assemble_euclidean, tensor_op_left,
+                            tensor_op_right)
 from spinrep.structure import verify_clifford_condition
 
 
 def test_realify_left_multiplication_by_i():
-    real = alg.lmul_matrix(alg.unit("H", 1))
+    real = alg.mul_matrix(alg.unit("H", 1), "left")
     # columns are the coordinates of i * (1, i, j, k)
-    expected = QMat.from_dense(
-        [
-            [0, -1, 0, 0],
-            [1, 0, 0, 0],
-            [0, 0, 0, -1],
-            [0, 0, 1, 0],
-        ]
-    )
+    expected = QMat.from_entries(4, 4, {(0, 1): -1, (1, 0): 1, (2, 3): -1, (3, 2): 1})
     assert real == expected
 
 
@@ -81,14 +75,14 @@ def test_left_version_is_right_multiplication_by_conjugate(field):
     rng = random.Random(k)
     for _ in range(5):
         e = alg.kelem(field, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)])
-        assert _left_version(alg.lmul_matrix(e), k) == alg.rmul_matrix(alg.conj(e))
+        assert _left_version(alg.mul_matrix(e, "left"), k) == alg.mul_matrix(alg.conj(e), "right")
 
 
 def test_koszul_sign_on_odd_block():
     # S odd, m of degree -1: the sign -1 shows up on exactly that block
     m_space = GradedSpace("R", 2, (1, -1))
     n_space = GradedSpace("R", 1, None)
-    s = QMat.from_dense([[Fraction(1)]])
+    s = QMat.from_entries(1, 1, {(0, 0): Fraction(1)})
     op = tensor_op_right(s, m_space, n_space, odd=True)
     assert op == QMat.diag([1, -1])
     # identity tensor identity is the identity
@@ -133,16 +127,14 @@ def test_koszul_coherence():
 
 def test_commutant_examples():
     # left multiplications by i and j on H: the Cl(0,2) module, commutant H
-    li = alg.lmul_matrix(alg.unit("H", 1))
-    lj = alg.lmul_matrix(alg.unit("H", 2))
+    li = alg.mul_matrix(alg.unit("H", 1), "left")
+    lj = alg.mul_matrix(alg.unit("H", 2), "left")
     com = commutant([li, lj], 4)
     assert com.real_dimension == 4 and com.division_algebra == "H"
     for b in com.basis:
         assert b * li == li * b and b * lj == lj * b
 
     # irreducible Cl(0,6) action: commutant R
-    from spinrep.modules import assemble_euclidean
-
     m6 = assemble_euclidean(6)
     com6 = commutant(list(m6.generators), 8)
     assert com6.real_dimension == 1 and com6.division_algebra == "R"
@@ -158,8 +150,6 @@ def test_commutant_rejects_empty():
 
 
 def test_commutant_basis_independent_and_commuting():
-    from spinrep.modules import assemble_euclidean
-
     m = assemble_euclidean(5)
     com = commutant(list(m.generators), m.real_dim)
     assert com.real_dimension == 2
@@ -182,7 +172,7 @@ def test_verify_clifford_condition_examples():
     assert not rep_bad.ok
     assert (1, 2) in rep_bad.violations
 
-    from spinrep.modules import assemble_positive
+    from spinrep.recipe import assemble_positive
 
     m40 = assemble_positive(4)
     rep_pos = verify_clifford_condition(list(m40.generators), Signature(4, 0))

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from spinrep.kmatrix import classify_commutant, commutant
 from spinrep.linalg import QMat, Rref, sparse_solve
-from spinrep.modules import _invert, assemble_signature, sqrt_space_module
+from spinrep.modules import _invert, sqrt_space_module
+from spinrep.recipe import assemble_signature
 
 # ---------------------------------------------------------------------------
 # Pinned outputs of the RREF path
@@ -128,7 +129,8 @@ INVERT_PINS = [
 
 @pytest.mark.parametrize("case", range(len(INVERT_PINS)))
 def test_invert_is_pinned(case):
-    m, want = (QMat.from_dense(x) for x in INVERT_PINS[case])
+    m, want = (QMat.from_entries(3, 3, {(i, j): v for i, r in enumerate(x) for j, v in enumerate(r)})
+               for x in INVERT_PINS[case])
     inv = _invert(m)
     assert inv == want and m * inv == QMat.identity(3)
     assert all(type(v) is Fraction for _, _, v in inv.entries())

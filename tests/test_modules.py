@@ -10,26 +10,27 @@ from spinrep import algebras as alg
 from spinrep.clifford import Multivector, Signature, blade_product, euclidean
 from spinrep.errors import InputError, StructureError
 from spinrep.files import module_to_payload, payload_to_gamma
-from spinrep.kmatrix import joint_intertwiners
-from spinrep.linalg import QMat, inertia, intertwiner_space
-from spinrep import modules
+from spinrep.linalg import QMat, SignedPerm, inertia, intertwiner_space
+from spinrep import modules, recipe
 from spinrep.modules import (
-    GradedSpace,
-    SpinorModule,
     _invert,
-    assemble_euclidean,
-    assemble_positive,
-    assemble_signature,
     c4_action,
-    even_summand,
     grading_from_volume,
-    intertwiners,
     octonion_module,
     spin_metric_verify,
     spinor_square,
     split_clifford_action,
-    split_signature_module,
     sqrt_space_module,
+)
+from spinrep.recipe import (
+    GradedSpace,
+    SpinorModule,
+    assemble_euclidean,
+    assemble_positive,
+    assemble_signature,
+    even_summand,
+    intertwiners,
+    split_signature_module,
     verify_module,
 )
 from spinrep.structure import audit, expected_irreducible_dim, verify_clifford_condition
@@ -52,8 +53,8 @@ def test_base_module_dimensions():
 def test_base_module_volume_variants():
     plus = assemble_euclidean(3)
     minus = assemble_euclidean(3, "minus")
-    assert plus.volume_operator() == _neg_identity(4)
-    assert minus.volume_operator() == QMat.identity(4)
+    assert plus.blade_operator(0b111) == -SignedPerm.identity(4)
+    assert minus.blade_operator(0b111) == SignedPerm.identity(4)
     with pytest.raises(InputError):
         assemble_euclidean(2, "minus")
 
@@ -87,9 +88,9 @@ def test_c4_action_examples():
 
 def test_base_module_pos_examples():
     m1 = assemble_positive(1)
-    assert m1.generators[0] == QMat.from_dense([[1]])
+    assert m1.generators[0] == QMat.from_entries(1, 1, {(0, 0): 1})
     m1m = assemble_positive(1, "minus")
-    assert m1m.generators[0] == QMat.from_dense([[-1]])
+    assert m1m.generators[0] == QMat.from_entries(1, 1, {(0, 0): -1})
     m2 = assemble_positive(2)
     eps = m2.generators[1]
     assert eps == QMat.diag([1, -1])
@@ -147,9 +148,9 @@ def test_plus_minus_distinctness(n):
     plus = assemble_euclidean(n)
     minus = assemble_euclidean(n, "minus")
     d = plus.real_dim
-    assert plus.volume_operator() == _neg_identity(d)
-    assert minus.volume_operator() == QMat.identity(d)
-    joint = joint_intertwiners(list(plus.generators), list(minus.generators))
+    assert plus.blade_operator((1 << n) - 1) == -SignedPerm.identity(d)
+    assert minus.blade_operator((1 << n) - 1) == SignedPerm.identity(d)
+    joint = intertwiner_space(list(zip(plus.generators, minus.generators)), d, d)
     assert joint == []
 
 
@@ -167,8 +168,8 @@ def test_positive_signature_assembly():
         assert verify_clifford_condition(list(m.generators), m.signature).ok
     p = assemble_positive(5)
     mnt = assemble_positive(5, "minus")
-    assert p.volume_operator() == QMat.identity(8)
-    assert mnt.volume_operator() == _neg_identity(8)
+    assert p.blade_operator(0b11111) == SignedPerm.identity(8)
+    assert mnt.blade_operator(0b11111) == -SignedPerm.identity(8)
 
 
 def test_signature_assembly_matches_euclidean():
@@ -189,7 +190,7 @@ def test_grading_oddness_and_volume():
     for n in (4, 8, 12):
         m = assemble_euclidean(n)
         g = grading_from_volume(m)
-        assert g.plus_count() == g.minus_count() == m.real_dim // 2
+        assert g.grading.count(1) == g.grading.count(-1) == m.real_dim // 2
         assert tuple(g.grading) == m.real_grading()
         eps = QMat.diag(g.grading)
         for gen in m.generators:
@@ -200,10 +201,10 @@ def test_grading_oddness_and_volume():
 
 def test_grading_from_volume_s4():
     g = grading_from_volume(assemble_euclidean(4))
-    assert g.plus_count() == 4 and g.minus_count() == 4
+    assert g.grading.count(1) == 4 and g.grading.count(-1) == 4
     m = assemble_euclidean(4)
-    vol = m.volume_operator()
-    assert vol == QMat.diag(g.grading)
+    vol = m.blade_operator(0b1111)
+    assert vol == SignedPerm.diag(g.grading)
 
 
 def test_non_diagonal_volume_is_refused():
@@ -211,14 +212,14 @@ def test_non_diagonal_volume_is_refused():
     volume eigenspaces: neither reader of the volume diagonal accepts it."""
     m = assemble_euclidean(4)
     d = m.real_dim
-    vol = m.volume_operator()
+    vol = m.blade_operator(0b1111).to_qmat()
     # a basis vector in the other volume eigenspace than the first one
     other = next(i for i in range(d) if vol.get(i, i) == -vol.get(0, 0))
     shear = QMat.identity(d) + QMat.from_entries(d, d, {(0, other): Fraction(1)})
     gens = [shear * g * _invert(shear) for g in m.generators]
     sheared = SpinorModule(m.signature, m.field, gens, GradedSpace("R", d), QMat.identity(d), m.family,
                            m.variant, ())
-    assert sheared.volume_operator() * sheared.volume_operator() == QMat.identity(d)
+    assert sheared.blade_operator(0b1111) * sheared.blade_operator(0b1111) == QMat.identity(d)
     for reader in (grading_from_volume, even_summand):
         with pytest.raises(StructureError, match="not diagonal"):
             reader(sheared)
@@ -230,7 +231,7 @@ def test_non_diagonal_volume_is_refused():
 def test_split_action_example():
     # i = 1: c(x, omega)(l + m f) = (-omega m) + (x l) f
     op = split_clifford_action(1, [Fraction(2)], [Fraction(3)])
-    assert op == QMat.from_dense([[0, -3], [2, 0]])
+    assert op == QMat.from_entries(2, 2, {(0, 1): -3, (1, 0): 2})
     # v = (1, 1) squares to -1 under the normalized pairing
     op = split_clifford_action(1, [1], [1])
     assert op * op == _neg_identity(2)
@@ -278,7 +279,7 @@ def test_sqrt_space_structure(n):
     assert com_sqrt.real_dimension == com_base.real_dimension
     assert com_sqrt.division_algebra == com_base.division_algebra
     # explicit intertwiner exists once variants are matched
-    joint = joint_intertwiners(list(base.generators), list(m.generators))
+    joint = intertwiner_space(list(zip(base.generators, m.generators)), base.real_dim, m.real_dim)
     assert joint
 
 
@@ -304,7 +305,7 @@ def test_sqrt_space_refuses_a_span_that_is_not_invariant(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sqrt_space_volume_partner_is_the_blade_product(n):
-    acts = [modules._exterior_action(n, j, -1) for j in range(n)]
+    acts = [recipe._exterior_action(n, j, -1) for j in range(n)]
     vol = (1 << n) - 1
     for x in range(vol + 1):
         sign, partner = blade_product(euclidean(n), x, vol)
@@ -332,11 +333,11 @@ def test_sqrt_space_metric_spans_the_symmetric_invariant_forms(n):
 
 
 def test_invert_reduces_once_and_rejects_singular():
-    m = QMat.from_dense([[0, 2, 1], [1, 0, 0], [3, 1, Fraction(3, 2)]])
+    m = QMat.from_entries(3, 3, {(0, 1): 2, (0, 2): 1, (1, 0): 1, (2, 0): 3, (2, 1): 1, (2, 2): Fraction(3, 2)})
     inv = _invert(m)
     assert m * inv == QMat.identity(3) and inv * m == QMat.identity(3)
     with pytest.raises(StructureError, match="not invertible"):
-        _invert(QMat.from_dense([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
+        _invert(QMat.from_entries(3, 3, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4, (2, 2): 1}))
 
 
 def test_octonion_examples():
@@ -406,7 +407,7 @@ def test_generate_and_verify_run_one_audit():
     ]
     for m in modules:
         on_file = [c for c in _file_audit(m).checks if c[0] != "volume-sign-recorded"]
-        assert verify_module(m).checks == on_file, m.describe()
+        assert verify_module(m).checks == on_file, (m.signature, m.family, m.variant)
     # spin_metric_verify is the metric part of the same audit
     detail = "; ".join(spin_metric_verify(bad_metric).failures)
     assert detail.startswith("generator e_1 fails skew-adjointness")
@@ -468,4 +469,4 @@ def test_verify_module_passes(args):
 def test_mixed_signature_variants_differ():
     plus = assemble_signature(2, 1)
     minus = assemble_signature(2, 1, "minus")
-    assert plus.volume_operator() == minus.volume_operator().scale(-1)
+    assert plus.blade_operator(0b111) == minus.blade_operator(0b111).scale(-1)

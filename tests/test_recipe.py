@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 from unittest import mock
 
-from spinrep import modules, recipe
+from spinrep import kmatrix, modules, recipe
 from spinrep.files import module_to_payload
 from spinrep.linalg import QMat, SignedPerm
 
@@ -72,3 +72,21 @@ def test_modules_keeps_what_the_benchmark_reaches():
     found = _cached(vars(modules))
     assert all(f in found for f in _cached(vars(recipe)))
     assert {modules.sqrt_space_module, modules.octonion_module} <= set(found)
+
+
+def _recipe_imports(path: str) -> set[str]:
+    """Names a spinrep module imports from ``.recipe`` at module level."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "recipe"
+            for alias in node.names}
+
+
+def test_recipe_names_are_not_passed_through():
+    # modules imports a recipe name only to use it or for the benchmark to reach it there
+    names_used = {node.id for node in ast.walk(ast.parse(Path(modules.__file__).read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Name)}
+    reached = _modules_names_in_inproc() | {f.__name__ for f in _cached(vars(recipe))}
+    imported = _recipe_imports(modules.__file__)
+    assert imported - names_used <= reached, imported - names_used - reached
+    assert _recipe_imports(kmatrix.__file__) == set()

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinrep import modules, structure
+from spinrep import recipe, structure
 from spinrep.kmatrix import commutant
 from spinrep.linalg import QMat, SignedPerm
-from spinrep.modules import assemble_signature, even_summand, intertwiners
+from spinrep.recipe import assemble_signature, even_summand, intertwiners
 from spinrep.structure import audit
 
 from test_gamma_manifest import sweep_jobs
@@ -59,7 +59,8 @@ def test_signed_perm_operations_match_qmat(pair):
     [[0, 0], [0, 1]],
 ])
 def test_of_refuses_non_monomial(dense):
-    assert SignedPerm.of(QMat.from_dense(dense)) is None
+    entries = {(i, j): v for i, r in enumerate(dense) for j, v in enumerate(r)}
+    assert SignedPerm.of(QMat.from_entries(2, 2, entries)) is None
     assert SignedPerm.of(QMat.zeros(2, 3)) is None
 
 
@@ -174,11 +175,11 @@ def test_even_commutant_matches_rational_products(sig):
     m = assemble_signature(*sig)
     d = m.real_dim
     gens = [m.generators[0] * g for g in m.generators[1:]] or [QMat.identity(d)]
-    vol = m.volume_operator()
+    vol = m.blade_operator((1 << sum(sig)) - 1).to_qmat()
     if sum(sig) % 2 == 0 and vol * vol == QMat.identity(d):
         plus = [i for i in range(d) if vol.get(i, i) == 1]
         assert even_summand(m) == plus
-        gens = [modules._submatrix(g, plus) for g in gens]
+        gens = [recipe._submatrix(g, plus) for g in gens]
     else:
         assert even_summand(m) is None
     assert intertwiners(m, even_only=True).basis == commutant(gens, gens[0].nrows).basis

@@ -10,7 +10,7 @@ from conftest import random_rational_rotation
 
 from spinrep.clifford import Multivector, Signature, euclidean
 from spinrep.errors import InputError
-from spinrep.modules import assemble_euclidean, assemble_signature
+from spinrep.recipe import assemble_euclidean, assemble_signature
 from spinrep.spin import (
     SpinCoordinateSystem,
     SpinElement,
@@ -108,6 +108,19 @@ def test_spin_lift_rejects_bad_input():
         spin_lift(cycle)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: spin_lift([["a"]]), id="spin_lift-string"),
+    pytest.param(lambda: Multivector.scalar(euclidean(2), 1).scale("x"), id="scale-string"),
+    pytest.param(lambda: Multivector.make(euclidean(2), {0: float("nan")}), id="make-nan"),
+    pytest.param(lambda: Multivector.vector(euclidean(2), [float("inf"), 0]), id="vector-inf"),
+    pytest.param(lambda: reflection(["1/0", 1], [1, 0], euclidean(2)), id="reflection-zero-denominator"),
+])
+def test_exact_entry_points_refuse_what_fraction_refuses(call):
+    # Fraction raises ValueError, OverflowError or ZeroDivisionError here
+    with pytest.raises(InputError, match="is not an exact rational number"):
+        call()
+
+
 def test_covering_parity_and_composition():
     rng = random.Random(77)
     n = 4
@@ -122,7 +135,9 @@ def test_covering_parity_and_composition():
         prod = g1 * g2
         # Ad(g1 g2) = Ad(g1) Ad(g2): both lift the same rotation
         assert twisted_adjoint_matrix(prod.value) == mat_mul(r1, r2)
-        assert prod.same_projective(g12) or prod.same_projective(-g12)
+        # the same rotation: prod = c g12 for a rational c, so prod rev(g12) is the scalar c |g12|^2
+        cross = prod.value * g12.value.reversion()
+        assert cross.is_scalar() and cross.scalar_part() ** 2 == prod.norm2 * g12.norm2
         # lift of R then R^-1 is +-1
         rinv = [list(col) for col in zip(*r1)]
         ginv = spin_lift(rinv)
@@ -152,7 +167,7 @@ def test_spin_action_orthogonality_and_homomorphism():
     g = SpinElement.from_multivector(
         Multivector.make(sig, {0: Fraction(3, 5), 0b11: Fraction(4, 5)})
     )
-    assert g.is_unit()
+    assert g.norm2 == 1
     pi = spin_action(module, g)
     m = module.spin_metric
     assert pi.transpose() * m * pi == m
