@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import ONE, ZERO, QMat
+from .linalg import ONE, ZERO, QMat, _exact
 from .recipe import _UNITS  # e_t e_j = sign e_i as (i, sign), for the units of R, C, H and O
 from .structure import FIELD_DIM
 
@@ -51,7 +51,7 @@ class KElement:
 
 
 def kelem(algebra: str, coeffs) -> KElement:
-    return KElement(algebra, tuple(Fraction(c) for c in coeffs))
+    return KElement(algebra, tuple(map(_exact, coeffs)))
 
 
 def zero(algebra: str) -> KElement:
@@ -84,7 +84,7 @@ def neg(a: KElement) -> KElement:
 
 
 def scale(a: KElement, c) -> KElement:
-    c = Fraction(c)
+    c = _exact(c)
     return KElement(a.algebra, tuple(c * x for x in a.coeffs))
 
 

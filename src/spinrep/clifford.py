@@ -25,17 +25,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError, StructureError
-from .linalg import ONE, ZERO, sparse_solve
+from .linalg import ONE, ZERO, _exact, sparse_solve
 from .structure import Signature
-
-
-def _exact(c) -> Fraction:
-    """``Fraction(c)``, with what ``Fraction`` refuses (a bad string, a NaN,
-    an infinity, a zero denominator) raised as an ``InputError``."""
-    try:
-        return Fraction(c)
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise InputError(f"{c!r} is not an exact rational number") from exc
 
 
 def euclidean(n: int) -> Signature:

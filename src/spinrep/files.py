@@ -109,9 +109,9 @@ def _matrices(value, size: int, what: str) -> list[QMat]:
 def module_to_payload(module: SpinorModule, volume_sign: int | None = None) -> dict:
     """The v1 payload of a module, written from its matrices as built
     (``SignedPerm``s for a recipe module).  ``volume_sign`` is the sign
-    ``audit`` computed (``ModuleReport.volume_sign``); without it the volume
-    element is multiplied out here from the module's own matrices."""
-    from .structure import CONVENTION
+    ``audit`` computed (``structure.Report.volume_sign``); without it the sign
+    is ``structure.volume_sign_of`` the module's own generators."""
+    from .structure import CONVENTION, volume_sign_of
 
     payload = {
         "format_version": FORMAT_VERSION,
@@ -131,12 +131,7 @@ def module_to_payload(module: SpinorModule, volume_sign: int | None = None) -> d
         payload["grading"] = list(grading)
     sig = module.signature
     if (sig.s - sig.r) % 4 == 3:
-        if volume_sign is None:
-            vol = module.gens[0]
-            for g in module.gens[1:]:
-                vol = vol * g
-            volume_sign = 1 if vol == type(vol).identity(module.real_dim) else -1
-        payload["volume_sign"] = volume_sign
+        payload["volume_sign"] = volume_sign_of(module.gens) if volume_sign is None else volume_sign
     return payload
 
 

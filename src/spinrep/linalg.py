@@ -32,13 +32,22 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
+from .errors import InputError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _exact(c) -> Fraction:
+    """``Fraction(c)``, with what ``Fraction`` refuses (a bad string, a NaN,
+    an infinity, a zero denominator) raised as an ``InputError``."""
+    if isinstance(c, Fraction):
+        return c
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InputError(f"{c!r} is not an exact rational number") from exc
 
 
 class QMat:
@@ -69,7 +78,7 @@ class QMat:
 
     @staticmethod
     def diag(values: Iterable) -> "QMat":
-        vals = [_frac(v) for v in values]
+        vals = [_exact(v) for v in values]
         rows = [({i: v} if v else {}) for i, v in enumerate(vals)]
         return QMat(len(vals), len(vals), rows)
 
@@ -77,7 +86,7 @@ class QMat:
     def from_entries(nrows: int, ncols: int, entries: dict[tuple[int, int], Fraction]) -> "QMat":
         rows: list[dict[int, Fraction]] = [dict() for _ in range(nrows)]
         for (i, j), v in entries.items():
-            fv = _frac(v)
+            fv = _exact(v)
             if fv:
                 rows[i][j] = fv
         return QMat(nrows, ncols, rows)
@@ -135,7 +144,7 @@ class QMat:
         return QMat(self.nrows, self.ncols, [{j: -v for j, v in r.items()} for r in self.rows])
 
     def scale(self, c) -> "QMat":
-        c = _frac(c)
+        c = _exact(c)
         if not c:
             return QMat.zeros(self.nrows, self.ncols)
         return QMat(self.nrows, self.ncols, [{j: c * v for j, v in r.items()} for r in self.rows])
@@ -449,7 +458,7 @@ def sparse_solve(rows: list[dict[int, Fraction]], rhs: list, ncols: int):
     rr = Rref()
     for row, b in zip(rows, rhs):
         r = dict(row)
-        fb = _frac(b)
+        fb = _exact(b)
         if fb:
             r[aug] = -fb
         rr.add_row(r)

@@ -22,13 +22,14 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import InputError, StructureError
-from .linalg import ONE, ZERO, QMat, Rref, SignedPerm, intertwiner_space, sparse_solve
+from .linalg import ONE, ZERO, QMat, Rref, SignedPerm, _exact, intertwiner_space, sparse_solve
 from .recipe import (_UNITS, GradedSpace, SpinorModule, _base, _exterior_action, _right_units, _unit_blocks,
                      assemble_euclidean, volume_diagonal)
 # not used in this module: perfbench/inproc.py wraps them here and clears the lru_caches it finds here
 from .recipe import (_definite, assemble_positive, assemble_signature, intertwiners,  # noqa: F401
                      split_signature_module, verify_module)
-from .structure import FAMILY_OCTONION, FAMILY_SQRT, FIELD_DIM, Signature, _metric_failures
+from .structure import (FAMILY_OCTONION, FAMILY_SQRT, FIELD_DIM, Report, Signature, _metric_failures, _monomial,
+                        plus_volume_sign, volume_sign_of)
 
 if TYPE_CHECKING:
     from .algebras import KElement
@@ -63,7 +64,7 @@ def split_clifford_action(i: int, xs, omegas) -> QMat:
     for j in range(i):
         for row, mask, sign in _exterior_action(i, j, 1).entries():
             # a blade without e_j is wedged by x_j, one with it contracted by omega_j
-            entries[row, mask] = sign * (-Fraction(omegas[j]) if mask >> j & 1 else Fraction(xs[j]))
+            entries[row, mask] = sign * (-_exact(omegas[j]) if mask >> j & 1 else _exact(xs[j]))
     return QMat.from_entries(1 << i, 1 << i, entries)
 
 
@@ -81,7 +82,7 @@ def _volume_partner(acts: list[SignedPerm], x: int) -> tuple[int, int]:
     return sign, mask
 
 
-def _sqrt_gens(n: int) -> list[QMat]:
+def _sqrt_gens(n: int) -> list[QMat] | list[SignedPerm]:
     """Wedge-minus-contraction on the exterior algebra of R^n, which is left
     multiplication in Cl(0,n).  Where the volume element squares to +1
     (n = 3, 4) the action is restricted to the eps = (-1)^n eigenspace of
@@ -91,12 +92,13 @@ def _sqrt_gens(n: int) -> list[QMat]:
     The half has one basis vector per key blade x: (x + eps x vol)/2 for x
     below the middle degree and x + eps x vol for a middle-degree x that
     contains e_1, ordered by (grade, mask).  x vol is never a key blade, so
-    coordinates are read off at the key blades."""
+    coordinates are read off at the key blades.  The generators are
+    ``SignedPerm``s when every one is a signed permutation (n = 1..3), else
+    ``QMat``s."""
     acts = [_exterior_action(n, j, -1) for j in range(n)]
-    gens = [a.to_qmat() for a in acts]
     vol = (1 << n) - 1
     if _volume_partner(acts, vol)[0] < 0:
-        return gens
+        return acts
     eps = -1 if n % 2 else 1
     key = sorted(
         (x for x in range(vol + 1) if 2 * x.bit_count() < n or 2 * x.bit_count() == n and x & 1),
@@ -111,13 +113,13 @@ def _sqrt_gens(n: int) -> list[QMat]:
     span = QMat.from_entries(vol + 1, len(key), span)
     read = QMat.from_entries(len(key), vol + 1, read)
     halves = []
-    for g in gens:
-        image = g * span
+    for a in acts:
+        image = a.to_qmat() * span
         half = read * image
         if span * half != image:
             raise StructureError("sqrt-space image left the volume-element eigenspace")
         halves.append(half)
-    return halves
+    return _monomial(halves, len(key)) or halves
 
 
 def _invert(m: QMat) -> QMat:
@@ -153,8 +155,7 @@ def sqrt_space_module(n: int) -> SpinorModule:
     dim = gens[0].nrows
     variant = "plus"
     if n == 3:
-        vol = gens[0] * gens[1] * gens[2]
-        variant = "plus" if vol == QMat.identity(dim).scale(-1) else "minus"
+        variant = "plus" if volume_sign_of(gens) == plus_volume_sign(Signature(0, 3)) else "minus"
     reference = assemble_euclidean(n, variant)
     basis = intertwiner_space(list(zip(reference.generators, gens)), dim, dim)
     if not basis:
@@ -202,10 +203,7 @@ def octonion_module(k: int) -> SpinorModule:
     dim = gens[0].nrows
     variant = "plus"
     if (sig.s - sig.r) % 4 == 3:
-        vol = gens[0]
-        for g in gens[1:]:
-            vol = vol * g
-        variant = "plus" if vol == -SignedPerm.identity(dim) else "minus"
+        variant = "plus" if volume_sign_of(gens) == plus_volume_sign(sig) else "minus"
     space = GradedSpace("R", dim)
     return SpinorModule(sig, field_tag, gens, space, SignedPerm.identity(dim), FAMILY_OCTONION, variant, right_units)
 
@@ -224,23 +222,13 @@ def grading_from_volume(module: SpinorModule) -> GradedSpace:
     return GradedSpace("R", module.real_dim, tuple(diag))
 
 
-class MetricReport:
-    __slots__ = ("ok", "failures")
-
-    def __init__(self, ok: bool, failures: list[str]):
-        self.ok = ok
-        self.failures = failures
-
-    def __bool__(self):
-        return self.ok
-
-
-def spin_metric_verify(module: SpinorModule, metric: QMat | None = None) -> MetricReport:
-    """Metric part of the structural audit on a module, optionally against
-    another candidate ``metric``.  Failures are reported, not raised."""
+def spin_metric_verify(module: SpinorModule, metric: QMat | None = None) -> Report:
+    """The ``spin-metric`` check of the structural audit on a module,
+    optionally against another candidate ``metric``.  Failures are reported,
+    not raised."""
     m = module.spin_metric if metric is None else metric
     failures = _metric_failures(module.signature, module.generators, m, module.right_units)
-    return MetricReport(not failures, failures)
+    return Report([("spin-metric", not failures, "; ".join(failures))])
 
 
 def spinor_square(module: SpinorModule, s1: list, s2: list) -> Multivector:
@@ -254,8 +242,8 @@ def spinor_square(module: SpinorModule, s1: list, s2: list) -> Multivector:
     from .clifford import Multivector
 
     d = module.real_dim
-    s1 = [Fraction(c) for c in s1]
-    s2 = [Fraction(c) for c in s2]
+    s1 = [_exact(c) for c in s1]
+    s2 = [_exact(c) for c in s2]
     if len(s1) != d or len(s2) != d:
         raise InputError("spinor length does not match module dimension")
     sig = module.signature

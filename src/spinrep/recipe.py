@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING
 
 from .errors import InputError, StructureError
 from .linalg import QMat, SignedPerm
-from .structure import (FAMILY_ASSEMBLED, FAMILY_POSITIVE, FAMILY_QUATERNIONIC, FAMILY_SPLIT, FIELD_DIM,
-                        ModuleReport, Signature, _monomial, audit)
+from .structure import (FAMILY_ASSEMBLED, FAMILY_POSITIVE, FAMILY_QUATERNIONIC, FAMILY_SPLIT, FIELD_DIM, Report,
+                        Signature, audit)
 
 if TYPE_CHECKING:
     from .clifford import Multivector
@@ -513,7 +513,7 @@ def assemble_signature(r: int, s: int, variant: str = "plus") -> SpinorModule:
 # ---------------------------------------------------------------------------
 
 
-def verify_module(module: SpinorModule) -> ModuleReport:
+def verify_module(module: SpinorModule) -> Report:
     """The structural audit on the module's own data, exactly as
     ``files.module_to_payload`` writes it."""
     ident = type(module.metric).identity(module.real_dim)
@@ -534,20 +534,11 @@ def _submatrix(m, idxs: list[int]):
     return QMat.from_entries(len(idxs), len(idxs), entries)
 
 
-def _operators(module: SpinorModule) -> list:
-    """The generators as ``SignedPerm``s when every one is a signed
-    permutation, else as the module's ``QMat``s."""
-    return _monomial(module.gens, module.real_dim) or list(module.gens)
-
-
 def volume_diagonal(module: SpinorModule) -> list[int] | None:
-    """The +-1 diagonal of the volume operator e_1 ... e_n, multiplied out of
-    the module's own matrices, or None when it does not square to 1.  A
-    square root of 1 that is not diagonal in the module basis raises."""
-    gens = _operators(module)
-    vol = gens[0]
-    for g in gens[1:]:
-        vol = vol * g
+    """The +-1 diagonal of the volume operator e_1 ... e_n, the blade
+    operator of the module's own matrices, or None when it does not square to
+    1.  A square root of 1 that is not diagonal in the module basis raises."""
+    vol = module.blade_operator((1 << module.signature.n) - 1)
     d = vol.nrows
     if vol * vol != type(vol).identity(d):
         return None
@@ -580,7 +571,7 @@ def intertwiners(module: SpinorModule, even_only: bool = False) -> Commutant:
 
     if not even_only:
         return commutant(list(module.gens), module.real_dim)
-    gens = _operators(module)
+    gens = module.gens
     even = [gens[0] * g for g in gens[1:]] or [type(gens[0]).identity(module.real_dim)]
     plus = even_summand(module)
     if plus is not None:

@@ -15,11 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .clifford import Multivector, _exact, euclidean
+from .clifford import Multivector, euclidean
 from .errors import InputError, StructureError
-from .linalg import QMat
+from .linalg import QMat, _exact
 from .recipe import SpinorModule, _submatrix, even_summand, intertwiners
-from .structure import Signature
+from .structure import Report, Signature
 
 _NOT_SPECIAL_ORTHOGONAL = "input is not an exact special orthogonal matrix"
 
@@ -166,31 +166,12 @@ def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
     return [a // g for a in nums], den // g
 
 
-class DoubleCoverReport:
-    __slots__ = ("adjoints_equal", "actions_differ")
-
-    def __init__(self, adjoints_equal: bool, actions_differ: bool | None):
-        self.adjoints_equal = adjoints_equal
-        self.actions_differ = actions_differ
-
-    @property
-    def ok(self) -> bool:
-        return self.adjoints_equal and self.actions_differ is not False
-
-    def __bool__(self):
-        return self.ok
-
-
-def double_cover_check(g: SpinElement, module: SpinorModule | None = None) -> DoubleCoverReport:
-    """Confirm that g and -g cover the same rotation while acting
-    differently on a spinor module (when one is supplied)."""
-    m_plus = twisted_adjoint_matrix(g.value)
-    m_minus = twisted_adjoint_matrix((-g).value)
-    adjoints_equal = m_plus == m_minus
-    actions = None
-    if module is not None:
-        actions = spin_action(module, g) != spin_action(module, -g)
-    return DoubleCoverReport(adjoints_equal, actions)
+def double_cover_check(g: SpinElement, module: SpinorModule) -> Report:
+    """Confirm that g and -g cover the same rotation (``adjoints-equal``)
+    while acting differently on the spinor module (``actions-differ``)."""
+    adjoints_equal = twisted_adjoint_matrix(g.value) == twisted_adjoint_matrix((-g).value)
+    actions_differ = spin_action(module, g) != spin_action(module, -g)
+    return Report([("adjoints-equal", adjoints_equal, ""), ("actions-differ", actions_differ, "")])
 
 
 def spin_action(module: SpinorModule, g: SpinElement) -> QMat:
@@ -229,14 +210,14 @@ def spin_coordinate_system(module: SpinorModule, g: SpinElement) -> SpinCoordina
     )
 
 
-def verify_spin_coordinate_system(
-    module: SpinorModule, system: SpinCoordinateSystem
-) -> list[str]:
-    """Exact checks: the isometry intertwines the Clifford action up to the
-    covered frame, is a scaled isometry of the spin metric, and commutes
-    with the even commutant (the right action of K0), on the +1 volume
-    summand where ``intertwiners(module, even_only=True)`` takes it."""
-    failures = []
+def verify_spin_coordinate_system(module: SpinorModule, system: SpinCoordinateSystem) -> Report:
+    """Exact checks, one per condition: the isometry intertwines each
+    generator up to the covered frame (``intertwines-e<j>``), is a scaled
+    isometry of the spin metric (``spin-metric-isometry``), and commutes
+    with each even intertwiner (``commutes-even-<t>``, the right action of
+    K0), on the +1 volume summand where ``intertwiners(module,
+    even_only=True)`` takes it."""
+    checks = []
     n = module.signature.n
     phi = system.iso
     frame = system.covered_frame
@@ -247,16 +228,13 @@ def verify_spin_coordinate_system(
             c = frame[i][j]
             if c:
                 rhs = rhs + module.generators[i].scale(c)
-        if lhs != rhs * phi:
-            failures.append(f"does not intertwine e_{j + 1}")
+        checks.append((f"intertwines-e{j + 1}", lhs == rhs * phi, ""))
     m = module.spin_metric
-    if phi.transpose() * m * phi != m.scale(system.scale2):
-        failures.append("not a (scaled) spin-metric isometry")
+    checks.append(("spin-metric-isometry", phi.transpose() * m * phi == m.scale(system.scale2), ""))
     # the even commutant lives on the +1 volume summand when there is one;
     # phi is even, so it preserves that summand
     plus = even_summand(module)
     phi_even = phi if plus is None else _submatrix(phi, plus)
     for t, b in enumerate(intertwiners(module, even_only=True).basis):
-        if phi_even * b != b * phi_even:
-            failures.append(f"does not commute with even intertwiner {t}")
-    return failures
+        checks.append((f"commutes-even-{t}", phi_even * b == b * phi_even, ""))
+    return Report(checks)

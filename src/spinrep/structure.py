@@ -1,7 +1,9 @@
 """The structural audit of a module given as plain data, and what it needs:
-the signature and its sign convention, the table of irreducible modules, and
-the exact Clifford and spin-metric checks.  It imports only ``errors`` and
-``linalg``, so ``verify`` never compiles the module builders.
+the signature and its sign convention, the table of irreducible modules, the
+exact Clifford and spin-metric checks, and the volume rule that fixes the
+plus/minus variant.  ``Report`` is the result of every exact check in the
+package.  It imports only ``errors`` and ``linalg``, so ``verify`` never
+compiles the module builders.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import QMat, Rref, SignedPerm, inertia
+from .linalg import QMat, Rref, SignedPerm, _exact, inertia
 
 CONVENTION = (
     "e_i e_j + e_j e_i = -2 g_ij with g = diag(-1 x r, +1 x s); "
@@ -77,7 +79,7 @@ class Signature:
             raise InputError("vector length does not match signature dimension")
         total = Fraction(0)
         for i, (a, b) in enumerate(zip(v, w)):
-            total += Fraction(a) * Fraction(b) * self.form(i)
+            total += _exact(a) * _exact(b) * self.form(i)
         return total
 
     def __str__(self):
@@ -104,21 +106,49 @@ def expected_field(r: int, s: int) -> str:
     return "CHHHCRRR"[(s - r - 1) % 8]
 
 
-class CliffordReport:
-    __slots__ = ("ok", "violations")
+class Report:
+    """The result of an exact check: the checks that ran, as (name, passed,
+    detail), and the ones that did not apply, as (name, reason); a skipped
+    check passes and fails nothing.  ``audit`` also records the computed
+    ``volume_sign``."""
 
-    def __init__(self, ok: bool, violations: list[tuple[int, int]]):
-        self.ok = ok
-        self.violations = violations
+    __slots__ = ("checks", "volume_sign", "skipped")
+
+    def __init__(self, checks: list[tuple[str, bool, str]], volume_sign: int | None = None,
+                 skipped: list[tuple[str, str]] | None = None):
+        self.checks = checks
+        self.volume_sign = volume_sign  # computed when s - r = 3 mod 4: 1, -1, or 0 (not central)
+        self.skipped = skipped or []
+
+    @property
+    def ok(self) -> bool:
+        return all(okay for _, okay, _ in self.checks)
 
     def __bool__(self):
         return self.ok
 
 
-def verify_clifford_condition(generators: list, sig: Signature) -> CliffordReport:
+def volume_sign_of(generators) -> int:
+    """1 or -1 when the volume operator e_1 ... e_n of these generators (all
+    ``QMat``s or all ``SignedPerm``s) is +I or -I, else 0."""
+    vol = generators[0]
+    for g in generators[1:]:
+        vol = vol * g
+    ident = type(vol).identity(vol.nrows)
+    return 1 if vol == ident else (-1 if vol == -ident else 0)
+
+
+def plus_volume_sign(sig: Signature) -> int:
+    """The volume sign of the plus variant of a definite signature: -1 on
+    Cl(0,n), +1 on Cl(n,0); the minus variant has the other sign."""
+    return -1 if sig.r == 0 else 1
+
+
+def verify_clifford_condition(generators: list, sig: Signature) -> Report:
     """Check G_i G_i = -g_ii I and G_i G_j = -G_j G_i (i != j) exactly, which
-    together are G_i G_j + G_j G_i = -2 g_ij I; violations are reported, not
-    raised.  The generators are all ``QMat``s or all ``SignedPerm``s."""
+    together are G_i G_j + G_j G_i = -2 g_ij I; the violating pairs are
+    reported in one ``clifford-condition`` check, not raised.  The generators
+    are all ``QMat``s or all ``SignedPerm``s."""
     if len(generators) != sig.n:
         raise InputError(f"{sig} needs {sig.n} generators, got {len(generators)}")
     d = generators[0].nrows
@@ -134,7 +164,7 @@ def verify_clifford_condition(generators: list, sig: Signature) -> CliffordRepor
             b = generators[j]
             if a * b != -(b * a):
                 violations.append((i + 1, j + 1))
-    return CliffordReport(not violations, violations)
+    return Report([("clifford-condition", not violations, f"violating pairs {violations}" if violations else "")])
 
 
 def _metric_failures(sig: Signature, generators, metric: QMat, units) -> list[str]:
@@ -173,26 +203,6 @@ CHECKS = ("classification-table", "clifford-condition", "spin-metric", "spin-met
           "commutant-dimension", "generators-odd", "volume-central-sign", "volume-sign-recorded", "volume-variant")
 
 
-class ModuleReport:
-    """The checks that ran, as (name, passed, detail), and the ones that did
-    not apply, as (name, reason); a skipped check passes and fails nothing."""
-
-    __slots__ = ("checks", "volume_sign", "skipped")
-
-    def __init__(self, checks: list[tuple[str, bool, str]], volume_sign: int | None = None,
-                 skipped: list[tuple[str, str]] | None = None):
-        self.checks = checks
-        self.volume_sign = volume_sign  # computed when s - r = 3 mod 4: 1, -1, or 0 (not central)
-        self.skipped = skipped or []
-
-    @property
-    def ok(self) -> bool:
-        return all(okay for _, okay, _ in self.checks)
-
-    def __bool__(self):
-        return self.ok
-
-
 def audit(
     sig: Signature,
     field: str,
@@ -202,7 +212,7 @@ def audit(
     grading,
     variant: str,
     volume_sign: int | None = None,
-) -> ModuleReport:
+) -> Report:
     """The structural audit of a module given as plain data; ``generate``
     runs it before writing a gamma file and ``verify`` after reading one.
 
@@ -229,7 +239,7 @@ def audit(
     checks: list[tuple[str, bool, str]] = []
     if len(generators) != sig.n:
         checks.append(("generator-count", False, f"{len(generators)} != {sig.n}"))
-        return ModuleReport(checks, skipped=[(name, "wrong generator count") for name in CHECKS])
+        return Report(checks, skipped=[(name, "wrong generator count") for name in CHECKS])
     d = metric.nrows
     want = (expected_irreducible_dim(sig.r, sig.s), expected_field(sig.r, sig.s))
     checks.append(("classification-table", (d, field) == want,
@@ -238,9 +248,7 @@ def audit(
     mat = QMat if perms is None else SignedPerm
     if perms is not None:
         generators, metric, commutant_basis = perms[:sig.n], perms[sig.n], perms[sig.n + 1:]
-    rep = verify_clifford_condition(list(generators), sig)
-    detail = "" if rep.ok else f"violating pairs {rep.violations}"
-    checks.append(("clifford-condition", rep.ok, detail))
+    checks += verify_clifford_condition(list(generators), sig).checks
 
     failures = _metric_failures(sig, generators, metric, commutant_basis[1:])
     checks.append(("spin-metric", not failures, "; ".join(failures)))
@@ -274,11 +282,8 @@ def audit(
 
     if (sig.s - sig.r) % 4 != 3:
         reason = f"s - r = {(sig.s - sig.r) % 4} mod 4, not 3"
-        return ModuleReport(checks, skipped=skipped + [(name, reason) for name in CHECKS[-3:]])
-    vol = generators[0]
-    for g in generators[1:]:
-        vol = vol * g
-    sign = 1 if vol == ident else (-1 if vol == ident.scale(-1) else 0)
+        return Report(checks, skipped=skipped + [(name, reason) for name in CHECKS[-3:]])
+    sign = volume_sign_of(generators)
     checks.append(("volume-central-sign", sign != 0, ""))
     if volume_sign is not None:
         checks.append(("volume-sign-recorded", sign == volume_sign, f"computed {sign}, recorded {volume_sign}"))
@@ -286,9 +291,8 @@ def audit(
         skipped.append(("volume-sign-recorded", "no volume_sign recorded"))
     # the sign itself is pinned only for the definite signatures
     if sig.r == 0 or sig.s == 0:
-        plus_sign = -1 if sig.r == 0 else 1
-        expect = plus_sign if variant == "plus" else -plus_sign
+        expect = plus_volume_sign(sig) * (1 if variant == "plus" else -1)
         checks.append(("volume-variant", sign == expect, f"variant {variant}"))
     else:
         skipped.append(("volume-variant", "indefinite signature"))
-    return ModuleReport(checks, sign, skipped)
+    return Report(checks, sign, skipped)

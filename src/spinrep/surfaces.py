@@ -355,11 +355,9 @@ def hypersurface4_action(normal, v, q):
     (Re(conj(normal) * v) = 0).  The inputs are read as Fractions and both
     preconditions are checked exactly.
     """
-    from fractions import Fraction
-
     from . import algebras as alg
 
-    nq, vq, qq = (alg.kelem("H", [Fraction(c) for c in x]) for x in (normal, v, q))
+    nq, vq, qq = (alg.kelem("H", x) for x in (normal, v, q))
     if alg.norm_sq(nq) != 1:
         raise InputError("normal is not a unit quaternion")
     if alg.real_part(alg.mul(alg.conj(nq), vq)) != 0:

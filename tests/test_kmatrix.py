@@ -170,7 +170,7 @@ def test_verify_clifford_condition_examples():
     li = m2.generators[0]
     rep_bad = verify_clifford_condition([li, li], euclidean(2))
     assert not rep_bad.ok
-    assert (1, 2) in rep_bad.violations
+    assert rep_bad.checks == [("clifford-condition", False, "violating pairs [(1, 2)]")]
 
     from spinrep.recipe import assemble_positive
 

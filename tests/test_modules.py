@@ -1,8 +1,11 @@
 """The spinor module families: dimensions, Clifford conditions, intertwiner
-tables, variants, gradings and spinor squaring."""
+tables, variants, gradings and spinor squaring; the one exact conversion of
+library inputs and the one report type of every exact check."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ from spinrep.clifford import Multivector, Signature, blade_product, euclidean
 from spinrep.errors import InputError, StructureError
 from spinrep.files import module_to_payload, payload_to_gamma
 from spinrep.linalg import QMat, SignedPerm, inertia, intertwiner_space
-from spinrep import modules, recipe
+from spinrep import modules, recipe, spin, structure
 from spinrep.modules import (
     _invert,
     c4_action,
@@ -34,6 +37,7 @@ from spinrep.recipe import (
     verify_module,
 )
 from spinrep.structure import audit, expected_irreducible_dim, verify_clifford_condition
+from spinrep.surfaces import hypersurface4_action
 
 K_DIMS = [2, 4, 4, 4, 2, 1, 1, 1]
 K0_DIMS = [4, 8, 4, 4, 4, 2, 1, 1]
@@ -409,9 +413,9 @@ def test_generate_and_verify_run_one_audit():
         on_file = [c for c in _file_audit(m).checks if c[0] != "volume-sign-recorded"]
         assert verify_module(m).checks == on_file, (m.signature, m.family, m.variant)
     # spin_metric_verify is the metric part of the same audit
-    detail = "; ".join(spin_metric_verify(bad_metric).failures)
-    assert detail.startswith("generator e_1 fails skew-adjointness")
-    assert ("spin-metric", False, detail) in verify_module(bad_metric).checks
+    (check,) = spin_metric_verify(bad_metric).checks
+    assert check[2].startswith("generator e_1 fails skew-adjointness")
+    assert check in verify_module(bad_metric).checks
 
 
 # -- spinor squaring -------------------------------------------------------------
@@ -470,3 +474,52 @@ def test_mixed_signature_variants_differ():
     plus = assemble_signature(2, 1)
     minus = assemble_signature(2, 1, "minus")
     assert plus.blade_operator(0b111) == minus.blade_operator(0b111).scale(-1)
+
+
+# -- one exact conversion, one report ------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: QMat.diag(["a"]), id="diag-string"),
+    pytest.param(lambda: QMat.diag([float("inf")]), id="diag-inf"),
+    pytest.param(lambda: QMat.from_entries(1, 1, {(0, 0): float("nan")}), id="from_entries-nan"),
+    pytest.param(lambda: QMat.identity(2).scale("x"), id="scale-string"),
+    pytest.param(lambda: Signature(0, 2).bilinear(["a", 0], [1, 0]), id="bilinear-string"),
+    pytest.param(lambda: alg.kelem("H", ["a", 0, 0, 0]), id="kelem-string"),
+    pytest.param(lambda: split_clifford_action(1, ["1/0"], [0]), id="split_clifford_action-zero-denominator"),
+    pytest.param(lambda: spinor_square(assemble_euclidean(2), ["a", 0, 0, 0], [1, 0, 0, 0]),
+                 id="spinor_square-string"),
+    pytest.param(lambda: hypersurface4_action([float("nan"), 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]),
+                 id="hypersurface4_action-nan"),
+])
+def test_exact_conversions_refuse_what_fraction_refuses(call):
+    # Fraction raises ValueError, OverflowError or ZeroDivisionError here
+    with pytest.raises(InputError, match="is not an exact rational number"):
+        call()
+
+
+def test_report_is_the_only_report_class():
+    src = Path(modules.__file__).parent
+    found = sorted((path.stem, node.name) for path in src.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ClassDef) and node.name.endswith("Report"))
+    assert found == [("structure", "Report")]
+
+
+def _one(module):
+    return spin.SpinElement.from_multivector(Multivector.scalar(module.signature, 1))
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(_file_audit, id="audit"),
+    pytest.param(verify_module, id="verify_module"),
+    pytest.param(lambda m: verify_clifford_condition(list(m.gens), m.signature), id="verify_clifford_condition"),
+    pytest.param(spin_metric_verify, id="spin_metric_verify"),
+    pytest.param(lambda m: spin.double_cover_check(_one(m), m), id="double_cover_check"),
+    pytest.param(lambda m: spin.verify_spin_coordinate_system(m, spin.spin_coordinate_system(m, _one(m))),
+                 id="verify_spin_coordinate_system"),
+])
+def test_every_exact_check_returns_a_report(check):
+    report = check(assemble_euclidean(3))
+    assert type(report) is structure.Report
+    assert report.ok and report.checks

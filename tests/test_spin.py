@@ -153,7 +153,7 @@ def test_double_cover_check():
     assert rep.ok
     g = SpinElement.from_multivector(Multivector.blade(sig, 0b011))
     rep = double_cover_check(g, module)
-    assert rep.adjoints_equal and rep.actions_differ
+    assert rep.checks == [("adjoints-equal", True, ""), ("actions-differ", True, "")]
 
     rng = random.Random(50)
     for _ in range(5):
@@ -184,7 +184,7 @@ def test_spin_coordinate_systems(n):
     module = assemble_euclidean(n)
     g = spin_lift(random_rational_rotation(n, rng))
     system = spin_coordinate_system(module, g)
-    assert verify_spin_coordinate_system(module, system) == []
+    assert [name for name, ok, _ in verify_spin_coordinate_system(module, system).checks if not ok] == []
 
 
 @pytest.mark.parametrize("sig", [(1, 1), (2, 2), (3, 1)])
@@ -193,7 +193,8 @@ def test_spin_coordinate_system_on_split_summand(sig):
     # commutant also lives on the +1 summand
     module = assemble_signature(*sig)
     one = SpinElement.from_multivector(Multivector.make(module.signature, {0: Fraction(1)}))
-    assert verify_spin_coordinate_system(module, spin_coordinate_system(module, one)) == []
+    report = verify_spin_coordinate_system(module, spin_coordinate_system(module, one))
+    assert [name for name, ok, _ in report.checks if not ok] == []
 
 
 def test_spin_coordinate_system_even_commutant_checked_on_summand():
@@ -204,9 +205,9 @@ def test_spin_coordinate_system_even_commutant_checked_on_summand():
     g = spin_lift(random_rational_rotation(4, random.Random(64)))
     system = spin_coordinate_system(module, g)
     bad = SpinCoordinateSystem(system.iso * module.right_units[0], system.covered_frame, system.scale2)
-    assert verify_spin_coordinate_system(module, bad) == [
-        "does not commute with even intertwiner 2",
-        "does not commute with even intertwiner 3",
+    assert [name for name, ok, _ in verify_spin_coordinate_system(module, bad).checks if not ok] == [
+        "commutes-even-2",
+        "commutes-even-3",
     ]
 
 

@@ -8,7 +8,9 @@ integrator normalized it to NaN or zero vectors and went on, or checked a
 ``frame0`` against it by tests that a NaN passes.
 
 The frozen copy below is the old integrator verbatim, with the vector and
-quaternion helpers it used; only its name is changed.  Do not edit it."""
+quaternion helpers it used; only its name is changed, and its norm is the
+``+`` chain the library uses, which gives the bits ``sum()`` gave on Python
+3.10 and 3.11 on every version.  Do not edit it otherwise."""
 
 import math
 from typing import Callable
@@ -265,7 +267,8 @@ def frozen_spin_parallel_transport(
         g = tuple(
             gc + (a + 2.0 * (b + c) + d) * (dt / 6) for gc, a, b, c, d in zip(g, k1, k2, k3, k4)
         )
-        norm = math.sqrt(sum(c * c for c in g))
+        # +, not sum(), as in the library: sum() compensates its rounding from Python 3.12 on
+        norm = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2] + g[3] * g[3])
         g = tuple(c / norm for c in g)
         try:
             x = surface.point(*uv)
