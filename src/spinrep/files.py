@@ -71,8 +71,10 @@ def _matrix_from_rows(rows, size: int) -> QMat:
     """A size x size matrix of JSON integers (never booleans) and ``"p/q"``
     strings.  Each distinct string other than ``"0"`` is checked and
     converted once; cells of value zero (``0``, ``"-0"``, ``"0/7"``) store
-    nothing."""
+    nothing.  The rows are read as integers over the lcm of the cells'
+    denominators."""
     from fractions import Fraction
+    from math import lcm
 
     from .linalg import QMat
 
@@ -87,17 +89,21 @@ def _matrix_from_rows(rows, size: int) -> QMat:
             if cell == "0":
                 continue
             if type(cell) is int:
-                v = Fraction(cell)
+                v = cell
             elif type(cell) is str and cell in values:
                 v = values[cell]
             elif type(cell) is str and re.fullmatch(_CELL, cell):
-                v = values[cell] = Fraction(cell)
+                v = Fraction(cell)
+                v = values[cell] = v.numerator if v.denominator == 1 else v
             else:
                 raise InputError(f'matrix cells must be integers or "p/q" strings, got {cell!r}')
             if v:
                 entries[j] = v
         out.append(entries)
-    return QMat(size, size, out)
+    den = lcm(*(v.denominator for v in values.values()))
+    if den > 1:
+        out = [{j: v.numerator * (den // v.denominator) for j, v in r.items()} for r in out]
+    return QMat.from_numerators(size, size, out, den)
 
 
 def _matrices(value, size: int, what: str) -> list[QMat]:

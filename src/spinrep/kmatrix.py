@@ -8,10 +8,10 @@ one-slot tensor operators on that layout live in ``spinrep.recipe``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import InputError
-from .linalg import ZERO, QMat, Rref, inertia, intertwiner_space
+from .linalg import QMat, Rref, inertia, intertwiner_space
 from .structure import FIELD_DIM
 
 
@@ -50,48 +50,56 @@ def classify_commutant(basis: list[QMat]) -> str:
     (n(2n-1), n(2n+1)) for H.  Anything else, or a split that needs an
     irrational idempotent, is named ``A(k)``.
 
-    Coordinates are read, not solved: each basis element gets an entry at
-    which no other element is nonzero (the first entry of an element of the
-    signed-permutation solve, the free variable of a nullspace vector); other
-    bases are brought to reduced echelon form first.
+    It runs over the integers, on the numerators N_t of the basis, which
+    span the same algebra.  Coordinates are read, not solved: each N_t gets
+    an entry at which no other element is nonzero (the first entry of an
+    element of the signed-permutation solve, the free variable of a
+    nullspace vector); other bases are brought to reduced echelon form
+    first.  With L the lcm of those entries, L times the structure constants
+    are integers, and so are the forms built on them, each a positive
+    multiple of its rational counterpart, with the same inertia.
     """
     k = len(basis)
     undecided = f"A({k})"
-    at: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}  # entry -> [(element, value)]
-    for t, b in enumerate(basis):
-        for i, j, v in b.entries():
-            at.setdefault((i, j), []).append((t, v))
-    keys = [next(((i, j) for i, j, _ in b.entries() if len(at[i, j]) == 1), None) for b in basis]
+    mats = [b.num for b in basis]
+    at: dict[tuple[int, int], list[tuple[int, int]]] = {}  # entry -> [(element, value)]
+    for t, b in enumerate(mats):
+        for i, row in enumerate(b):
+            for j, v in row.items():
+                at.setdefault((i, j), []).append((t, v))
+    keys = [next(((i, j) for i, row in enumerate(b) for j in row if len(at[i, j]) == 1), None) for b in mats]
     if None in keys:
         rr = Rref()
-        for b in basis:
-            rr.add_row({i * b.ncols + j: v for i, j, v in b.entries()})
-        return classify_commutant(
-            [QMat.from_entries(b.nrows, b.ncols, {divmod(c, b.ncols): v for c, v in row.items()})
-             for row in rr.reduced().values()])
-    # mult[i][j]: the coordinates {t: value} of basis[i] * basis[j], read at keys[t]
-    mult: list[list[dict[int, Fraction]]] = [[{} for _ in range(k)] for _ in range(k)]
+        nrows, ncols = basis[0].nrows, basis[0].ncols
+        for b in mats:
+            rr.add_row({i * ncols + j: v for i, row in enumerate(b) for j, v in row.items()})
+        return classify_commutant([QMat.from_vector(nrows, ncols, row, row[p]) for p, row in rr.reduced().items()])
+    scale = lcm(*(at[key][0][1] for key in keys))
+    # mult[i][j]: the coordinates {t: value} of scale N_i N_j, read at keys[t]
+    mult: list[list[dict[int, int]]] = [[{} for _ in range(k)] for _ in range(k)]
     for t, (r, c) in enumerate(keys):
-        inv = 1 / at[r, c][0][1]
-        for i, bi in enumerate(basis):
-            for m, x in bi.rows[r].items():
+        f = scale // at[r, c][0][1]
+        for i, bi in enumerate(mats):
+            prods = mult[i]
+            for m, x in bi[r].items():
+                xf = x * f
                 for j, y in at.get((m, c), ()):
-                    mult[i][j][t] = mult[i][j].get(t, ZERO) + x * y * inv
-    traces = [b.trace() for b in basis]
+                    prods[j][t] = prods[j].get(t, 0) + xf * y
+    traces = [sum(row.get(i, 0) for i, row in enumerate(b)) for b in mats]
 
-    def gram(w: list[Fraction]) -> list[list[Fraction]]:
-        """The form (x, y) -> w(xy) on basis pairs, for a linear functional w."""
-        return [[sum((v * w[t] for t, v in mult[i][j].items()), ZERO) for j in range(k)] for i in range(k)]
+    def gram(w: list[int]) -> list[list[int]]:
+        """The form (x, y) -> w(scale xy) on basis pairs, for a linear functional w."""
+        return [[sum(v * w[t] for t, v in mult[i][j].items()) for j in range(k)] for i in range(k)]
 
     form = gram(traces)
     pos, neg, zero = inertia(form)
     if zero:
         return undecided
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}  # x central: sum_t x_t [b_t, b_j] = 0
+    rows: dict[tuple[int, int], dict[int, int]] = {}  # x central: sum_t x_t [N_t, N_j] = 0
     for t in range(k):
         for j in range(k):
             for u in mult[t][j].keys() | mult[j][t].keys():
-                v = mult[t][j].get(u, ZERO) - mult[j][t].get(u, ZERO)
+                v = mult[t][j].get(u, 0) - mult[j][t].get(u, 0)
                 if v:
                     rows.setdefault((j, u), {})[t] = v
     rr = Rref()
@@ -103,22 +111,24 @@ def classify_commutant(basis: list[QMat]) -> str:
         return simple[2] if simple else undecided
     if len(center) != 2:
         return undecided
-    # w: a central element with trace 0, so w^2 = alpha + beta w
-    one = [1 / at[i, j][0][1] if i == j else ZERO for i, j in keys]
+    # one: the coordinates of scale I; w: a central element with trace 0, a
+    # positive multiple of z - (tr z / tr 1) 1, and w^2 = alpha + beta w
+    one = [scale // at[i, j][0][1] if i == j else 0 for i, j in keys]
     tau = sum(a * b for a, b in zip(one, traces))
-    for vec in center:
-        z = [vec.get(t, ZERO) for t in range(k)]
-        shift = sum(a * b for a, b in zip(z, traces)) / tau
-        w = [a - shift * b for a, b in zip(z, one)]
+    for _, vec in center:
+        z = [vec.get(t, 0) for t in range(k)]
+        tz = sum(a * b for a, b in zip(z, traces))
+        w = [tau * a - tz * b for a, b in zip(z, one)]
         if any(w):
             break
-    w2 = [ZERO] * k
+    w2 = [0] * k  # the coordinates of scale w^2
     for i, j in ((i, j) for i in range(k) for j in range(k) if w[i] and w[j]):
         for t, v in mult[i][j].items():
             w2[t] += w[i] * w[j] * v
-    alpha = sum(a * b for a, b in zip(w2, traces)) / tau
+    # scale w^2 = alpha one + scale beta w, with tr(scale w^2) = alpha tau
+    alpha = Fraction(sum(a * b for a, b in zip(w2, traces)), tau)
     t = next(t for t in range(k) if w[t])
-    beta = (w2[t] - alpha * one[t]) / w[t]
+    beta = (w2[t] - alpha * one[t]) / (w[t] * scale)
     disc = beta * beta + 4 * alpha
     if disc < 0:  # center C
         return simple[2] if simple else undecided
@@ -126,9 +136,12 @@ def classify_commutant(basis: list[QMat]) -> str:
     if not root or root * root != disc:  # not semisimple, or the idempotents are irrational
         return undecided
     # e = (w - lambda_-) / (lambda_+ - lambda_-), a central idempotent; its summand
-    # carries the trace form x, y -> tr(e x y) = (e form)(xy)
+    # carries the trace form x, y -> tr(e x y), a positive multiple of (e' form)(xy)
+    # for e' = scale w - lambda_- one, scale (lambda_+ - lambda_-) e
     low = (beta - root) / 2
-    e = [(a - low * b) / root for a, b in zip(w, one)]
+    e = [scale * a - low * b for a, b in zip(w, one)]
+    den = lcm(*(x.denominator for x in e))
+    e = [x.numerator * (den // x.denominator) for x in e]
     pos1, neg1, _ = inertia(gram([sum(e[i] * form[i][s] for i in range(k) if e[i]) for s in range(k)]))
     parts = [_simple_label(pos1 + neg1, pos1, neg1), _simple_label(k - pos1 - neg1, pos - pos1, neg - neg1)]
     if None in parts:

@@ -3,27 +3,29 @@ type for signed permutation matrices.
 
 The algebraic layer of this package makes exact statements: module
 dimensions, commutant dimensions and Clifford-condition checks are never
-floating-point estimates.  General matrices are ``QMat``s over ``Fraction``s,
-stored sparsely (one dict per row) because nearly every operator we build is
-a signed permutation matrix or close to one, and the few that are not stay
-very sparse.  Their product runs over the integers: each operand's rows are
-written as integers over one common denominator, the products accumulate as
-``int``s, and one ``Fraction`` is built per nonzero output entry.  A matrix
-with one entry +1 or -1 in every row and column is exactly a ``SignedPerm``:
-products, transposes and comparisons of those are index lookups and integer
-sign products, so the structural audit and the even commutant run on them
-whenever every operand is monomial.
+floating-point estimates.  General matrices are ``QMat``s: integer numerator
+rows over one positive denominator in lowest terms, stored sparsely (one dict
+per row) because nearly every operator we build is a signed permutation
+matrix or close to one, and the few that are not stay very sparse.  Their
+products, sums and transposes run over the integers, and ``Fraction``s are
+built only when an entry is read out.  A matrix with one entry +1 or -1 in
+every row and column is exactly a ``SignedPerm``: products, transposes and
+comparisons of those are index lookups and integer sign products, so the
+structural audit and the even commutant run on them whenever every operand
+is monomial.
 
-Two solvers live here:
+Two solvers live here, both over the integers:
 
 * an incremental reduced-row-echelon form for nullspaces and exact linear
-  solves, which takes Fraction or int rows and returns Fractions but
-  eliminates over the integers (no Fraction is built inside the
-  elimination), and
+  solves, which takes Fraction or int rows, eliminates fraction-free and
+  reads out integer rows, and
 * a solve over F2 for intertwiner spaces ``{X : X A_k = B_k X}`` when every
   ``A_k`` and ``B_k`` is a signed permutation of Clifford type (squares to
   +-1; any two commute or anticommute), as every operator built here is:
   modulo signs they generate F2^m, and the solve works in that group.
+
+``inertia`` counts the signs of a symmetric form by fraction-free symmetric
+elimination.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .errors import InputError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
 
 
 def _exact(c) -> Fraction:
@@ -53,113 +54,150 @@ def _exact(c) -> Fraction:
 class QMat:
     """Sparse matrix with exact rational entries.
 
-    Rows are dicts mapping column index to a nonzero Fraction.  Instances are
-    treated as immutable by every consumer; methods return new matrices, and
-    the integer form of the rows is built on a matrix's first product and
-    kept.
+    Stored as integer numerators over one positive denominator in lowest
+    terms: ``num`` holds one dict per row mapping column index to a nonzero
+    ``int``, and entry (i, j) is ``num[i][j] / den``.  ``get``, ``entries``
+    and ``rows`` read entries out as ``Fraction``s.  Instances are treated as
+    immutable by every consumer; methods return new matrices.
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "_ints")
+    __slots__ = ("nrows", "ncols", "den", "num")
 
-    def __init__(self, nrows: int, ncols: int, rows: list[dict[int, Fraction]] | None = None):
+    def __init__(self, nrows: int, ncols: int, rows: list[dict] | None = None):
+        """From rows ``{column: rational}``; zero entries are dropped."""
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows if rows is not None else [dict() for _ in range(nrows)]
-        self._ints: tuple[int, list[dict[int, int]]] | None = None
+        if rows is None:
+            self.den, self.num = 1, [{} for _ in range(nrows)]
+            return
+        rows = [{j: _exact(v) for j, v in r.items()} for r in rows]
+        # the lcm of the denominators leaves the numerators without a common factor
+        den = lcm(*(v.denominator for r in rows for v in r.values()))
+        self.den = den
+        self.num = [{j: v.numerator * (den // v.denominator) for j, v in r.items() if v} for r in rows]
 
     # -- constructors -----------------------------------------------------
+    @staticmethod
+    def from_numerators(nrows: int, ncols: int, num: list[dict[int, int]], den: int = 1) -> "QMat":
+        """The matrix ``num / den`` for nonzero integer rows ``num`` and a
+        positive ``den``, brought to lowest terms; ``num`` becomes the
+        matrix's own."""
+        g = den
+        for r in num:
+            if g == 1:
+                break
+            g = gcd(g, *r.values())
+        if g > 1:
+            den //= g
+            num = [{j: v // g for j, v in r.items()} for r in num]
+        m = QMat.__new__(QMat)
+        m.nrows, m.ncols, m.den, m.num = nrows, ncols, den, num
+        return m
+
+    @staticmethod
+    def from_vector(nrows: int, ncols: int, vec: dict[int, int], den: int = 1) -> "QMat":
+        """``from_numerators`` of the rows of a flat integer vector: entry
+        (i, j) is ``vec[i * ncols + j] / den``."""
+        rows: list[dict[int, int]] = [dict() for _ in range(nrows)]
+        for k, v in vec.items():
+            i, j = divmod(k, ncols)
+            rows[i][j] = v
+        return QMat.from_numerators(nrows, ncols, rows, den)
+
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "QMat":
         return QMat(nrows, ncols)
 
     @staticmethod
     def identity(n: int) -> "QMat":
-        return QMat(n, n, [{i: ONE} for i in range(n)])
+        return QMat.from_numerators(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def diag(values: Iterable) -> "QMat":
-        vals = [_exact(v) for v in values]
-        rows = [({i: v} if v else {}) for i, v in enumerate(vals)]
-        return QMat(len(vals), len(vals), rows)
+        vals = list(values)
+        return QMat(len(vals), len(vals), [{i: v} for i, v in enumerate(vals)])
 
     @staticmethod
     def from_entries(nrows: int, ncols: int, entries: dict[tuple[int, int], Fraction]) -> "QMat":
         rows: list[dict[int, Fraction]] = [dict() for _ in range(nrows)]
         for (i, j), v in entries.items():
-            fv = _exact(v)
-            if fv:
-                rows[i][j] = fv
+            rows[i][j] = v
         return QMat(nrows, ncols, rows)
 
     # -- basic queries -----------------------------------------------------
+    @property
+    def rows(self) -> list[dict[int, Fraction]]:
+        """The rows as ``{column: Fraction}``, keys in stored order."""
+        den = self.den
+        return [{j: Fraction(v, den) for j, v in r.items()} for r in self.num]
+
     def get(self, i: int, j: int) -> Fraction:
-        return self.rows[i].get(j, ZERO)
+        return Fraction(self.num[i].get(j, 0), self.den)
 
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(len(r) for r in self.num)
 
     def entries(self):
-        for i, r in enumerate(self.rows):
+        den = self.den
+        for i, r in enumerate(self.num):
             for j, v in r.items():
-                yield i, j, v
-
-    def _integer_rows(self) -> tuple[int, list[dict[int, int]]]:
-        """``(den, int_rows)`` with ``rows[i][j] == int_rows[i][j] / den`` and
-        ``den`` the lcm of the entries' denominators."""
-        if self._ints is None:
-            den = lcm(*{v.denominator for r in self.rows for v in r.values()})
-            self._ints = den, [{j: v.numerator * (den // v.denominator) for j, v in r.items()} for r in self.rows]
-        return self._ints
+                yield i, j, Fraction(v, den)
 
     def trace(self) -> Fraction:
-        return sum((r[i] for i, r in enumerate(self.rows) if i in r), ZERO)
+        return Fraction(sum(r.get(i, 0) for i, r in enumerate(self.num)), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMat):
             return NotImplemented
-        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.rows == other.rows
+        return ((self.nrows, self.ncols, self.den) == (other.nrows, other.ncols, other.den)
+                and self.num == other.num)
 
     def __repr__(self):
         return f"QMat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "QMat") -> "QMat":
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise InputError("matrix size mismatch")
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
         rows = []
-        for ra, rb in zip(self.rows, other.rows):
-            row = dict(ra)
+        for ra, rb in zip(self.num, other.num):
+            row = {j: fa * v for j, v in ra.items()}
             for j, v in rb.items():
-                s = row.get(j, ZERO) + v
+                s = row.get(j, 0) + v * fb
                 if s:
                     row[j] = s
                 elif j in row:
                     del row[j]
             rows.append(row)
-        return QMat(self.nrows, self.ncols, rows)
+        return QMat.from_numerators(self.nrows, self.ncols, rows, den)
 
     def __sub__(self, other: "QMat") -> "QMat":
         return self + (-other)
 
     def __neg__(self) -> "QMat":
-        return QMat(self.nrows, self.ncols, [{j: -v for j, v in r.items()} for r in self.rows])
+        return QMat.from_numerators(self.nrows, self.ncols, [{j: -v for j, v in r.items()} for r in self.num],
+                                    self.den)
 
     def scale(self, c) -> "QMat":
         c = _exact(c)
         if not c:
             return QMat.zeros(self.nrows, self.ncols)
-        return QMat(self.nrows, self.ncols, [{j: c * v for j, v in r.items()} for r in self.rows])
+        p = c.numerator
+        return QMat.from_numerators(self.nrows, self.ncols, [{j: p * v for j, v in r.items()} for r in self.num],
+                                    self.den * c.denominator)
 
     def __mul__(self, other):
-        """Matrix product over the integers (see the module docstring), or
-        ``scale`` by a scalar.  An entry that cancels leaves its row's keys
-        and comes back at the end, as in a ``Fraction`` accumulation."""
+        """Matrix product over the integers, or ``scale`` by a scalar.  An
+        entry that cancels leaves its row's keys and comes back at the end,
+        as in a ``Fraction`` accumulation."""
         if isinstance(other, QMat):
-            assert self.ncols == other.nrows, "matrix size mismatch"
-            den_a, rows_a = self._integer_rows()
-            den_b, rows_b = other._integer_rows()
-            den = den_a * den_b
+            if self.ncols != other.nrows:
+                raise InputError("matrix size mismatch")
+            rows_b = other.num
             rows = []
-            for ra in rows_a:
+            for ra in self.num:
                 acc: dict[int, int] = {}
                 for k, a in ra.items():
                     for j, b in rows_b[k].items():
@@ -168,25 +206,22 @@ class QMat:
                             acc[j] = s
                         elif j in acc:
                             del acc[j]
-                rows.append({j: Fraction(v, den) for j, v in acc.items()})
-            return QMat(self.nrows, other.ncols, rows)
+                rows.append(acc)
+            return QMat.from_numerators(self.nrows, other.ncols, rows, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def transpose(self) -> "QMat":
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
+        rows: list[dict[int, int]] = [dict() for _ in range(self.ncols)]
+        for i, r in enumerate(self.num):
             for j, v in r.items():
                 rows[j][i] = v
-        return QMat(self.ncols, self.nrows, rows)
+        return QMat.from_numerators(self.ncols, self.nrows, rows, self.den)
 
     def apply(self, vec: list[Fraction]) -> list[Fraction]:
-        out = []
-        for r in self.rows:
-            out.append(sum((v * vec[j] for j, v in r.items()), ZERO))
-        return out
+        return [sum((v * vec[j] for j, v in r.items()), ZERO) / self.den for r in self.num]
 
 
 class SignedPerm:
@@ -221,23 +256,17 @@ class SignedPerm:
         exactly one entry, +1 or -1, in every row and column."""
         if isinstance(m, SignedPerm):
             return m
-        if m.nrows != m.ncols:
+        if m.nrows != m.ncols or m.den != 1:
             return None
         perm = [-1] * m.ncols
         signs = [0] * m.ncols
-        for i, r in enumerate(m.rows):
+        for i, r in enumerate(m.num):
             if len(r) != 1:
                 return None
             ((j, v),) = r.items()
-            if perm[j] != -1:
+            if perm[j] != -1 or (v != 1 and v != -1):
                 return None
-            if v == 1:
-                signs[j] = 1
-            elif v == -1:
-                signs[j] = -1
-            else:
-                return None
-            perm[j] = i
+            perm[j], signs[j] = i, v
         # n rows with one entry each in distinct columns cover all n columns
         return SignedPerm(perm, signs)
 
@@ -250,7 +279,10 @@ class SignedPerm:
         return SignedPerm(perm, signs)
 
     def to_qmat(self) -> QMat:
-        return QMat.from_entries(len(self.perm), len(self.perm), {(i, j): s for i, j, s in self.entries()})
+        rows: list[dict[int, int]] = [{} for _ in self.perm]
+        for i, j, s in self.entries():
+            rows[i][j] = s
+        return QMat.from_numerators(len(rows), len(rows), rows)
 
     @staticmethod
     def identity(n: int) -> "SignedPerm":
@@ -264,7 +296,8 @@ class SignedPerm:
         return SignedPerm(list(range(len(signs))), signs)
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
-        assert len(self.perm) == len(other.perm), "matrix size mismatch"
+        if len(self.perm) != len(other.perm):
+            raise InputError("matrix size mismatch")
         perm, signs = self.perm, self.signs
         return SignedPerm([perm[k] for k in other.perm],
                           [s * signs[k] for k, s in zip(other.perm, other.signs)])
@@ -320,7 +353,7 @@ class Rref:
     reducing it by the existing pivot rows, and the new pivot column is
     eliminated from the older rows at once, so the form stays reduced.  A
     reduced form is unique for its pivot set; ``reduced`` and ``nullspace``
-    read it out as ``Fraction``s.
+    read it out as integer rows.
     """
 
     def __init__(self):
@@ -363,7 +396,10 @@ class Rref:
         """Reduce ``row`` and install it as a new pivot; returns the pivot
         column or None if the row was dependent."""
         den = lcm(*(v.denominator for v in row.values()))
-        row = _primitive({j: v.numerator * (den // v.denominator) for j, v in row.items() if v})
+        return self._add(_primitive({j: v.numerator * (den // v.denominator) for j, v in row.items() if v}))
+
+    def _add(self, row: dict[int, int]) -> int | None:
+        """``add_row`` for a primitive row of nonzero ``int``s."""
         row = self._reduce(row)
         if not row:
             return None
@@ -401,28 +437,38 @@ class Rref:
                 uses.setdefault(j, set()).add(piv)
         return piv
 
-    def reduced(self) -> dict[int, dict[int, Fraction]]:
-        """The reduced rows, pivot column -> row with 1 at the pivot, in the
-        order the pivots were found."""
-        return {p: {j: Fraction(v, row[p]) for j, v in row.items()} for p, row in self._rows.items()}
+    def reduced(self) -> dict[int, dict[int, int]]:
+        """The reduced rows, pivot column -> primitive integer row with a
+        positive entry p at the pivot (the reduced row is that row over p), in
+        the order the pivots were found."""
+        return {p: dict(row) for p, row in self._rows.items()}
 
-    def nullspace(self, ncols: int) -> list[dict[int, Fraction]]:
+    def nullspace(self, ncols: int) -> list[tuple[int, dict[int, int]]]:
+        """A basis of the vectors that every row annihilates, one per free
+        column f in increasing order: 1 at f and -row[f] / row[p] at each
+        pivot p, as ``(den, {column: int})``, the vector over a positive
+        ``den``."""
         rows = self._rows
         basis = []
         for f in (c for c in range(ncols) if c not in rows):
-            vec = {f: ONE}
-            for p, row in rows.items():
-                v = row.get(f)
-                if v:
-                    vec[p] = Fraction(-v, row[p])
-            basis.append(vec)
+            hits = [(p, row[f], row[p]) for p, row in rows.items() if f in row]
+            den = lcm(*(q for _, _, q in hits))
+            vec = {f: den}
+            for p, v, q in hits:
+                vec[p] = -v * (den // q)
+            basis.append((den, vec))
         return basis
 
 
-def inertia(gram: list[list[Fraction]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) counts of a rational symmetric form, by
-    symmetric elimination (LDL^T with Sylvester's law of inertia)."""
-    g = [list(row) for row in gram]
+def inertia(gram: list[list]) -> tuple[int, int, int]:
+    """(positive, negative, zero) counts of a symmetric form with ``int`` or
+    ``Fraction`` entries, by fraction-free symmetric elimination (Sylvester's
+    law of inertia).  The form is scaled to integers by the lcm of its
+    denominators; a pivot d then replaces the rest G by |d| G - sign(d) g g^T
+    (g the pivot column), |d| times its Schur complement, and the rest is
+    divided by the gcd of its entries.  Positive scalings keep the inertia."""
+    den = lcm(*(v.denominator for row in gram for v in row))
+    g = [[v.numerator * (den // v.denominator) for v in row] for row in gram]
     live = list(range(len(g)))
     pos = neg = 0
     while live:
@@ -440,11 +486,19 @@ def inertia(gram: list[list[Fraction]]) -> tuple[int, int, int]:
         d = g[piv][piv]
         pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
         live.remove(piv)
+        m, prow = abs(d), g[piv]
+        common = 0
         for a in live:
-            f = g[a][piv] / d
-            if f:
+            row = g[a]
+            f = row[piv] if d > 0 else -row[piv]
+            for b in live:
+                row[b] = v = m * row[b] - f * prow[b]
+                common = gcd(common, v)
+        if common > 1:
+            for a in live:
+                row = g[a]
                 for b in live:
-                    g[a][b] -= f * g[piv][b]
+                    row[b] //= common
     return pos, neg, len(live)
 
 
@@ -469,7 +523,7 @@ def sparse_solve(rows: list[dict[int, Fraction]], rhs: list, ncols: int):
     for p, row in reduced.items():
         v = row.get(aug)
         if v:
-            sol[p] = -v
+            sol[p] = Fraction(-v, row[p])
     unique = rr.rank == ncols
     return sol, unique
 
@@ -575,39 +629,41 @@ def signed_perm_intertwiners(pairs: list[tuple], d_in: int, d_out: int) -> list[
             for q, p, k in edges:
                 a, t = a_perms[k], b_perms[k].signs[p]
                 rows[q] = dict(sorted((a.perm[c], s * t * a.signs[c]) for c, s in rows[p].items()))
-            basis.append(QMat(d_out, d_in, [{c: ONE if s > 0 else MINUS_ONE for c, s in r.items()}
-                                            for r in rows]))
+            basis.append(QMat.from_numerators(d_out, d_in, rows))
     return basis
 
 
-def intertwiner_space(pairs: list[tuple[QMat, QMat]], d_in: int, d_out: int) -> list[QMat]:
+def intertwiner_space(pairs: list[tuple], d_in: int, d_out: int) -> list[QMat]:
     """Exact basis of ``{X : X A_k = B_k X}`` for arbitrary rational matrices.
 
     Uses the F2 solve of ``signed_perm_intertwiners`` when every matrix is a
     signed permutation of Clifford type, otherwise reduces the (sparse)
-    commutation constraints directly, built as integer rows.
+    commutation constraints directly, built as integer rows.  They go in
+    entry by entry, every pair's constraint on entry (i, j) before the next
+    entry's: the rows added together then share most of their columns, which
+    keeps the pivot rows short.  The reduced form, and so the basis, does not
+    depend on the order.
     """
     fast = signed_perm_intertwiners(pairs, d_in, d_out)
     if fast is not None:
         return fast
 
-    rr = Rref()
+    sides = []
     for a, b in pairs:
+        a, b = (m.to_qmat() if isinstance(m, SignedPerm) else m for m in (a, b))
         # scale the pair by the lcm of its denominators: same constraints, integer rows
-        den = lcm(*(v.denominator for m in (a, b) for _, _, v in m.entries()))
-        acols: list[dict[int, int]] = [dict() for _ in range(d_in)]
-        brows: list[dict[int, int]] = [dict() for _ in range(d_out)]
-        for i, j, v in a.entries():
-            acols[j][i] = v.numerator * (den // v.denominator)
-        for i, k, v in b.entries():
-            brows[i][k] = v.numerator * (den // v.denominator)
-        # constraint entry (i,j): sum_k X[i,k] A[k,j] - sum_k B[i,k] X[k,j] = 0
-        for i in range(d_out):
-            brow = brows[i]
-            base = i * d_in
-            for j in range(d_in):
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        sides.append(([{k: v * fa for k, v in r.items()} for r in a.transpose().num],
+                      [{k: v * fb for k, v in r.items()} for r in b.num]))
+    rr = Rref()
+    # constraint entry (i,j): sum_k X[i,k] A[k,j] - sum_k B[i,k] X[k,j] = 0
+    for i in range(d_out):
+        base = i * d_in
+        for j in range(d_in):
+            for acols, brows in sides:
                 row: dict[int, int] = {base + k: v for k, v in acols[j].items()}
-                for k, v in brow.items():
+                for k, v in brows[i].items():
                     key = k * d_in + j
                     s = row.get(key, 0) - v
                     if s:
@@ -615,9 +671,5 @@ def intertwiner_space(pairs: list[tuple[QMat, QMat]], d_in: int, d_out: int) -> 
                     elif key in row:
                         del row[key]
                 if row:
-                    rr.add_row(row)
-    basis = []
-    for vec in rr.nullspace(d_out * d_in):
-        entries = {divmod(k, d_in): v for k, v in vec.items()}
-        basis.append(QMat.from_entries(d_out, d_in, entries))
-    return basis
+                    rr._add(_primitive(row))
+    return [QMat.from_vector(d_out, d_in, vec, den) for den, vec in rr.nullspace(d_out * d_in)]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import InputError, StructureError
@@ -127,12 +128,14 @@ def _invert(m: QMat) -> QMat:
     exactly when a pivot lands in the right half."""
     d = m.nrows
     rr = Rref()
-    for i, row in enumerate(m.rows):
-        rr.add_row({**row, d + i: ONE})
+    for i, row in enumerate(m.num):  # [den M | den I], the same rows over the integers
+        rr.add_row({**row, d + i: m.den})
     reduced = rr.reduced()
     if any(p >= d for p in reduced):
         raise StructureError("matrix is not invertible")
-    return QMat(d, d, [{j - d: v for j, v in reduced[i].items() if j >= d} for i in range(d)])
+    den = lcm(*(reduced[i][i] for i in range(d)))
+    return QMat.from_numerators(d, d, [{j - d: v * (den // reduced[i][i]) for j, v in reduced[i].items() if j >= d}
+                                       for i in range(d)], den)
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,6 @@ and 4 units are those of R, C and H; the octonion modules and
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import TYPE_CHECKING
@@ -162,7 +161,7 @@ class SpinorModule:
             raise InputError("multivector signature does not match module")
         ops = [(self.blade_operator(mask), v) for mask, v in x.nums.items()]
         # SignedPerm entries are integers; a QMat's are integers over its own denominator
-        scale = lcm(*(op._integer_rows()[0] for op, _ in ops if isinstance(op, QMat)))
+        scale = lcm(*(op.den for op, _ in ops if isinstance(op, QMat)))
         d = self.real_dim
         acc: list[dict[int, int]] = [{} for _ in range(d)]
         for op, v in ops:
@@ -172,14 +171,12 @@ class SpinorModule:
                     row = acc[i]
                     row[j] = row.get(j, 0) + s * f
             else:
-                op_den, op_rows = op._integer_rows()
-                f = v * (scale // op_den)
-                for i, op_row in enumerate(op_rows):
+                f = v * (scale // op.den)
+                for i, op_row in enumerate(op.num):
                     row = acc[i]
                     for j, a in op_row.items():
                         row[j] = row.get(j, 0) + a * f
-        den = x.den * scale
-        return QMat(d, d, [{j: Fraction(a, den) for j, a in row.items() if a} for row in acc])
+        return QMat.from_numerators(d, d, [{j: a for j, a in row.items() if a} for row in acc], x.den * scale)
 
 
 # ---------------------------------------------------------------------------

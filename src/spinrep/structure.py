@@ -253,9 +253,11 @@ def audit(
     failures = _metric_failures(sig, generators, metric, commutant_basis[1:])
     checks.append(("spin-metric", not failures, "; ".join(failures)))
     ident = mat.identity(d)
-    # a signed permutation has e_j^T M e_j > 0 for every j only as the identity
-    definite = metric == ident if mat is SignedPerm else inertia(
-        [[(metric.get(i, j) + metric.get(j, i)) / 2 for j in range(d)] for i in range(d)]) == (d, 0, 0)
+    if mat is SignedPerm:  # a signed permutation has e_j^T M e_j > 0 for every j only as the identity
+        definite = metric == ident
+    else:  # the integer rows of M + M^T, 2 den times the symmetric part
+        num = metric.num
+        definite = inertia([[num[i].get(j, 0) + num[j].get(i, 0) for j in range(d)] for i in range(d)]) == (d, 0, 0)
     checks.append(("spin-metric-definite", definite, "" if definite else "x^T M x <= 0 for some x != 0"))
 
     failures = []

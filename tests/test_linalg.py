@@ -9,6 +9,7 @@ Fractions; any kernel must reproduce them exactly.
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -203,13 +204,13 @@ def test_rref_matches_dense_elimination(system):
     assert rr.rank == _dense_rank(seen)
     null = rr.nullspace(ncols)
     assert len(null) == ncols - rr.rank
-    for vec in null:
-        assert all(type(v) is Fraction for v in vec.values())
+    for den, vec in null:
+        assert den > 0 and all(type(v) is int for v in vec.values())
         for row in rows:
             assert sum(v * vec.get(j, 0) for j, v in row.items()) == 0
     reduced = rr.reduced()
     for p, row in reduced.items():
-        assert row[p] == 1 and all(type(v) is Fraction and v for v in row.values())
+        assert row[p] > 0 and all(type(v) is int and v for v in row.values()) and gcd(*row.values()) == 1
         assert not (set(row) - {p}) & set(reduced)
 
 

@@ -1,5 +1,6 @@
 """Reflections, twisted adjoint, rotation lifts and float quaternion conversion."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import random_rational_rotation
 
+from spinrep.algebras import kelem, mul_matrix
 from spinrep.clifford import Multivector, Signature, euclidean
 from spinrep.errors import InputError
 from spinrep.recipe import assemble_euclidean, assemble_signature
@@ -232,3 +234,53 @@ def test_rotation_to_quaternion_branches():
         q = rotation_to_quaternion(r)
         dot = abs(q[0] * w + q[1] * x + q[2] * y + q[3] * z)
         assert abs(dot - 1.0) < 1e-12
+
+
+# -- one Spin(3) across the exact and float layers -------------------------------
+
+
+def _cube_rotations():
+    """The 24 rotations of the cube: signed permutation matrices of det +1,
+    which is sign(perm) times the product of the signs."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        parity = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+        for signs in itertools.product((1, -1), repeat=3):
+            if math.prod(signs) == (-1) ** parity:
+                out.append([[signs[i] if perm[i] == j else 0 for j in range(3)] for i in range(3)])
+    return out
+
+
+def _binary_exact(q) -> bool:
+    """Every component is 0, +-1/2 or +-1, exact in binary floating point."""
+    return all(2 * abs(c) in (0, 1, 2) for c in q)
+
+
+def _lift_quaternion(g: SpinElement) -> tuple[Fraction, ...]:
+    """The unnormalised quaternion of an even element of Cl(0,3) under
+    1 <-> 1, i <-> e23, j <-> e31, k <-> e12; e31 = -e13 (mask 0b101)."""
+    t = g.value.terms
+    return tuple(Fraction(c) for c in (t.get(0, 0), t.get(0b110, 0), -t.get(0b101, 0), t.get(0b011, 0)))
+
+
+@pytest.mark.parametrize("rot", _cube_rotations(), ids=lambda r: "".join("+-0"[(v < 0) + 2 * (v == 0)]
+                                                                        for row in r for v in row))
+def test_spin_lift_is_the_transport_quaternion(rot):
+    g = spin_lift(rot)
+    q = _lift_quaternion(g)
+    scaled = tuple(c / math.sqrt(g.norm2) for c in q)
+    want = rotation_to_quaternion([[float(v) for v in row] for row in rot])
+    sign = 1 if sum(a * b for a, b in zip(scaled, want)) > 0 else -1
+    assert max(abs(sign * a - b) for a, b in zip(scaled, want)) < 1e-15
+    if _binary_exact(want):
+        assert tuple(sign * a for a in scaled) == want
+    # on the recipe's Cl(0,3) module the lift acts as left multiplication by +-q
+    action = spin_action(assemble_euclidean(3), g)
+    left = mul_matrix(kelem("H", q), "left")
+    assert action in (left, -left)
+
+
+def test_half_the_cube_rotations_have_binary_exact_quaternions():
+    rots = _cube_rotations()
+    exact = [r for r in rots if _binary_exact(rotation_to_quaternion([[float(v) for v in row] for row in r]))]
+    assert (len(rots), len(exact)) == (24, 12)
