@@ -228,6 +228,60 @@ class Multivector:
                     acc[mask] = acc.get(mask, 0) + va * vb
         return Multivector._of(self.signature, self.den * other.den, {m: v for m, v in acc.items() if v})
 
+    def vector_part_times(self, other: "Multivector") -> "Multivector":
+        """The grade-1 part of ``self * other``, from the n blade pairs
+        ``(A, A ^ e_k)`` per blade A of ``self``."""
+        self._same_sig(other)
+        neg = self.signature.neg_mask
+        signs = _SIGN_MASKS.setdefault(neg, {})
+        units = [1 << k for k in range(self.signature.n)]
+        nums_b = other.nums
+        acc: dict[int, int] = {}
+        for ma, va in self.nums.items():
+            sa = signs.get(ma)
+            if sa is None:
+                sa = signs[ma] = _sign_mask(ma, neg)
+            for k in units:
+                mb = ma ^ k
+                vb = nums_b.get(mb)
+                if vb:
+                    if (sa & mb).bit_count() & 1:
+                        acc[k] = acc.get(k, 0) - va * vb
+                    else:
+                        acc[k] = acc.get(k, 0) + va * vb
+        return Multivector._of(self.signature, self.den * other.den, {k: v for k, v in acc.items() if v})
+
+    def times_reversion(self) -> "Multivector":
+        """``self * self.reversion()`` from the blade pairs A <= B only.
+
+        For every x: ``e_B rev(e_A)`` is the reversion of ``Z = e_A rev(e_B)``,
+        and ``Z + rev(Z)`` is ``2Z`` on grades 0 and 1 mod 4 and 0 on grades 2
+        and 3 mod 4, so each pair A < B adds ``2 a_A a_B Z`` or nothing.
+        """
+        neg = self.signature.neg_mask
+        signs = _SIGN_MASKS.setdefault(neg, {})
+        # the coefficients of rev(x): rev(e_B) = -e_B when |B| = 2, 3 mod 4
+        rev = [(m, -v if m.bit_count() & 2 else v) for m, v in self.nums.items()]
+        acc: dict[int, int] = {}
+        square = 0
+        for i, (ma, va) in enumerate(self.nums.items()):
+            sa = signs.get(ma)
+            if sa is None:
+                sa = signs[ma] = _sign_mask(ma, neg)
+            sq = va * rev[i][1]
+            square += -sq if (sa & ma).bit_count() & 1 else sq
+            va2 = va + va
+            for mb, vb in rev[i + 1:]:
+                mask = ma ^ mb
+                if mask.bit_count() & 2:
+                    continue
+                if (sa & mb).bit_count() & 1:
+                    acc[mask] = acc.get(mask, 0) - va2 * vb
+                else:
+                    acc[mask] = acc.get(mask, 0) + va2 * vb
+        acc[0] = acc.get(0, 0) + square
+        return Multivector._of(self.signature, self.den * self.den, {m: v for m, v in acc.items() if v})
+
     # -- involutions ------------------------------------------------------------
     def grade_involution(self) -> "Multivector":
         return Multivector._of(self.signature, self.den,
@@ -244,7 +298,7 @@ class Multivector:
         if self.is_zero():
             raise InputError("zero multivector has no inverse")
         rev = self.reversion()
-        t = self * rev
+        t = self.times_reversion()
         if t.is_scalar() and t.nums:
             return rev.scale(Fraction(t.den, t.nums[0]))
         # generic: solve nums * x = den (that is, self * x = 1) on the 2^n

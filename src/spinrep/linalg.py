@@ -395,6 +395,8 @@ class Rref:
     def add_row(self, row: dict[int, Fraction | int]) -> int | None:
         """Reduce ``row`` and install it as a new pivot; returns the pivot
         column or None if the row was dependent."""
+        if all(type(v) is int for v in row.values()):
+            return self._add(_primitive({j: v for j, v in row.items() if v}))
         den = lcm(*(v.denominator for v in row.values()))
         return self._add(_primitive({j: v.numerator * (den // v.denominator) for j, v in row.items() if v}))
 

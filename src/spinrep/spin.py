@@ -47,7 +47,7 @@ class SpinElement:
     def from_multivector(x: Multivector) -> "SpinElement":
         if not x.is_even():
             raise InputError("spin elements must be even multivectors")
-        t = x * x.reversion()
+        t = x.times_reversion()
         if not t.is_scalar():
             raise InputError("value * reversion(value) must be scalar")
         n2 = t.scalar_part()
@@ -78,25 +78,47 @@ def reflection(w, v, sig: Signature) -> list[Fraction]:
     return [a - coef * b for a, b in zip(v, w)]
 
 
-def _twisted_adjoint(g: Multivector, gi: Multivector, vec: Multivector) -> list[Fraction]:
-    """g vec gi as a coordinate vector, with ``gi`` = grade_involution(g)^(-1)."""
-    return (g * vec * gi).vector_coords()
+def _twisted_adjoint(g: Multivector, g_hat: Multivector, gi: Multivector, vec: Multivector) -> list[Fraction]:
+    """g vec gi as a coordinate vector, with ``g_hat`` = grade_involution(g)
+    and ``gi`` its inverse.
+
+    Only the grade-1 part ``w`` of ``h gi``, ``h = g vec``, is formed
+    (``Multivector.vector_part_times``).  Then ``h == w g_hat`` is checked
+    exactly; as g_hat is invertible, that holds exactly when ``h gi`` is the
+    vector ``w``, which is the check ``vector_coords`` makes on the full
+    product.
+    """
+    h = g * vec
+    w = h.vector_part_times(gi)
+    if w * g_hat != h:
+        raise StructureError("multivector is not homogeneous of grade 1")
+    return w.vector_coords()
 
 
 def twisted_adjoint(g: Multivector, v) -> list[Fraction]:
     """g v grade_involution(g)^(-1), returned as a coordinate vector.
 
-    Raises when the result is not a vector (g outside the Clifford group).
+    Raises ``StructureError`` when the result is not a vector (g outside the
+    Clifford group).  The vector part is read off ``g v`` and checked by
+    multiplying it back by ``grade_involution(g)``, exactly (see
+    ``_twisted_adjoint``); the full product is never formed.
     """
     vec = v if isinstance(v, Multivector) else Multivector.vector(g.signature, v)
-    return _twisted_adjoint(g, g.grade_involution().inverse(), vec)
+    g_hat = g.grade_involution()
+    return _twisted_adjoint(g, g_hat, g_hat.inverse(), vec)
 
 
 def twisted_adjoint_matrix(g: Multivector) -> list[list[Fraction]]:
-    """Matrix of the twisted adjoint on basis vectors (columns are images)."""
+    """Matrix of the twisted adjoint on basis vectors (columns are images).
+
+    ``grade_involution(g)`` and its inverse are formed once; each column costs
+    O(n |g|) products of blade terms (``_twisted_adjoint``), including the
+    exact check that the image is a vector.
+    """
     sig = g.signature
-    gi = g.grade_involution().inverse()
-    cols = [_twisted_adjoint(g, gi, Multivector.generator(sig, i)) for i in range(sig.n)]
+    g_hat = g.grade_involution()
+    gi = g_hat.inverse()
+    cols = [_twisted_adjoint(g, g_hat, gi, Multivector.generator(sig, i)) for i in range(sig.n)]
     return [[cols[j][i] for j in range(sig.n)] for i in range(sig.n)]
 
 
@@ -168,7 +190,11 @@ def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
 
 def double_cover_check(g: SpinElement, module: SpinorModule) -> Report:
     """Confirm that g and -g cover the same rotation (``adjoints-equal``)
-    while acting differently on the spinor module (``actions-differ``)."""
+    while acting differently on the spinor module (``actions-differ``).
+
+    Both twisted adjoint matrices are built, each column checked exactly to
+    be a vector by multiplying it back by ``grade_involution`` (see
+    ``_twisted_adjoint``); a column that is not raises ``StructureError``."""
     adjoints_equal = twisted_adjoint_matrix(g.value) == twisted_adjoint_matrix((-g).value)
     actions_differ = spin_action(module, g) != spin_action(module, -g)
     return Report([("adjoints-equal", adjoints_equal, ""), ("actions-differ", actions_differ, "")])

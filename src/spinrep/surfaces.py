@@ -92,21 +92,6 @@ def rotation_to_quaternion(r) -> tuple[float, float, float, float]:
     return (w / norm, x / norm, y / norm, z / norm)
 
 
-def quat_mul(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
-def quat_conj(a):
-    return (a[0], -a[1], -a[2], -a[3])
-
-
 # The builtin surfaces and curves of ``transport``: each name is shorthand
 # for a spec, compiled like any other.
 BUILTIN_SURFACES = {

@@ -215,6 +215,17 @@ def test_rref_matches_dense_elimination(system):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 6), st.integers(-6, 6), max_size=7), max_size=8))
+def test_integer_rows_reduce_as_their_fractions_do(rows):
+    # add_row takes rows of ints as they are, zeros included, and rows of
+    # Fractions over their common denominator
+    as_ints, as_fractions = Rref(), Rref()
+    for row in rows:
+        assert as_ints.add_row(row) == as_fractions.add_row({j: Fraction(v) for j, v in row.items()})
+    assert as_ints.reduced() == as_fractions.reduced()
+
+
+@settings(max_examples=200, deadline=None)
 @given(sparse_systems())
 def test_sparse_solve_matches_dense_elimination(system):
     rows, rhs, ncols = system

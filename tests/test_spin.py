@@ -9,9 +9,10 @@ import pytest
 
 from conftest import random_rational_rotation
 
-from spinrep.algebras import kelem, mul_matrix
+from spinrep.algebras import conj, kelem, mul, mul_matrix, unit
 from spinrep.clifford import Multivector, Signature, euclidean
 from spinrep.errors import InputError
+from spinrep.expressions import compile_curve, compile_surface
 from spinrep.recipe import assemble_euclidean, assemble_signature
 from spinrep.spin import (
     SpinCoordinateSystem,
@@ -25,7 +26,7 @@ from spinrep.spin import (
     twisted_adjoint_matrix,
     verify_spin_coordinate_system,
 )
-from spinrep.surfaces import rotation_to_quaternion
+from spinrep.surfaces import rotation_to_quaternion, spin_parallel_transport
 
 
 def test_reflection_examples():
@@ -284,3 +285,44 @@ def test_half_the_cube_rotations_have_binary_exact_quaternions():
     rots = _cube_rotations()
     exact = [r for r in rots if _binary_exact(rotation_to_quaternion([[float(v) for v in row] for row in r]))]
     assert (len(rots), len(exact)) == (24, 12)
+
+
+def _binary_tetrahedral():
+    """The 24 unit quaternions +-1, +-i, +-j, +-k and (+-1 +-i +-j +-k)/2, as
+    floats: every component is exact in binary floating point."""
+    units = [tuple(float(sign * (t == i)) for t in range(4)) for i in range(4) for sign in (1, -1)]
+    return units + [tuple(0.5 * c for c in signs) for signs in itertools.product((1, -1), repeat=4)]
+
+
+def _quaternion_versor(q) -> Multivector:
+    """The even element of Cl(0,3) that ``_lift_quaternion`` reads as q."""
+    w, x, y, z = map(Fraction, q)
+    return Multivector.make(euclidean(3), {0: w, 0b110: x, 0b101: -y, 0b011: z})
+
+
+def test_binary_tetrahedral_group_has_24_unit_elements():
+    group = _binary_tetrahedral()
+    assert len(set(group)) == 24 and all(sum(c * c for c in q) == 1 for q in group)
+
+
+@pytest.mark.parametrize("q", _binary_tetrahedral(), ids=str)
+def test_twisted_adjoint_is_the_transport_frame_on_the_binary_tetrahedral_group(q):
+    g = _quaternion_versor(q)
+    assert _lift_quaternion(SpinElement.from_multivector(g)) == tuple(map(Fraction, q))
+    mat = twisted_adjoint_matrix(g)
+    # the frame formula e_i -> g e_i conj(g), e_1, e_2, e_3 <-> i, j, k, on exact quaternions
+    h = kelem("H", [Fraction(c) for c in q])
+    images = [mul(mul(h, unit("H", i)), conj(h)).coeffs for i in (1, 2, 3)]
+    assert all(v[0] == 0 for v in images)
+    assert mat == [[images[j][i + 1] for j in range(3)] for i in range(3)]
+    # the transport's own float formula, started on the plane spanned by the
+    # first two columns with that frame: its lift is +-q and its frame the
+    # matrix's columns, bit for bit
+    cols = [[float(mat[i][j]) for i in range(3)] for j in range(3)]
+    surface = compile_surface("; ".join(f"{axis}=({cols[0][i]:g})*u+({cols[1][i]:g})*v"
+                                        for i, axis in enumerate("xyz")))
+    curve, velocity = compile_curve("u=t; v=0")
+    trace = spin_parallel_transport(surface, curve, (1.0, 0.0, 0.0, 0.0), steps=2,
+                                    frame0=(cols[0], cols[1]), velocity=velocity)
+    assert trace.lifts[0] in (q, tuple(-c for c in q))
+    assert (list(trace.e1[0]), list(trace.e2[0]), list(trace.normals[0])) == (cols[0], cols[1], cols[2])

@@ -1,12 +1,16 @@
-"""``spin_lift`` and ``SpinorModule.operator`` against frozen copies of the
-``Fraction`` implementations they replaced: the column reduction of
-``spin_lift`` over ``Fraction`` columns with ``Signature.bilinear``, and an
-``operator`` that sums scaled ``QMat`` blade operators."""
+"""``spin_lift``, ``SpinorModule.operator``, the twisted adjoint and
+``Multivector.times_reversion`` against frozen copies of the implementations
+they replaced: the column reduction of ``spin_lift`` over ``Fraction`` columns
+with ``Signature.bilinear``, an ``operator`` that sums scaled ``QMat`` blade
+operators, the twisted adjoint as the full product ``g v gi`` read by
+``vector_coords``, and ``x * x.reversion()``."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rational_rotation
 
@@ -15,7 +19,7 @@ from spinrep.errors import InputError, StructureError
 from spinrep.linalg import QMat, SignedPerm
 from spinrep.modules import octonion_module, sqrt_space_module
 from spinrep.recipe import assemble_signature
-from spinrep.spin import SpinElement, spin_lift
+from spinrep.spin import SpinElement, spin_lift, twisted_adjoint_matrix
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -169,3 +173,129 @@ def test_operator_matches_the_qmat_sum(module):
         assert isinstance(got, QMat)
         assert got == _frozen_operator(module, x)
         assert all(v for row in got.rows for v in row.values())
+
+
+# -- the twisted adjoint and x * rev(x) --------------------------------------------
+
+def _frozen_times_reversion(x):
+    return x * x.reversion()
+
+
+def _frozen_inverse(x):
+    """``Multivector.inverse`` with its versor test on the full product."""
+    rev = x.reversion()
+    t = _frozen_times_reversion(x)
+    if t.is_scalar() and t.nums:
+        return rev.scale(Fraction(t.den, t.nums[0]))
+    return x.inverse()  # not a versor: the generic solve, unchanged
+
+
+def _frozen_twisted_adjoint(g, gi, vec):
+    return (g * vec * gi).vector_coords()
+
+
+def _frozen_twisted_adjoint_matrix(g):
+    sig = g.signature
+    gi = _frozen_inverse(g.grade_involution())
+    cols = [_frozen_twisted_adjoint(g, gi, Multivector.generator(sig, i)) for i in range(sig.n)]
+    return [[cols[j][i] for j in range(sig.n)] for i in range(sig.n)]
+
+
+def _same_outcome(g):
+    """Both matrices equal, or both calls raise the same error class."""
+    try:
+        want = _frozen_twisted_adjoint_matrix(g)
+    except (InputError, StructureError) as exc:
+        with pytest.raises(type(exc)):
+            twisted_adjoint_matrix(g)
+        return type(exc)
+    assert twisted_adjoint_matrix(g) == want
+    return None
+
+
+SIGNATURES = [(r, n - r) for n in range(1, 7) for r in range(n + 1)]
+COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def multivectors(draw, sigs=SIGNATURES, max_terms=None):
+    r, s = draw(st.sampled_from(sigs))
+    sig = Signature(r, s)
+    full = (1 << sig.n) - 1
+    size = max_terms or full + 1
+    terms = draw(st.dictionaries(st.integers(0, full), COEFFS, max_size=size))
+    return Multivector.make(sig, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multivectors())
+def test_times_reversion_matches_the_full_product(x):
+    assert x.times_reversion() == _frozen_times_reversion(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multivectors(), st.data())
+def test_vector_part_times_is_the_grade_1_part_of_the_product(x, data):
+    sig = x.signature
+    y = data.draw(multivectors(sigs=[(sig.r, sig.s)]))
+    full = x * y
+    assert x.vector_part_times(y) == Multivector._of(sig, full.den, {m: v for m, v in full.nums.items()
+                                                                     if m.bit_count() == 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(multivectors())
+def test_inverse_matches_the_full_product_versor_test(x):
+    if x.is_zero():
+        return
+    try:
+        want = _frozen_inverse(x)
+    except InputError:
+        with pytest.raises(InputError):
+            x.inverse()
+        return
+    assert x.inverse() == want
+
+
+@st.composite
+def versors(draw):
+    """Products of 1 to 5 non-null rational vectors, odd counts included."""
+    r, s = draw(st.sampled_from([(r, s) for r, s in SIGNATURES if r + s <= 5]))
+    sig = Signature(r, s)
+    g = Multivector.scalar(sig, draw(st.sampled_from([1, -2, Fraction(3, 5)])))
+    for _ in range(draw(st.integers(1, 5))):
+        coords = draw(st.lists(COEFFS, min_size=sig.n, max_size=sig.n).filter(
+            lambda v: sig.bilinear(v, v) != 0))
+        g = g * Multivector.vector(sig, coords)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(versors())
+def test_twisted_adjoint_matrix_matches_the_full_product_on_versors(g):
+    assert _same_outcome(g) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_twisted_adjoint_matrix_matches_the_full_product_on_spin_lifts(n, seed):
+    g = spin_lift(_rotation(n, random.Random(seed))).value
+    assert _same_outcome(g) is None
+    assert _same_outcome(-g) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(multivectors(sigs=[sig for sig in SIGNATURES if sum(sig) <= 4], max_terms=4))
+def test_twisted_adjoint_matrix_refuses_what_the_full_product_refused(g):
+    # mostly outside the Clifford group: the full product is then not a vector
+    _same_outcome(g)
+
+
+@pytest.mark.parametrize("scalar, error", [(2, StructureError), (1, InputError)])
+def test_twisted_adjoint_matrix_errors_in_cl04(scalar, error):
+    # e1234 squares to +1 in Cl(0,4): 2 + e1234 is invertible but moves vectors
+    # off grade 1, and 1 + e1234 is a zero divisor
+    g = Multivector.make(Signature(0, 4), {0: scalar, 0b1111: 1})
+    assert _same_outcome(g) is error
+    with pytest.raises(error):
+        twisted_adjoint_matrix(g)

@@ -12,8 +12,6 @@ from spinrep.files import trace_to_csv
 from spinrep.surfaces import (
     hypersurface4_action,
     plane,
-    quat_conj,
-    quat_mul,
     spin_parallel_transport,
     surface_frame,
     unit_sphere,
@@ -175,7 +173,9 @@ def test_latitude_spin_holonomy_sign(phi):
             unit_sphere(), lambda t: (2 * math.pi * t, phi), ONE, initial_sign=sign,
             steps=10000, velocity=loop_velocity,
         )
-        holonomy = quat_mul(quat_conj(trace.lifts[0]), trace.lifts[-1])
+        # exact product of the float lifts (Fraction(float) is exact)
+        g0, g1 = (alg.kelem("H", [Fraction(c) for c in g]) for g in (trace.lifts[0], trace.lifts[-1]))
+        holonomy = alg.mul(alg.conj(g0), g1).coeffs
         assert max(abs(a - b) for a, b in zip(holonomy, want)) <= 1e-12
 
 
