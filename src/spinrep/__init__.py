@@ -21,12 +21,12 @@ _EXPORTS = {
     "expressions": ("ParametricSurface",),
     "kmatrix": ("Commutant", "commutant"),
     "linalg": ("QMat",),
-    "modules": ("c4_action", "grading_from_volume", "octonion_module", "spin_metric_verify", "spinor_square",
-                "split_clifford_action", "sqrt_space_module"),
+    "modules": ("c4_action", "grading_from_volume", "octonion_module", "spinor_square", "split_clifford_action",
+                "sqrt_space_module"),
     "recipe": ("GradedSpace", "SpinorModule", "assemble_euclidean", "assemble_positive", "assemble_signature",
                "intertwiners", "split_signature_module", "verify_module"),
     "spin": ("SpinCoordinateSystem", "SpinElement", "double_cover_check", "reflection", "spin_action",
-             "spin_coordinate_system", "spin_lift", "twisted_adjoint", "twisted_adjoint_matrix"),
+             "spin_coordinate_system", "spin_lift", "twisted_adjoint_matrix"),
     "structure": ("CONVENTION", "Signature", "expected_irreducible_dim", "verify_clifford_condition"),
     "surfaces": ("TransportTrace", "hypersurface4_action", "spin_parallel_transport",
                  "surface_frame", "unit_sphere"),

@@ -112,14 +112,10 @@ def verify(path: str) -> None:
     except OSError as exc:
         _fail(EXIT_IO, f"cannot read {path}: {exc}")
     try:
-        payload = json.loads(raw)
-        loaded = payload_to_gamma(payload)
+        loaded = payload_to_gamma(json.loads(raw))
     except (ValueError, RecursionError, InputError) as exc:  # JSONDecodeError is a ValueError
         _fail(EXIT_INPUT, f"malformed file: {exc}")
-    report = audit(
-        loaded.signature, loaded.field, loaded.generators, loaded.spin_metric, loaded.commutant_basis,
-        loaded.grading, loaded.variant, loaded.volume_sign,
-    )
+    report = audit(**loaded)
     for name, ok, detail in report.checks:
         status = "PASS" if ok else "FAIL"
         suffix = f" ({detail})" if detail and not ok else ""

@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 
     from .linalg import QMat, SignedPerm
     from .recipe import SpinorModule
-    from .structure import Signature
     from .surfaces import TransportTrace
 
 FORMAT_VERSION = 1
@@ -141,32 +140,13 @@ def module_to_payload(module: SpinorModule, volume_sign: int | None = None) -> d
     return payload
 
 
-class LoadedGammaFile:
-    __slots__ = ("signature", "field", "real_dim", "family", "variant", "generators", "spin_metric",
-                 "commutant_basis", "grading", "volume_sign")
-
-    def __init__(self, signature: Signature, field: str, real_dim: int, family: str, variant: str,
-                 generators: list[QMat], spin_metric: QMat, commutant_basis: list[QMat],
-                 grading: list[int] | None, volume_sign: int | None):
-        self.signature = signature
-        self.field = field
-        self.real_dim = real_dim
-        self.family = family
-        self.variant = variant
-        self.generators = generators
-        self.spin_metric = spin_metric
-        self.commutant_basis = commutant_basis
-        self.grading = grading
-        self.volume_sign = volume_sign
-
-
-def payload_to_gamma(payload) -> LoadedGammaFile:
-    """Read a parsed v1 gamma file, checking every field against the format:
-    only the writer's keys appear, the ``convention`` is spinrep's, integers
-    are JSON integers (never booleans), ``field``, ``family`` and ``variant``
-    come from their fixed sets, and every matrix is a real_dim x real_dim list
-    of lists of integer or ``"p/q"`` cells.  Anything else raises
-    InputError."""
+def payload_to_gamma(payload) -> dict:
+    """Read a parsed v1 gamma file into the keyword arguments of
+    ``structure.audit``, checking every field against the format: only the
+    writer's keys appear, the ``convention`` is spinrep's, integers are JSON
+    integers (never booleans), ``field``, ``family`` and ``variant`` come from
+    their fixed sets, and every matrix is a real_dim x real_dim list of lists
+    of integer or ``"p/q"`` cells.  Anything else raises InputError."""
     from .structure import CONVENTION, FAMILIES, Signature
 
     if not isinstance(payload, dict):
@@ -193,14 +173,14 @@ def payload_to_gamma(payload) -> LoadedGammaFile:
         vol_sign = payload.get("volume_sign")
         if vol_sign is not None and (type(vol_sign) is not int or vol_sign not in (1, -1)):
             raise InputError("volume_sign must be 1 or -1")
-        return LoadedGammaFile(
-            signature=sig,
-            field=_choice(payload["field"], FIELDS, "field"),
-            real_dim=d,
-            family=_choice(payload["family"], FAMILIES, "family"),
+        field = _choice(payload["field"], FIELDS, "field")
+        _choice(payload["family"], FAMILIES, "family")  # a v1 field the audit does not read
+        return dict(
+            sig=sig,
+            field=field,
             variant=_choice(payload["variant"], VARIANTS, "variant"),
             generators=_matrices(payload["generators"], d, "generators"),
-            spin_metric=_matrix_from_rows(payload["spin_metric"], d),
+            metric=_matrix_from_rows(payload["spin_metric"], d),
             commutant_basis=_matrices(payload.get("commutant_basis", []), d, "commutant_basis"),
             grading=grading,
             volume_sign=vol_sign,

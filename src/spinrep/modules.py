@@ -6,13 +6,14 @@ whole algebra for n = 1, 2).  Their right units, exact rational spin metric
 and field K are the recipe module's, carried over through one explicit
 intertwiner.  The octonion modules act in dimensions 4..8 by signed
 permutations read off the recipe's signed unit table of R, C, H and O.  Also
-here: the quaternionic action ``c4_action`` (a combination of the recipe's
-Cl(0,4) generators), ``split_clifford_action``, the grading by the volume
-element, the metric audit and spinor squaring.  The recipe modules live in
-``spinrep.recipe``; the six recipe names imported here but not used are the
-ones the benchmark harness reaches through this module.  Loading this module
-compiles neither ``spinrep.algebras`` nor ``spinrep.clifford``;
-``spinor_square`` imports ``clifford`` when it is called.
+here: the quaternionic action ``c4_action`` and the split action
+``split_clifford_action``, each the ``SpinorModule.operator`` of a vector on a
+recipe module, the grading by the volume element and spinor squaring.  The
+recipe modules live in ``spinrep.recipe``; the five recipe names imported here
+but not used are the ones the benchmark harness reaches through this module.
+Loading this module compiles neither ``spinrep.algebras`` nor
+``spinrep.clifford``; ``c4_action``, ``split_clifford_action`` and
+``spinor_square`` import ``clifford`` when they are called.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ from typing import TYPE_CHECKING
 
 from .errors import InputError, StructureError
 from .linalg import ONE, ZERO, QMat, Rref, SignedPerm, _exact, intertwiner_space, sparse_solve
-from .recipe import (_UNITS, GradedSpace, SpinorModule, _base, _exterior_action, _right_units, _unit_blocks,
-                     assemble_euclidean, volume_diagonal)
+from .recipe import (_UNITS, GradedSpace, SpinorModule, _exterior_action, _right_units, _unit_blocks,
+                     assemble_euclidean, split_signature_module, volume_diagonal)
 # not used in this module: perfbench/inproc.py wraps them here and clears the lru_caches it finds here
-from .recipe import (_definite, assemble_positive, assemble_signature, intertwiners,  # noqa: F401
-                     split_signature_module, verify_module)
-from .structure import (FAMILY_OCTONION, FAMILY_SQRT, FIELD_DIM, Report, Signature, _metric_failures, _monomial,
-                        plus_volume_sign, volume_sign_of)
+from .recipe import _definite, assemble_positive, assemble_signature, intertwiners, verify_module  # noqa: F401
+from .structure import FAMILY_OCTONION, FAMILY_SQRT, FIELD_DIM, Signature, _monomial, plus_volume_sign, volume_sign_of
 
 if TYPE_CHECKING:
     from .algebras import KElement
@@ -45,28 +44,34 @@ if TYPE_CHECKING:
 def c4_action(q: KElement) -> QMat:
     """Odd right-H-linear action of q on the quaternionic multivectors H (+) H:
     wedge by q on the degree-0 part minus contraction (left multiplication by
-    conj(q)) on the degree-1 part.  It is linear in q, and the units act as
-    the generators of the Cl(0,4) base module."""
+    conj(q)) on the degree-1 part.  It is the operator of the vector with
+    q's coefficients on the recipe's Cl(0,4) base module, whose generators
+    the units act as."""
+    from .clifford import Multivector
+
     if q.algebra != "H":
         raise InputError("c4_action expects a quaternion")
-    # the generators of distinct units have disjoint supports
-    gens = _base(4, False, "plus")[1]
-    return QMat.from_entries(8, 8, {(i, j): sign * c for c, g in zip(q.coeffs, gens) for i, j, sign in g.entries()})
+    module = assemble_euclidean(4)
+    return module.operator(Multivector.vector(module.signature, q.coeffs))
 
 
 def split_clifford_action(i: int, xs, omegas) -> QMat:
     """Action of the pair (x, omega) on the exterior algebra of R^i:
-    wedge by x minus contraction by omega."""
-    if i < 1:
-        raise InputError("split dimension must be >= 1")
+    wedge by x minus contraction by omega.  Wedge by e_j is (E+ + E-)/2 and
+    contraction (E+ - E-)/2 for the generators E+ = x_j + omega_j and
+    E- = x_j - omega_j of ``split_signature_module(i)``, so this is the
+    operator of the vector with coordinates ((x_j - omega_j)/2,
+    (x_j + omega_j)/2), listed pair by pair so that each row keeps its
+    entries in the order of j."""
+    from .clifford import Multivector
+
+    module = split_signature_module(i)
     if len(xs) != i or len(omegas) != i:
         raise InputError("coordinate length mismatch")
-    entries = {}
-    for j in range(i):
-        for row, mask, sign in _exterior_action(i, j, 1).entries():
-            # a blade without e_j is wedged by x_j, one with it contracted by omega_j
-            entries[row, mask] = sign * (-_exact(omegas[j]) if mask >> j & 1 else _exact(xs[j]))
-    return QMat.from_entries(1 << i, 1 << i, entries)
+    coords = {}
+    for j, (x, omega) in enumerate(zip(map(_exact, xs), map(_exact, omegas))):
+        coords[1 << j], coords[1 << (i + j)] = (x - omega) / 2, (x + omega) / 2
+    return module.operator(Multivector.make(module.signature, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +228,6 @@ def grading_from_volume(module: SpinorModule) -> GradedSpace:
     if diag is None:
         raise InputError("volume element does not square to +1 on this module")
     return GradedSpace("R", module.real_dim, tuple(diag))
-
-
-def spin_metric_verify(module: SpinorModule, metric: QMat | None = None) -> Report:
-    """The ``spin-metric`` check of the structural audit on a module,
-    optionally against another candidate ``metric``.  Failures are reported,
-    not raised."""
-    m = module.spin_metric if metric is None else metric
-    failures = _metric_failures(module.signature, module.generators, m, module.right_units)
-    return Report([("spin-metric", not failures, "; ".join(failures))])
 
 
 def spinor_square(module: SpinorModule, s1: list, s2: list) -> Multivector:

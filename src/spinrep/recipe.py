@@ -383,6 +383,11 @@ def _restrict_h_to_c(mod: SpinorModule) -> tuple[list[SignedPerm], GradedSpace]:
     return gens, GradedSpace("C", mod.space.dim * 2, grading)
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in ("plus", "minus"):
+        raise InputError(f"variant must be 'plus' or 'minus', got {variant!r}")
+
+
 @lru_cache(maxsize=None)
 def _definite(n: int, positive: bool, variant: str) -> SpinorModule:
     """Irreducible module for Cl(n,0) when ``positive``, else for Cl(0,n).
@@ -401,8 +406,7 @@ def _definite(n: int, positive: bool, variant: str) -> SpinorModule:
     """
     if n < 1:
         raise InputError("dimension must be >= 1")
-    if variant not in ("plus", "minus"):
-        raise InputError(f"variant must be 'plus' or 'minus', got {variant!r}")
+    _check_variant(variant)
     sig = Signature(n, 0) if positive else Signature(0, n)
     if variant == "minus" and (sig.s - sig.r) % 4 != 3:
         raise InputError(f"minus variant not available in dimension {n}")
@@ -491,6 +495,7 @@ def assemble_signature(r: int, s: int, variant: str = "plus") -> SpinorModule:
     sig = Signature(r, s)
     if r == 0 or s == 0:
         return _definite(r + s, s == 0, variant)
+    _check_variant(variant)
     if variant == "minus" and (s - r) % 4 != 3:
         raise InputError(f"minus variant not available for signature ({r},{s})")
     i = min(r, s)

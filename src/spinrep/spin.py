@@ -78,47 +78,27 @@ def reflection(w, v, sig: Signature) -> list[Fraction]:
     return [a - coef * b for a, b in zip(v, w)]
 
 
-def _twisted_adjoint(g: Multivector, g_hat: Multivector, gi: Multivector, vec: Multivector) -> list[Fraction]:
-    """g vec gi as a coordinate vector, with ``g_hat`` = grade_involution(g)
-    and ``gi`` its inverse.
-
-    Only the grade-1 part ``w`` of ``h gi``, ``h = g vec``, is formed
-    (``Multivector.vector_part_times``).  Then ``h == w g_hat`` is checked
-    exactly; as g_hat is invertible, that holds exactly when ``h gi`` is the
-    vector ``w``, which is the check ``vector_coords`` makes on the full
-    product.
-    """
-    h = g * vec
-    w = h.vector_part_times(gi)
-    if w * g_hat != h:
-        raise StructureError("multivector is not homogeneous of grade 1")
-    return w.vector_coords()
-
-
-def twisted_adjoint(g: Multivector, v) -> list[Fraction]:
-    """g v grade_involution(g)^(-1), returned as a coordinate vector.
-
-    Raises ``StructureError`` when the result is not a vector (g outside the
-    Clifford group).  The vector part is read off ``g v`` and checked by
-    multiplying it back by ``grade_involution(g)``, exactly (see
-    ``_twisted_adjoint``); the full product is never formed.
-    """
-    vec = v if isinstance(v, Multivector) else Multivector.vector(g.signature, v)
-    g_hat = g.grade_involution()
-    return _twisted_adjoint(g, g_hat, g_hat.inverse(), vec)
-
-
 def twisted_adjoint_matrix(g: Multivector) -> list[list[Fraction]]:
-    """Matrix of the twisted adjoint on basis vectors (columns are images).
+    """Matrix of the twisted adjoint v -> g v grade_involution(g)^(-1) on
+    basis vectors (columns are images).
 
-    ``grade_involution(g)`` and its inverse are formed once; each column costs
-    O(n |g|) products of blade terms (``_twisted_adjoint``), including the
-    exact check that the image is a vector.
+    ``g_hat = grade_involution(g)`` and its inverse ``gi`` are formed once.
+    Each column reads only the grade-1 part ``w`` of ``h gi``, ``h = g e_i``
+    (``Multivector.vector_part_times``), in O(n |g|) products of blade terms,
+    and checks ``h == w g_hat`` exactly: as g_hat is invertible, that holds
+    exactly when ``h gi`` is the vector ``w``.  A column that is not a vector
+    (g outside the Clifford group) raises ``StructureError``.
     """
     sig = g.signature
     g_hat = g.grade_involution()
     gi = g_hat.inverse()
-    cols = [_twisted_adjoint(g, g_hat, gi, Multivector.generator(sig, i)) for i in range(sig.n)]
+    cols = []
+    for i in range(sig.n):
+        h = g * Multivector.generator(sig, i)
+        w = h.vector_part_times(gi)
+        if w * g_hat != h:
+            raise StructureError("multivector is not homogeneous of grade 1")
+        cols.append(w.vector_coords())
     return [[cols[j][i] for j in range(sig.n)] for i in range(sig.n)]
 
 
@@ -193,8 +173,8 @@ def double_cover_check(g: SpinElement, module: SpinorModule) -> Report:
     while acting differently on the spinor module (``actions-differ``).
 
     Both twisted adjoint matrices are built, each column checked exactly to
-    be a vector by multiplying it back by ``grade_involution`` (see
-    ``_twisted_adjoint``); a column that is not raises ``StructureError``."""
+    be a vector (see ``twisted_adjoint_matrix``); a column that is not raises
+    ``StructureError``."""
     adjoints_equal = twisted_adjoint_matrix(g.value) == twisted_adjoint_matrix((-g).value)
     actions_differ = spin_action(module, g) != spin_action(module, -g)
     return Report([("adjoints-equal", adjoints_equal, ""), ("actions-differ", actions_differ, "")])
@@ -248,13 +228,9 @@ def verify_spin_coordinate_system(module: SpinorModule, system: SpinCoordinateSy
     phi = system.iso
     frame = system.covered_frame
     for j in range(n):
-        lhs = phi * module.generators[j]
-        rhs = QMat.zeros(module.real_dim, module.real_dim)
-        for i in range(n):
-            c = frame[i][j]
-            if c:
-                rhs = rhs + module.generators[i].scale(c)
-        checks.append((f"intertwines-e{j + 1}", lhs == rhs * phi, ""))
+        # the Clifford action of column j of the frame
+        rhs = module.operator(Multivector.vector(module.signature, [frame[i][j] for i in range(n)]))
+        checks.append((f"intertwines-e{j + 1}", phi * module.generators[j] == rhs * phi, ""))
     m = module.spin_metric
     checks.append(("spin-metric-isometry", phi.transpose() * m * phi == m.scale(system.scale2), ""))
     # the even commutant lives on the +1 volume summand when there is one;

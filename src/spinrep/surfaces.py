@@ -190,8 +190,8 @@ def spin_parallel_transport(
 
     The loop keeps every product by 0.0 and 1.0 of the quaternion formulas:
     dropping one can turn a -0.0 into 0.0, or the NaN of inf * 0 into inf."""
-    if steps < 2:
-        raise InputError("steps must be at least 2")
+    if type(steps) is not int or steps < 2:
+        raise InputError(f"steps must be an integer of at least 2, got {steps!r}")
     if initial_sign not in (1, -1):
         raise InputError("initial_sign must be +1 or -1")
     if not math.isfinite(t1 - t0) or t0 == t1:  # NaN or inf when either is, or on overflow

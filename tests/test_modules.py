@@ -20,7 +20,6 @@ from spinrep.modules import (
     c4_action,
     grading_from_volume,
     octonion_module,
-    spin_metric_verify,
     spinor_square,
     split_clifford_action,
     sqrt_space_module,
@@ -165,6 +164,14 @@ def test_minus_variant_rejected_elsewhere():
         assemble_signature(1, 1, "minus")
 
 
+@pytest.mark.parametrize("sig", [(1, 1), (2, 2)])
+def test_unknown_variant_is_rejected_on_split_signatures(sig):
+    cached = assemble_signature.cache_info().currsize
+    with pytest.raises(InputError, match="variant must be 'plus' or 'minus', got 'foo'"):
+        assemble_signature(*sig, "foo")
+    assert assemble_signature.cache_info().currsize == cached
+
+
 def test_positive_signature_assembly():
     for n in range(1, 11):
         m = assemble_positive(n)
@@ -277,7 +284,7 @@ def test_sqrt_space_structure(n):
     base = assemble_euclidean(n, m.variant if n == 3 else "plus")
     assert m.real_dim == base.real_dim
     assert verify_clifford_condition(list(m.generators), m.signature).ok
-    assert spin_metric_verify(m).ok
+    assert _spin_metric_check(m)[1]
     com_sqrt = intertwiners(m)
     com_base = intertwiners(base)
     assert com_sqrt.real_dimension == com_base.real_dimension
@@ -372,7 +379,7 @@ def test_octonion_structure(k):
     m = octonion_module(k)
     assert m.real_dim == (8 if k <= 7 else 16)
     assert verify_clifford_condition(list(m.generators), m.signature).ok
-    assert spin_metric_verify(m).ok
+    assert _spin_metric_check(m)[1]
     with pytest.raises(InputError):
         octonion_module(3)
 
@@ -380,30 +387,37 @@ def test_octonion_structure(k):
 # -- spin metric -----------------------------------------------------------------
 
 
+def _spin_metric_check(module):
+    """The ``spin-metric`` check of the module's audit."""
+    (check,) = [c for c in verify_module(module).checks if c[0] == "spin-metric"]
+    return check
+
+
+def _with_metric(module, metric):
+    return SpinorModule(module.signature, module.field, module.generators, module.space, metric, module.family,
+                        module.variant, module.right_units)
+
+
 def test_spin_metric_passes_on_families():
     for mod in (assemble_euclidean(2), assemble_euclidean(4), assemble_euclidean(6),
                 octonion_module(8)):
-        assert spin_metric_verify(mod).ok
+        assert _spin_metric_check(mod)[1]
 
 
 def test_spin_metric_negative_control():
     m = assemble_euclidean(2)
     bad = QMat.diag([1, 2, 1, 1])
-    rep = spin_metric_verify(m, metric=bad)
-    assert not rep.ok
+    assert not _spin_metric_check(_with_metric(m, bad))[1]
 
 
 def _file_audit(module):
     """The audit ``verify`` runs on the module's gamma file, read back."""
-    loaded = payload_to_gamma(module_to_payload(module))
-    return audit(loaded.signature, loaded.field, loaded.generators, loaded.spin_metric,
-                 loaded.commutant_basis, loaded.grading, loaded.variant, loaded.volume_sign)
+    return audit(**payload_to_gamma(module_to_payload(module)))
 
 
 def test_generate_and_verify_run_one_audit():
     good = assemble_euclidean(2)
-    bad_metric = SpinorModule(good.signature, good.field, good.generators, good.space,
-                              QMat.diag([1, 2, 1, 1]), good.family, good.variant, good.right_units)
+    bad_metric = _with_metric(good, QMat.diag([1, 2, 1, 1]))
     modules = [
         good, bad_metric, assemble_signature(0, 3, "minus"), assemble_signature(1, 0, "minus"),
         assemble_signature(2, 3), assemble_signature(5, 0), assemble_signature(0, 4),
@@ -412,10 +426,10 @@ def test_generate_and_verify_run_one_audit():
     for m in modules:
         on_file = [c for c in _file_audit(m).checks if c[0] != "volume-sign-recorded"]
         assert verify_module(m).checks == on_file, (m.signature, m.family, m.variant)
-    # spin_metric_verify is the metric part of the same audit
-    (check,) = spin_metric_verify(bad_metric).checks
+    # the metric part of the same audit
+    check = _spin_metric_check(bad_metric)
     assert check[2].startswith("generator e_1 fails skew-adjointness")
-    assert check in verify_module(bad_metric).checks
+    assert check in _file_audit(bad_metric).checks
 
 
 # -- spinor squaring -------------------------------------------------------------
@@ -514,7 +528,6 @@ def _one(module):
     pytest.param(_file_audit, id="audit"),
     pytest.param(verify_module, id="verify_module"),
     pytest.param(lambda m: verify_clifford_condition(list(m.gens), m.signature), id="verify_clifford_condition"),
-    pytest.param(spin_metric_verify, id="spin_metric_verify"),
     pytest.param(lambda m: spin.double_cover_check(_one(m), m), id="double_cover_check"),
     pytest.param(lambda m: spin.verify_spin_coordinate_system(m, spin.spin_coordinate_system(m, _one(m))),
                  id="verify_spin_coordinate_system"),

@@ -67,7 +67,10 @@ def _modules_names_in_inproc() -> set[str]:
 def test_modules_keeps_what_the_benchmark_reaches():
     names = _modules_names_in_inproc()
     assert {"assemble_signature", "sqrt_space_module", "verify_module", "intertwiners"} <= names
-    assert all(hasattr(modules, name) for name in names), names - set(vars(modules))
+    # deleted from the package, not moved: the benchmark's wrap skips a missing target
+    deleted = {"spin_metric_verify"}
+    assert not any(hasattr(m, name) for m in (modules, recipe) for name in deleted)
+    assert all(hasattr(modules, name) for name in names - deleted), names - deleted - set(vars(modules))
     # module_caches() in inproc.py clears the lru_caches it finds in spinrep.modules
     found = _cached(vars(modules))
     assert all(f in found for f in _cached(vars(recipe)))

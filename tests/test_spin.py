@@ -22,7 +22,6 @@ from spinrep.spin import (
     spin_action,
     spin_coordinate_system,
     spin_lift,
-    twisted_adjoint,
     twisted_adjoint_matrix,
     verify_spin_coordinate_system,
 )
@@ -36,6 +35,11 @@ def test_reflection_examples():
     assert reflection([1, 0, 0], [1, 1, 0], sig) == [-1, 1, 0]
     with pytest.raises(InputError):
         reflection([0, 0, 0], [1, 0, 0], sig)
+
+
+def twisted_adjoint(g, v):
+    """g v grade_involution(g)^(-1): the twisted adjoint matrix of g applied to v."""
+    return [sum(a * c for a, c in zip(row, v)) for row in twisted_adjoint_matrix(g)]
 
 
 def test_twisted_adjoint_examples():

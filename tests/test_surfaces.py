@@ -345,6 +345,7 @@ def test_non_finite_frame0_is_rejected(frame0):
     {"q0": (math.nan, 1.0, 0.0, 0.0)},
     {"q0": (0.0, 1.0, math.inf, 0.0)},
     {"q0": (1.0, 0.0, 0.0)},
+    {"steps": 10.5},
 ])
 def test_transport_rejects_degenerate_times_and_spinors(bad):
     kwargs = {"q0": ONE, "steps": 10, "velocity": loop_velocity, **bad}
