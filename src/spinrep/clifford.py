@@ -22,10 +22,10 @@ once per blade mask and signature.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import InputError, StructureError
-from .linalg import ONE, ZERO, _exact, sparse_solve
+from .linalg import ONE, ZERO, _exact, _integers, _lowest, sparse_solve
 from .structure import Signature
 
 
@@ -95,21 +95,15 @@ class Multivector:
                 raise InputError(f"coefficient {c!r} is not an int or a Fraction")
             if c == 0:
                 raise InputError("stored zero coefficient")
-        # lowest terms already: no prime of the lcm divides every numerator
-        den = lcm(*(c.denominator for c in terms.values()))
         self.signature = signature
-        self.den = den
-        self.nums = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+        self.den, (self.nums,) = _integers([terms])
 
     @staticmethod
     def _of(sig: Signature, den: int, nums: dict[int, int]) -> "Multivector":
         """``nums / den`` for ``den > 0`` and nonzero numerators, brought to lowest terms."""
-        g = gcd(den, *nums.values())
-        if g > 1:
-            den //= g
-            nums = {m: v // g for m, v in nums.items()}
         x = Multivector.__new__(Multivector)
-        x.signature, x.den, x.nums = sig, den, nums
+        x.signature = sig
+        x.den, (x.nums,) = _lowest(den, [nums])
         return x
 
     @property

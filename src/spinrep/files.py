@@ -71,11 +71,10 @@ def _matrix_from_rows(rows, size: int) -> QMat:
     strings.  Each distinct string other than ``"0"`` is checked and
     converted once; cells of value zero (``0``, ``"-0"``, ``"0/7"``) store
     nothing.  The rows are read as integers over the lcm of the cells'
-    denominators."""
+    denominators, a step skipped when every string cell is an integer."""
     from fractions import Fraction
-    from math import lcm
 
-    from .linalg import QMat
+    from .linalg import QMat, _integers
 
     if (not isinstance(rows, list) or len(rows) != size
             or any(not isinstance(r, list) or len(r) != size for r in rows)):
@@ -99,9 +98,7 @@ def _matrix_from_rows(rows, size: int) -> QMat:
             if v:
                 entries[j] = v
         out.append(entries)
-    den = lcm(*(v.denominator for v in values.values()))
-    if den > 1:
-        out = [{j: v.numerator * (den // v.denominator) for j, v in r.items()} for r in out]
+    den, out = _integers(out) if any(type(v) is not int for v in values.values()) else (1, out)
     return QMat.from_numerators(size, size, out, den)
 
 

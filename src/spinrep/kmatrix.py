@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import InputError
-from .linalg import QMat, Rref, inertia, intertwiner_space
+from .linalg import QMat, Rref, _integers, inertia, intertwiner_space
 from .structure import FIELD_DIM
 
 
@@ -139,10 +139,8 @@ def classify_commutant(basis: list[QMat]) -> str:
     # carries the trace form x, y -> tr(e x y), a positive multiple of (e' form)(xy)
     # for e' = scale w - lambda_- one, scale (lambda_+ - lambda_-) e
     low = (beta - root) / 2
-    e = [scale * a - low * b for a, b in zip(w, one)]
-    den = lcm(*(x.denominator for x in e))
-    e = [x.numerator * (den // x.denominator) for x in e]
-    pos1, neg1, _ = inertia(gram([sum(e[i] * form[i][s] for i in range(k) if e[i]) for s in range(k)]))
+    _, (e,) = _integers([{i: scale * a - low * b for i, (a, b) in enumerate(zip(w, one))}])
+    pos1, neg1, _ = inertia(gram([sum(v * form[i][s] for i, v in e.items()) for s in range(k)]))
     parts = [_simple_label(pos1 + neg1, pos1, neg1), _simple_label(k - pos1 - neg1, pos - pos1, neg - neg1)]
     if None in parts:
         return undecided

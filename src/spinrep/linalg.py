@@ -3,29 +3,30 @@ type for signed permutation matrices.
 
 The algebraic layer of this package makes exact statements: module
 dimensions, commutant dimensions and Clifford-condition checks are never
-floating-point estimates.  General matrices are ``QMat``s: integer numerator
-rows over one positive denominator in lowest terms, stored sparsely (one dict
-per row) because nearly every operator we build is a signed permutation
-matrix or close to one, and the few that are not stay very sparse.  Their
-products, sums and transposes run over the integers, and ``Fraction``s are
-built only when an entry is read out.  A matrix with one entry +1 or -1 in
-every row and column is exactly a ``SignedPerm``: products, transposes and
-comparisons of those are index lookups and integer sign products, so the
-structural audit and the even commutant run on them whenever every operand
-is monomial.
+floating-point estimates.  Exact data are integers over one positive
+denominator: rationals enter that form through ``_integers`` (over the lcm
+of their denominators) and reach lowest terms through ``_lowest``, and
+``Fraction``s are built only when an entry is read out.  General matrices
+are ``QMat``s, their integer rows stored sparsely (one dict per row) because
+nearly every operator we build is a signed permutation matrix or close to
+one; their products, sums and transposes run over the integers.  A matrix
+with one entry +1 or -1 in every row and column is exactly a ``SignedPerm``:
+products, transposes and comparisons of those are index lookups and integer
+sign products, so the structural audit and the even commutant run on them
+whenever every operand is monomial.
 
 Two solvers live here, both over the integers:
 
 * an incremental reduced-row-echelon form for nullspaces and exact linear
-  solves, which takes Fraction or int rows, eliminates fraction-free and
-  reads out integer rows, and
+  solves, eliminating fraction-free with its own one-row gcd division
+  (``_primitive``, the inner loop), and
 * a solve over F2 for intertwiner spaces ``{X : X A_k = B_k X}`` when every
   ``A_k`` and ``B_k`` is a signed permutation of Clifford type (squares to
   +-1; any two commute or anticommute), as every operator built here is:
   modulo signs they generate F2^m, and the solve works in that group.
 
 ``inertia`` counts the signs of a symmetric form by fraction-free symmetric
-elimination.
+elimination, on a dense integer copy that keeps its zeros in place.
 """
 
 from __future__ import annotations
@@ -51,6 +52,25 @@ def _exact(c) -> Fraction:
         raise InputError(f"{c!r} is not an exact rational number") from exc
 
 
+def _integers(rows: list[dict]) -> tuple[int, list[dict[int, int]]]:
+    """``(den, num)``: sparse rows of ``int`` or ``Fraction`` values as nonzero
+    integers over the lcm of their denominators, zero entries dropped; in
+    lowest terms, as no prime of the lcm divides every numerator."""
+    den = lcm(*(v.denominator for r in rows for v in r.values()))
+    return den, [{j: v.numerator * (den // v.denominator) for j, v in r.items() if v} for r in rows]
+
+
+def _lowest(den: int, rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """Integer rows ``rows`` over a positive ``den``, both divided by the gcd
+    of ``den`` and every entry."""
+    g = den
+    for r in rows:
+        if g == 1:
+            return den, rows
+        g = gcd(g, *r.values())
+    return (den, rows) if g == 1 else (den // g, [{j: v // g for j, v in r.items()} for r in rows])
+
+
 class QMat:
     """Sparse matrix with exact rational entries.
 
@@ -65,16 +85,8 @@ class QMat:
 
     def __init__(self, nrows: int, ncols: int, rows: list[dict] | None = None):
         """From rows ``{column: rational}``; zero entries are dropped."""
-        self.nrows = nrows
-        self.ncols = ncols
-        if rows is None:
-            self.den, self.num = 1, [{} for _ in range(nrows)]
-            return
-        rows = [{j: _exact(v) for j, v in r.items()} for r in rows]
-        # the lcm of the denominators leaves the numerators without a common factor
-        den = lcm(*(v.denominator for r in rows for v in r.values()))
-        self.den = den
-        self.num = [{j: v.numerator * (den // v.denominator) for j, v in r.items() if v} for r in rows]
+        self.nrows, self.ncols = nrows, ncols
+        self.den, self.num = _integers([{j: _exact(v) for j, v in r.items()} for r in rows or [{}] * nrows])
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -82,16 +94,8 @@ class QMat:
         """The matrix ``num / den`` for nonzero integer rows ``num`` and a
         positive ``den``, brought to lowest terms; ``num`` becomes the
         matrix's own."""
-        g = den
-        for r in num:
-            if g == 1:
-                break
-            g = gcd(g, *r.values())
-        if g > 1:
-            den //= g
-            num = [{j: v // g for j, v in r.items()} for r in num]
         m = QMat.__new__(QMat)
-        m.nrows, m.ncols, m.den, m.num = nrows, ncols, den, num
+        m.nrows, m.ncols, (m.den, m.num) = nrows, ncols, _lowest(den, num)
         return m
 
     @staticmethod
@@ -395,10 +399,8 @@ class Rref:
     def add_row(self, row: dict[int, Fraction | int]) -> int | None:
         """Reduce ``row`` and install it as a new pivot; returns the pivot
         column or None if the row was dependent."""
-        if all(type(v) is int for v in row.values()):
-            return self._add(_primitive({j: v for j, v in row.items() if v}))
-        den = lcm(*(v.denominator for v in row.values()))
-        return self._add(_primitive({j: v.numerator * (den // v.denominator) for j, v in row.items() if v}))
+        ints = _integers([row])[1][0] if any(type(v) is not int for v in row.values()) else row
+        return self._add(_primitive({j: v for j, v in ints.items() if v}))
 
     def _add(self, row: dict[int, int]) -> int | None:
         """``add_row`` for a primitive row of nonzero ``int``s."""

@@ -24,7 +24,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import InputError, StructureError
-from .linalg import ONE, ZERO, QMat, Rref, SignedPerm, _exact, intertwiner_space, sparse_solve
+from .linalg import ZERO, QMat, Rref, SignedPerm, _exact, intertwiner_space, sparse_solve
 from .recipe import (_UNITS, GradedSpace, SpinorModule, _exterior_action, _right_units, _unit_blocks,
                      assemble_euclidean, split_signature_module, volume_diagonal)
 # not used in this module: perfbench/inproc.py wraps them here and clears the lru_caches it finds here
@@ -110,14 +110,13 @@ def _sqrt_gens(n: int) -> list[QMat] | list[SignedPerm]:
         (x for x in range(vol + 1) if 2 * x.bit_count() < n or 2 * x.bit_count() == n and x & 1),
         key=lambda x: (x.bit_count(), x),
     )
-    span, read = {}, {}
+    span_rows: list[dict[int, int]] = [{} for _ in range(vol + 1)]  # over 2
     for k, x in enumerate(key):
-        weight = ONE if 2 * x.bit_count() == n else Fraction(1, 2)
+        weight = 2 if 2 * x.bit_count() == n else 1  # 1 or 1/2, over 2
         sign, partner = _volume_partner(acts, x)
-        span[(x, k)], span[(partner, k)] = weight, eps * sign * weight
-        read[(k, x)] = 1 / weight
-    span = QMat.from_entries(vol + 1, len(key), span)
-    read = QMat.from_entries(len(key), vol + 1, read)
+        span_rows[x][k], span_rows[partner][k] = weight, eps * sign * weight
+    span = QMat.from_numerators(vol + 1, len(key), span_rows, 2)
+    read = QMat.from_numerators(len(key), vol + 1, [{x: 1 if 2 * x.bit_count() == n else 2} for x in key])
     halves = []
     for a in acts:
         image = a.to_qmat() * span

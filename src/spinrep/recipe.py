@@ -529,11 +529,8 @@ def _submatrix(m, idxs: list[int]):
     pos = {v: t for t, v in enumerate(idxs)}
     if isinstance(m, SignedPerm):
         return SignedPerm([pos[m.perm[j]] for j in idxs], [m.signs[j] for j in idxs])
-    entries = {}
-    for i, j, v in m.entries():
-        if i in pos and j in pos:
-            entries[(pos[i], pos[j])] = v
-    return QMat.from_entries(len(idxs), len(idxs), entries)
+    return QMat.from_numerators(len(idxs), len(idxs),
+                                [{pos[j]: v for j, v in m.num[i].items() if j in pos} for i in idxs], m.den)
 
 
 def volume_diagonal(module: SpinorModule) -> list[int] | None:

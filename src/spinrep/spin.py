@@ -13,11 +13,10 @@ separate floating-point quaternions of ``surfaces``; the two never mix.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .clifford import Multivector, euclidean
 from .errors import InputError, StructureError
-from .linalg import QMat, _exact
+from .linalg import QMat, _exact, _integers, _lowest
 from .recipe import SpinorModule, _submatrix, even_summand, intertwiners
 from .structure import Report, Signature
 
@@ -112,7 +111,7 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
     count is a determinant -1 and is refused.  The returned element is one
     of the two lifts; negate for the other.  The work is on integers: M = D R
     (D the common denominator) is checked as M^T M = D^2 I, and each column is
-    reduced as numerators over its own denominator, in lowest terms.
+    reduced as sparse integers over its own denominator, in lowest terms.
     """
     rows = [[_exact(c) for c in r] for r in rotation]
     n = len(rows)
@@ -124,30 +123,28 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
         raise InputError("matrix size does not match signature")
     if any(len(r) != n for r in rows):
         raise InputError(_NOT_SPECIAL_ORTHOGONAL)
-    den = lcm(*(c.denominator for r in rows for c in r))
-    cols = [[rows[i][j].numerator * (den // rows[i][j].denominator) for i in range(n)] for j in range(n)]
+    den, cols = _integers([{i: rows[i][j] for i in range(n)} for j in range(n)])
     if any(_dot(cols[i], cols[j]) != (den * den if i == j else 0) for i in range(n) for j in range(i, n)):
         raise InputError(_NOT_SPECIAL_ORTHOGONAL)
 
-    units = [([int(i == j) for i in range(n)], 1) for j in range(n)]
-    work = [_lowest(col, den) for col in cols]
+    units = [(1, [{j: 1}]) for j in range(n)]
+    work = [_lowest(den, [col]) for col in cols]  # (d, [column]), the column over d
     mirrors: list[Multivector] = []
     for j in range(n):
         if work[j] == units[j]:
             continue
-        col, d = work[j]
-        w = col[:]
-        w[j] -= d  # column j - e_j, over d
-        mirrors.append(Multivector._of(sig, d, {1 << i: a for i, a in enumerate(w) if a}))
-        # reflect the columns not yet reduced; columns c < j are e_c, and
-        # w[c] = 0 there because the matrix stays orthogonal, so they are fixed.
-        # v - 2 g(v,w)/g(w,w) w is (ww v - 2 vw w) / (dv ww) on numerators,
-        # whatever w's denominator
+        d, (col,) = work[j]
+        # w = column j - e_j, over d; columns c < j are e_c, so the matrix, orthogonal
+        # throughout, is zero in rows < j of w and of every column c >= j
+        w = {i: a for i in range(j, n) if (a := col.get(i, 0) - (d if i == j else 0))}
+        mirrors.append(Multivector._of(sig, d, {1 << i: a for i, a in w.items()}))
+        # reflect the columns c >= j: v - 2 g(v,w)/g(w,w) w is (ww v - 2 vw w) / (dv ww)
+        # on numerators, whatever w's denominator
         ww = _dot(w, w)
         for c in range(j, n):
-            v, dv = work[c]
+            dv, (v,) = work[c]
             vw2 = 2 * _dot(v, w)
-            work[c] = _lowest([ww * a - vw2 * b for a, b in zip(v, w)], dv * ww)
+            work[c] = _lowest(dv * ww, [{i: a for i in range(j, n) if (a := ww * v.get(i, 0) - vw2 * w.get(i, 0))}])
     if work != units:
         raise StructureError("reflection reduction did not reach the identity")
     if len(mirrors) % 2 != 0:
@@ -158,14 +155,8 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
     return SpinElement.from_multivector(g)
 
 
-def _dot(v: list[int], w: list[int]) -> int:
-    return sum(a * b for a, b in zip(v, w))
-
-
-def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
-    """``(nums, den)`` divided by their gcd."""
-    g = gcd(den, *nums)
-    return [a // g for a in nums], den // g
+def _dot(v: dict[int, int], w: dict[int, int]) -> int:
+    return sum(a * w.get(i, 0) for i, a in v.items())
 
 
 def double_cover_check(g: SpinElement, module: SpinorModule) -> Report:

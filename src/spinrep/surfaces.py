@@ -17,6 +17,7 @@ are shorthands for the specs in BUILTIN_SURFACES and BUILTIN_CURVES.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 from .errors import InputError, IntegrationError
@@ -165,6 +166,15 @@ FRAME_TOL = 1e-9
 _EVAL_ERRORS = (InputError, ArithmeticError, ValueError)
 
 
+def _floats(values, n: int, what: str) -> tuple[float, ...]:
+    """``values`` as ``n`` floats; an ``InputError`` whose message starts
+    with ``what`` unless they are a tuple or list of ``n`` finite ints or floats."""
+    values = values if isinstance(values, (tuple, list)) else ()
+    if len(values) != n or not all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in values):
+        raise InputError(f"{what} must be {n} finite numbers")
+    return tuple(map(float, values))
+
+
 def spin_parallel_transport(
     surface: ParametricSurface,
     curve: Callable[[float], tuple[float, float]],
@@ -194,11 +204,12 @@ def spin_parallel_transport(
         raise InputError(f"steps must be an integer of at least 2, got {steps!r}")
     if initial_sign not in (1, -1):
         raise InputError("initial_sign must be +1 or -1")
-    if not math.isfinite(t1 - t0) or t0 == t1:  # NaN or inf when either is, or on overflow
+    _floats((t0, t1), 2, "t0 and t1")  # the times themselves stay as given
+    if not math.isfinite(t1 - t0) or t0 == t1:  # inf on overflow
         raise InputError("t0 and t1 must be finite and different, with t1 - t0 finite")
-    q_model = tuple(map(float, q0))
-    if len(q_model) != 4 or not all(map(math.isfinite, q_model)) or not any(q_model):
-        raise InputError("q0 must be four finite numbers, not all zero")
+    q_model = _floats(q0, 4, "q0")
+    if not any(q_model):
+        raise InputError("q0 must not be zero")
     try:
         uv = curve(t0)
         nu0 = _cross(*surface.partials(*uv))
@@ -213,7 +224,8 @@ def spin_parallel_transport(
     if frame0 is None:
         e1, e2, _ = surface_frame(surface, *uv)
     else:
-        e1, e2 = tuple(map(float, frame0[0])), tuple(map(float, frame0[1]))
+        pair = frame0 if isinstance(frame0, (tuple, list)) and len(frame0) == 2 else (None, None)
+        e1, e2 = (_floats(v, 3, "initial e1 and e2 each") for v in pair)
         # each test is written so that a NaN fails it
         for name, vec in (("e1", e1), ("e2", e2)):
             if not abs(_dot(vec, nu0)) <= FRAME_TOL:

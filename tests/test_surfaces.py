@@ -328,6 +328,13 @@ def test_transport_evaluation_counts(steps):
     ((1.0, 0.0, 0.0), (0.0, math.nan, 0.0)),
     ((math.inf, 0.0, 0.0), (0.0, 1.0, 0.0)),
     ((1.0, 0.0, math.nan), (0.0, 1.0, 0.0)),
+    # not numbers, or not two vectors of three: an InputError, not a bare Python error
+    (("a", 0, 0), (0, 1, 0)),
+    ((1, 0, 0),),
+    ((1, 0), (0, 1, 0)),
+    ((1, 0, 0), None),
+    ((10**400, 0, 0), (0, 1, 0)),
+    5,
 ])
 def test_non_finite_frame0_is_rejected(frame0):
     with pytest.raises(InputError, match="initial"):
@@ -346,8 +353,24 @@ def test_non_finite_frame0_is_rejected(frame0):
     {"q0": (0.0, 1.0, math.inf, 0.0)},
     {"q0": (1.0, 0.0, 0.0)},
     {"steps": 10.5},
+    # not numbers: an InputError, not a bare Python error
+    {"t0": "0"},
+    {"t1": "1"},
+    {"t0": 10**400},
+    {"q0": ("a", 0, 0, 0)},
+    {"q0": None},
+    {"q0": (10**400, 0, 0, 0)},
 ])
 def test_transport_rejects_degenerate_times_and_spinors(bad):
     kwargs = {"q0": ONE, "steps": 10, "velocity": loop_velocity, **bad}
     with pytest.raises(InputError):
         spin_parallel_transport(unit_sphere(), great_circle, **kwargs)
+
+
+def test_int_inputs_transport_as_their_floats():
+    def run(t1, q0, frame0):
+        return spin_parallel_transport(plane(), lambda t: (t, 0.5 * t * t), q0, t1=t1, frame0=frame0, steps=20,
+                                       velocity=lambda t: (1.0, t))
+    as_ints = run(1, (1, 0, 2, 0), ((1, 0, 0), (0, 1, 0)))
+    assert as_ints == run(1.0, (1.0, 0.0, 2.0, 0.0), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+    assert as_ints.times[-1] == 1 and all(as_ints.ok)
