@@ -28,7 +28,10 @@ class SpinElement:
 
     ``value * reversion(value)`` is the positive rational ``norm2``; the
     corresponding group element is value / sqrt(norm2), which is generally
-    irrational and never materialized.
+    irrational and never materialized.  The constructor trusts ``norm2``:
+    ``from_multivector`` derives it by the versor test, ``spin_lift`` from
+    the mirrors.  A ``norm2`` that is not ``value * reversion(value)`` fails
+    the exact back-check of the element's twisted adjoint (``StructureError``).
     """
 
     __slots__ = ("value", "norm2")
@@ -79,18 +82,32 @@ def reflection(w, v, sig: Signature) -> list[Fraction]:
 
 def twisted_adjoint_matrix(g: Multivector) -> list[list[Fraction]]:
     """Matrix of the twisted adjoint v -> g v grade_involution(g)^(-1) on
-    basis vectors (columns are images).
-
-    ``g_hat = grade_involution(g)`` and its inverse ``gi`` are formed once.
-    Each column reads only the grade-1 part ``w`` of ``h gi``, ``h = g e_i``
-    (``Multivector.vector_part_times``), in O(n |g|) products of blade terms,
-    and checks ``h == w g_hat`` exactly: as g_hat is invertible, that holds
-    exactly when ``h gi`` is the vector ``w``.  A column that is not a vector
-    (g outside the Clifford group) raises ``StructureError``.
-    """
-    sig = g.signature
+    basis vectors (columns are images), inverting by ``Multivector.inverse``
+    (the O(|g|^2) versor test); see ``_twisted_adjoint``."""
     g_hat = g.grade_involution()
-    gi = g_hat.inverse()
+    return _twisted_adjoint(g, g_hat, g_hat.inverse())
+
+
+def _spin_adjoint(g: SpinElement) -> list[list[Fraction]]:
+    """The twisted adjoint matrix of a spin element, inverting in O(|g|):
+    g_hat rev(g_hat) is the grade involution of g rev(g) = norm2, so
+    g_hat^(-1) = rev(g_hat) / norm2.  A zero value would pass every
+    back-check (h = 0 = w g_hat); it is refused, as is a zero norm2."""
+    norm2 = _exact(g.norm2)
+    if not norm2 or g.value.is_zero():
+        raise StructureError("spin element has norm2 = 0 or value = 0")
+    g_hat = g.value.grade_involution()
+    return _twisted_adjoint(g.value, g_hat, g_hat.reversion().scale(1 / norm2))
+
+
+def _twisted_adjoint(g: Multivector, g_hat: Multivector, gi: Multivector) -> list[list[Fraction]]:
+    """The twisted adjoint matrix of g from g_hat and a claimed inverse gi.
+    Column i reads only the grade-1 part w of h gi, h = g e_i
+    (``Multivector.vector_part_times``), in O(n |g|) products of blade terms,
+    and checks h == w g_hat exactly.  For an invertible g_hat that holds
+    exactly when w = h g_hat^(-1), so a wrong gi (a forged norm2 scales every
+    w) or g outside the Clifford group raises ``StructureError``."""
+    sig = g.signature
     cols = []
     for i in range(sig.n):
         h = g * Multivector.generator(sig, i)
@@ -112,6 +129,9 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
     of the two lifts; negate for the other.  The work is on integers: M = D R
     (D the common denominator) is checked as M^T M = D^2 I, and each column is
     reduced as sparse integers over its own denominator, in lowest terms.
+    For g = w_1 ... w_k, g rev(g) = w_1 ... w_k w_k ... w_1 = w_1^2 ... w_k^2,
+    and as k is even the lift's ``norm2`` is the product of the mirrors'
+    squared lengths, in O(n^2).
     """
     rows = [[_exact(c) for c in r] for r in rotation]
     n = len(rows)
@@ -130,6 +150,7 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
     units = [(1, [{j: 1}]) for j in range(n)]
     work = [_lowest(den, [col]) for col in cols]  # (d, [column]), the column over d
     mirrors: list[Multivector] = []
+    norm2 = Fraction(1)  # the product of the mirrors' squared lengths
     for j in range(n):
         if work[j] == units[j]:
             continue
@@ -141,6 +162,7 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
         # reflect the columns c >= j: v - 2 g(v,w)/g(w,w) w is (ww v - 2 vw w) / (dv ww)
         # on numerators, whatever w's denominator
         ww = _dot(w, w)
+        norm2 *= Fraction(ww, d * d)
         for c in range(j, n):
             dv, (v,) = work[c]
             vw2 = 2 * _dot(v, w)
@@ -152,7 +174,7 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
     g = Multivector.scalar(sig, 1)
     for w in mirrors:
         g = g * w
-    return SpinElement.from_multivector(g)
+    return SpinElement(g, norm2)
 
 
 def _dot(v: dict[int, int], w: dict[int, int]) -> int:
@@ -163,10 +185,11 @@ def double_cover_check(g: SpinElement, module: SpinorModule) -> Report:
     """Confirm that g and -g cover the same rotation (``adjoints-equal``)
     while acting differently on the spinor module (``actions-differ``).
 
-    Both twisted adjoint matrices are built, each column checked exactly to
-    be a vector (see ``twisted_adjoint_matrix``); a column that is not raises
-    ``StructureError``."""
-    adjoints_equal = twisted_adjoint_matrix(g.value) == twisted_adjoint_matrix((-g).value)
+    Both twisted adjoint matrices are built from the expanded g and -g,
+    inverting g_hat as rev(g_hat) / norm2.  g rev(g) = norm2 != 0 makes g_hat
+    invertible, so each column's exact back-check (``_twisted_adjoint``)
+    refuses a wrong expansion or a wrong ``norm2`` with ``StructureError``."""
+    adjoints_equal = _spin_adjoint(g) == _spin_adjoint(-g)
     actions_differ = spin_action(module, g) != spin_action(module, -g)
     return Report([("adjoints-equal", adjoints_equal, ""), ("actions-differ", actions_differ, "")])
 
@@ -202,7 +225,7 @@ class SpinCoordinateSystem:
 def spin_coordinate_system(module: SpinorModule, g: SpinElement) -> SpinCoordinateSystem:
     return SpinCoordinateSystem(
         iso=spin_action(module, g),
-        covered_frame=twisted_adjoint_matrix(g.value),
+        covered_frame=_spin_adjoint(g),
         scale2=g.norm2,
     )
 

@@ -6,17 +6,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rational_rotation
 
 from spinrep.algebras import conj, kelem, mul, mul_matrix, unit
 from spinrep.clifford import Multivector, Signature, euclidean
-from spinrep.errors import InputError
+from spinrep.errors import InputError, StructureError
 from spinrep.expressions import compile_curve, compile_surface
 from spinrep.recipe import assemble_euclidean, assemble_signature
 from spinrep.spin import (
     SpinCoordinateSystem,
     SpinElement,
+    _spin_adjoint,
     double_cover_check,
     reflection,
     spin_action,
@@ -183,6 +186,82 @@ def test_spin_action_orthogonality_and_homomorphism():
         Multivector.make(sig, {0: Fraction(5, 13), 0b11: Fraction(12, 13)})
     )
     assert spin_action(module, g) * spin_action(module, h) == spin_action(module, g * h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), factors=st.integers(1, 16))
+def test_lift_norm2_and_known_inverse_are_the_versor_test(n, seed, factors):
+    g = spin_lift(random_rational_rotation(n, random.Random(seed), factors=factors))
+    # norm2 comes from the mirrors; the versor test on the expansion agrees,
+    # and finds no term but the scalar
+    t = g.value.times_reversion()
+    assert list(t.terms) == [0] and t.scalar_part() == g.norm2
+    assert g.value.reversion().scale(1 / g.norm2) == g.value.grade_involution().inverse()
+    assert _spin_adjoint(g) == twisted_adjoint_matrix(g.value)
+
+
+def _non_null_vectors(sig, rng, count):
+    out = []
+    while len(out) < count:
+        v = [rng.randint(-3, 3) for _ in range(sig.n)]
+        if sig.bilinear(v, v):
+            out.append(v)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(rs=st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 1), (1, 2)]), seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([2, 4]))
+def test_known_inverse_adjoint_in_mixed_signatures(rs, seed, count):
+    sig = Signature(*rs)
+    rng = random.Random(seed)
+    while True:  # a product of non-null vectors whose g rev(g), the product of their squares, is positive
+        vecs = _non_null_vectors(sig, rng, count)
+        if math.prod(sig.bilinear(v, v) for v in vecs) > 0:
+            break
+    x = Multivector.scalar(sig, 1)
+    for v in vecs:
+        x = x * Multivector.vector(sig, v)
+    g = SpinElement.from_multivector(x)
+    assert _spin_adjoint(g) == twisted_adjoint_matrix(x)
+    assert _spin_adjoint(-g) == twisted_adjoint_matrix(-x)
+
+
+def test_boost_in_cl13_is_pinned():
+    # 2 + e1 e2 with e1^2 = 1, e2^2 = -1: g rev(g) = 4 - 1, and the covered
+    # frame is the boost of rapidity log 3 in the (e1, e2) plane
+    module = assemble_signature(1, 3)
+    g = SpinElement.from_multivector(Multivector.make(module.signature, {0: 2, 0b11: 1}))
+    assert g.norm2 == 3
+    boost = [[Fraction(5, 3), Fraction(-4, 3), 0, 0], [Fraction(-4, 3), Fraction(5, 3), 0, 0],
+             [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert twisted_adjoint_matrix(g.value) == boost
+    assert spin_coordinate_system(module, g).covered_frame == boost
+    assert double_cover_check(g, module).ok
+
+
+@pytest.mark.parametrize("factor", [2, Fraction(1, 2), -1, 0])
+def test_a_forged_norm2_is_refused(factor):
+    # the constructor trusts norm2; every twisted adjoint of a spin element
+    # inverts with it, and its exact back-check refuses one that is not g rev(g)
+    g = spin_lift([[Fraction(3, 5), Fraction(-4, 5), 0], [Fraction(4, 5), Fraction(3, 5), 0], [0, 0, 1]])
+    module = assemble_euclidean(3)
+    assert double_cover_check(g, module).ok
+    forged = SpinElement(g.value, factor * g.norm2)
+    with pytest.raises(StructureError):
+        double_cover_check(forged, module)
+    with pytest.raises(StructureError):
+        spin_coordinate_system(module, forged)
+
+
+def test_a_zero_spin_element_is_refused():
+    # h = g e_i = 0 would pass every back-check
+    module = assemble_euclidean(3)
+    zero = SpinElement(Multivector(euclidean(3), {}), Fraction(1))
+    with pytest.raises(StructureError, match="value = 0"):
+        double_cover_check(zero, module)
+    with pytest.raises(StructureError, match="value = 0"):
+        spin_coordinate_system(module, zero)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
