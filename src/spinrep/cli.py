@@ -132,7 +132,7 @@ _K0_DIMS = [4, 8, 4, 4, 4, 2, 1, 1]
 def classify(max_n: int) -> None:
     """Compute dims and intertwiner algebras for Cl(0,n) against the tables."""
     from .recipe import assemble_signature, intertwiners
-    from .structure import FIELD_DIM, expected_field, expected_irreducible_dim
+    from .structure import FIELD_DIM, Signature, expected_field, expected_irreducible_dim
 
     if not 1 <= max_n <= 16:
         _fail(EXIT_INPUT, "--max-n must be between 1 and 16")
@@ -140,8 +140,7 @@ def classify(max_n: int) -> None:
     print(header)
     all_match = True
     for n in range(1, max_n + 1):
-        variants = ["plus", "minus"] if n % 4 == 3 else ["plus"]
-        for variant in variants:
+        for variant in Signature(0, n).variants:
             module = assemble_signature(0, n, variant)
             full = intertwiners(module)
             even = intertwiners(module, even_only=True)

@@ -31,8 +31,6 @@ FORMAT_VERSION = 1
 # every top-level key the v1 writer emits; grading and volume_sign only where they apply
 PAYLOAD_KEYS = ("format_version", "signature", "convention", "field", "real_dim", "family", "variant",
                 "generators", "spin_metric", "commutant_basis", "grading", "volume_sign")
-FIELDS = ("R", "C", "H")
-VARIANTS = ("plus", "minus")
 _CELL = r"-?[0-9]+(/[0-9]+)?"  # compiled on first use, not at import
 
 CSV_HEADER = (
@@ -131,8 +129,7 @@ def module_to_payload(module: SpinorModule, volume_sign: int | None = None) -> d
     grading = module.real_grading()
     if grading is not None:
         payload["grading"] = list(grading)
-    sig = module.signature
-    if (sig.s - sig.r) % 4 == 3:
+    if "minus" in module.signature.variants:
         payload["volume_sign"] = volume_sign_of(module.gens) if volume_sign is None else volume_sign
     return payload
 
@@ -144,7 +141,7 @@ def payload_to_gamma(payload) -> dict:
     integers (never booleans), ``field``, ``family`` and ``variant`` come from
     their fixed sets, and every matrix is a real_dim x real_dim list of lists
     of integer or ``"p/q"`` cells.  Anything else raises InputError."""
-    from .structure import CONVENTION, FAMILIES, Signature
+    from .structure import CONVENTION, FAMILIES, FIELD_DIM, VARIANTS, Signature
 
     if not isinstance(payload, dict):
         raise InputError("malformed gamma file: expected one JSON object")
@@ -170,7 +167,7 @@ def payload_to_gamma(payload) -> dict:
         vol_sign = payload.get("volume_sign")
         if vol_sign is not None and (type(vol_sign) is not int or vol_sign not in (1, -1)):
             raise InputError("volume_sign must be 1 or -1")
-        field = _choice(payload["field"], FIELDS, "field")
+        field = _choice(payload["field"], tuple(FIELD_DIM), "field")
         _choice(payload["family"], FAMILIES, "family")  # a v1 field the audit does not read
         return dict(
             sig=sig,

@@ -296,7 +296,7 @@ class SignedPerm:
     def diag(values: Iterable) -> "SignedPerm":
         signs = [int(v) for v in values]
         if any(v != 1 and v != -1 for v in signs):
-            raise ValueError("a signed permutation has diagonal entries +1 or -1 only")
+            raise InputError("a signed permutation has diagonal entries +1 or -1 only")
         return SignedPerm(list(range(len(signs))), signs)
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
@@ -314,7 +314,7 @@ class SignedPerm:
             return self
         if c == -1:
             return -self
-        raise ValueError("a signed permutation scales by +1 or -1 only")
+        raise InputError("a signed permutation scales by +1 or -1 only")
 
     def transpose(self) -> "SignedPerm":
         perm = [0] * len(self.perm)

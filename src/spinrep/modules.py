@@ -29,7 +29,7 @@ from .recipe import (_UNITS, GradedSpace, SpinorModule, _exterior_action, _right
                      assemble_euclidean, split_signature_module, volume_diagonal)
 # not used in this module: perfbench/inproc.py wraps them here and clears the lru_caches it finds here
 from .recipe import _definite, assemble_positive, assemble_signature, intertwiners, verify_module  # noqa: F401
-from .structure import FAMILY_OCTONION, FAMILY_SQRT, FIELD_DIM, Signature, _monomial, plus_volume_sign, volume_sign_of
+from .structure import FAMILY_OCTONION, FAMILY_SQRT, FIELD_DIM, Signature, _monomial, variant_of, volume_sign_of
 
 if TYPE_CHECKING:
     from .algebras import KElement
@@ -160,9 +160,7 @@ def sqrt_space_module(n: int) -> SpinorModule:
         raise InputError("sqrt-space modules exist for dimensions 1..4 only")
     gens = _sqrt_gens(n)
     dim = gens[0].nrows
-    variant = "plus"
-    if n == 3:
-        variant = "plus" if volume_sign_of(gens) == plus_volume_sign(Signature(0, 3)) else "minus"
+    variant = variant_of(Signature(0, n), volume_sign_of(gens)) or "plus"
     reference = assemble_euclidean(n, variant)
     basis = intertwiner_space(list(zip(reference.generators, gens)), dim, dim)
     if not basis:
@@ -208,9 +206,7 @@ def octonion_module(k: int) -> SpinorModule:
         field_tag = "R"
         right_units = ()
     dim = gens[0].nrows
-    variant = "plus"
-    if (sig.s - sig.r) % 4 == 3:
-        variant = "plus" if volume_sign_of(gens) == plus_volume_sign(sig) else "minus"
+    variant = variant_of(sig, volume_sign_of(gens)) or "plus"
     space = GradedSpace("R", dim)
     return SpinorModule(sig, field_tag, gens, space, SignedPerm.identity(dim), FAMILY_OCTONION, variant, right_units)
 
@@ -246,7 +242,7 @@ def spinor_square(module: SpinorModule, s1: list, s2: list) -> Multivector:
         raise InputError("spinor length does not match module dimension")
     sig = module.signature
     n = sig.n
-    even_only = (sig.s - sig.r) % 4 == 3
+    even_only = "minus" in sig.variants
     masks = [m for m in range(1 << n) if not even_only or bin(m).count("1") % 2 == 0]
 
     # columns of the rank-one operator

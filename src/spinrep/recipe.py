@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING
 
 from .errors import InputError, StructureError
 from .linalg import QMat, SignedPerm
-from .structure import (FAMILY_ASSEMBLED, FAMILY_POSITIVE, FAMILY_QUATERNIONIC, FAMILY_SPLIT, FIELD_DIM, Report,
-                        Signature, audit)
+from .structure import (FAMILY_ASSEMBLED, FAMILY_POSITIVE, FAMILY_QUATERNIONIC, FAMILY_SPLIT, FIELD_DIM, VARIANTS,
+                        Report, Signature, audit)
 
 if TYPE_CHECKING:
     from .clifford import Multivector
@@ -383,11 +383,6 @@ def _restrict_h_to_c(mod: SpinorModule) -> tuple[list[SignedPerm], GradedSpace]:
     return gens, GradedSpace("C", mod.space.dim * 2, grading)
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in ("plus", "minus"):
-        raise InputError(f"variant must be 'plus' or 'minus', got {variant!r}")
-
-
 @lru_cache(maxsize=None)
 def _definite(n: int, positive: bool, variant: str) -> SpinorModule:
     """Irreducible module for Cl(n,0) when ``positive``, else for Cl(0,n).
@@ -402,14 +397,10 @@ def _definite(n: int, positive: bool, variant: str) -> SpinorModule:
       re-blocked over C (K = C); over H the product is real (K = R).
 
     S_r and the base factor have the residue of n mod 4, so they carry the
-    minus variant exactly when the whole module does (s - r = 3 mod 4).
+    minus variant exactly when the whole module does, and the recursion
+    passes only valid (n, variant) pairs; ``assemble_signature`` checks them.
     """
-    if n < 1:
-        raise InputError("dimension must be >= 1")
-    _check_variant(variant)
     sig = Signature(n, 0) if positive else Signature(0, n)
-    if variant == "minus" and (sig.s - sig.r) % 4 != 3:
-        raise InputError(f"minus variant not available in dimension {n}")
     if n <= 4:
         field_tag, gens, space = _base(n, positive, variant)
         family = FAMILY_POSITIVE if positive else FAMILY_QUATERNIONIC
@@ -441,12 +432,12 @@ def _definite(n: int, positive: bool, variant: str) -> SpinorModule:
 
 def assemble_euclidean(n: int, variant: str = "plus") -> SpinorModule:
     """Irreducible module for Euclidean Cl(0,n), any n >= 1."""
-    return _definite(n, False, variant)
+    return assemble_signature(0, n, variant)
 
 
 def assemble_positive(n: int, variant: str = "plus") -> SpinorModule:
     """Irreducible module for Cl(n,0), any n >= 1."""
-    return _definite(n, True, variant)
+    return assemble_signature(n, 0, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +481,16 @@ def assemble_signature(r: int, s: int, variant: str = "plus") -> SpinorModule:
     its exterior-algebra module with the leftover definite-signature module;
     generator order is (+1-squaring split, +1 leftover, -1 split, -1
     leftover) to match the signature convention.  A minus variant exists
-    exactly when s - r = 3 mod 4 and is carried by the leftover factor.
+    exactly when ``Signature.variants`` has it and is carried by the leftover
+    factor.  This is the one entry that checks a variant.
     """
     sig = Signature(r, s)
+    if variant not in VARIANTS:
+        raise InputError(f"variant must be 'plus' or 'minus', got {variant!r}")
+    if variant not in sig.variants:
+        raise InputError(f"minus variant not available for signature ({r},{s})")
     if r == 0 or s == 0:
         return _definite(r + s, s == 0, variant)
-    _check_variant(variant)
-    if variant == "minus" and (s - r) % 4 != 3:
-        raise InputError(f"minus variant not available for signature ({r},{s})")
     i = min(r, s)
     split = split_signature_module(i)
     if r == s:

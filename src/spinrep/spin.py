@@ -197,11 +197,11 @@ def double_cover_check(g: SpinElement, module: SpinorModule) -> Report:
 def spin_action(module: SpinorModule, g: SpinElement) -> QMat:
     """Representing matrix of the (unnormalized) even versor on the module.
 
-    For a unit element the matrix is orthogonal for the spin metric; in
-    general M^T g_S M = norm2 * g_S holds exactly.
+    With M = g_S e_1 ... e_r (the spin metric g_S when r = 0), the matrix A
+    satisfies A^T M A = norm2 * M exactly: for M every generator's adjoint
+    is (-1)^(r-1) e_i, so an even versor's is its reversion.  In a mixed
+    signature A need not preserve g_S itself, which is definite.
     """
-    if module.signature != g.signature:
-        raise InputError("signature mismatch between module and spin element")
     return module.operator(g.value)
 
 
@@ -233,7 +233,8 @@ def spin_coordinate_system(module: SpinorModule, g: SpinElement) -> SpinCoordina
 def verify_spin_coordinate_system(module: SpinorModule, system: SpinCoordinateSystem) -> Report:
     """Exact checks, one per condition: the isometry intertwines each
     generator up to the covered frame (``intertwines-e<j>``), is a scaled
-    isometry of the spin metric (``spin-metric-isometry``), and commutes
+    isometry of M = g_S e_1 ... e_r, the spin metric when r = 0
+    (``spin-metric-isometry``, see ``spin_action``), and commutes
     with each even intertwiner (``commutes-even-<t>``, the right action of
     K0), on the +1 volume summand where ``intertwiners(module,
     even_only=True)`` takes it."""
@@ -245,7 +246,7 @@ def verify_spin_coordinate_system(module: SpinorModule, system: SpinCoordinateSy
         # the Clifford action of column j of the frame
         rhs = module.operator(Multivector.vector(module.signature, [frame[i][j] for i in range(n)]))
         checks.append((f"intertwines-e{j + 1}", phi * module.generators[j] == rhs * phi, ""))
-    m = module.spin_metric
+    m = module.spin_metric * module.operator(Multivector.blade(module.signature, (1 << module.signature.r) - 1))
     checks.append(("spin-metric-isometry", phi.transpose() * m * phi == m.scale(system.scale2), ""))
     # the even commutant lives on the +1 volume summand when there is one;
     # phi is even, so it preserves that summand

@@ -21,6 +21,8 @@ CONVENTION = (
 # real dimension of each intertwiner field K
 FIELD_DIM = {"R": 1, "C": 2, "H": 4}
 
+VARIANTS = ("plus", "minus")
+
 FAMILY_QUATERNIONIC = "quaternionic-multivector"
 FAMILY_POSITIVE = "positive-multivector"
 FAMILY_SPLIT = "split-exterior"
@@ -63,6 +65,12 @@ class Signature:
         if not 0 <= i < self.n:
             raise InputError(f"generator index {i} out of range for {self}")
         return 1 if i < self.r else -1
+
+    @property
+    def variants(self) -> tuple[str, ...]:
+        """The module variants: both when s - r = 3 mod 4, where the volume
+        element is central and squares to +1, else only ``plus``."""
+        return VARIANTS if (self.s - self.r) % 4 == 3 else VARIANTS[:1]
 
     @property
     def neg_mask(self) -> int:
@@ -138,10 +146,13 @@ def volume_sign_of(generators) -> int:
     return 1 if vol == ident else (-1 if vol == -ident else 0)
 
 
-def plus_volume_sign(sig: Signature) -> int:
-    """The volume sign of the plus variant of a definite signature: -1 on
-    Cl(0,n), +1 on Cl(n,0); the minus variant has the other sign."""
-    return -1 if sig.r == 0 else 1
+def variant_of(sig: Signature, sign: int) -> str | None:
+    """The variant of a definite signature whose volume operator is
+    ``sign`` I: -I is plus on Cl(0,n), +I is plus on Cl(n,0); None when
+    ``sign`` is 0 (the volume element is not +-I)."""
+    if not sign:
+        return None
+    return "plus" if sign == (-1 if sig.r == 0 else 1) else "minus"
 
 
 def verify_clifford_condition(generators: list, sig: Signature) -> Report:
@@ -282,7 +293,7 @@ def audit(
         odd_ok = all((eps * g) == (g * eps).scale(-1) for g in generators)
         checks.append(("generators-odd", odd_ok, ""))
 
-    if (sig.s - sig.r) % 4 != 3:
+    if "minus" not in sig.variants:
         reason = f"s - r = {(sig.s - sig.r) % 4} mod 4, not 3"
         return Report(checks, skipped=skipped + [(name, reason) for name in CHECKS[-3:]])
     sign = volume_sign_of(generators)
@@ -293,8 +304,7 @@ def audit(
         skipped.append(("volume-sign-recorded", "no volume_sign recorded"))
     # the sign itself is pinned only for the definite signatures
     if sig.r == 0 or sig.s == 0:
-        expect = plus_volume_sign(sig) * (1 if variant == "plus" else -1)
-        checks.append(("volume-variant", sign == expect, f"variant {variant}"))
+        checks.append(("volume-variant", variant_of(sig, sign) == variant, f"variant {variant}"))
     else:
         skipped.append(("volume-variant", "indefinite signature"))
     return Report(checks, sign, skipped)

@@ -3,6 +3,7 @@
 import hashlib
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -260,6 +261,15 @@ def test_non_semisimple_commutant_is_not_named():
     nilpotent = QMat.from_entries(2, 2, {(0, 1): 1})
     com = commutant([nilpotent], 2)
     assert com.real_dimension == 2 and com.division_algebra == "A(2)"
+
+
+@pytest.mark.parametrize("entries, size, label", [
+    ({(0, 0): 1, (1, 1): 2, (2, 2): 3}, 3, "A(3)"),  # the diagonal matrices: a center of dimension 3
+    ({(0, 1): 2, (1, 0): 1}, 2, "A(2)"),  # span{I, X} with X^2 = 2: its idempotents need sqrt(2)
+])
+def test_semisimple_commutants_it_cannot_name(entries, size, label):
+    com = commutant([QMat.from_entries(size, size, entries)], size)
+    assert com.division_algebra == label
 
 
 def test_label_does_not_depend_on_the_basis():

@@ -138,15 +138,23 @@ def test_curve_velocity_is_exact(expr, derivative):
 
 def test_second_partials_are_exact():
     surface = compile_surface("x=u*u*v; y=exp(u*v); z=sin(u)/v")
+    cases = []
     for u, v in ((0.3, 0.7), (-1.1, 1.9), (2.0, -0.4)):
         e = math.exp(u * v)
-        xuu, xuv, xvv = surface.second_partials(u, v)
-        want = (
+        cases.append((surface, u, v, (
             (2 * v, v * v * e, -math.sin(u) / v),
             (2 * u, e + u * v * e, -math.cos(u) / v ** 2),
             (0.0, u * u * e, 2 * math.sin(u) / v ** 3),
-        )
-        for got, exp in zip((xuu, xuv, xvv), want):
+        )))
+    # abs(u) differentiates through sign; v**u through log, in X_uv = (X_u)_v
+    ln2, ln3 = math.log(2), math.log(3)
+    cases.append((compile_surface("x=abs(u); y=u**v; z=v**u"), 2.0, 3.0, (
+        (0.0, 12.0, 9 * ln3 ** 2),
+        (0.0, 4 * (1 + 3 * ln2), 3 * (1 + 2 * ln3)),
+        (0.0, 8 * ln2 ** 2, 2.0),
+    )))
+    for surface, u, v, want in cases:
+        for got, exp in zip(surface.second_partials(u, v), want):
             assert max(abs(a - b) for a, b in zip(got, exp)) <= 1e-14 * max(1.0, *map(abs, exp))
 
 

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import spinrep
 from spinrep.errors import InputError
-from spinrep.files import FIELDS, PAYLOAD_KEYS, VARIANTS, dump_gamma_json, module_to_payload, payload_to_gamma
+from spinrep.files import PAYLOAD_KEYS, dump_gamma_json, module_to_payload, payload_to_gamma
 from spinrep.recipe import assemble_signature
-from spinrep.structure import FAMILIES
+from spinrep.structure import FAMILIES, FIELD_DIM, VARIANTS
 
 from conftest import run_cli
 from test_gamma_manifest import sweep_jobs
@@ -25,7 +25,7 @@ from test_gamma_manifest import sweep_jobs
 # Cl(1,1) carries a grading, Cl(0,3) a volume sign
 PAYLOADS = {sig: module_to_payload(assemble_signature(*sig)) for sig in ((1, 1), (0, 3))}
 INT_KEYS = ("format_version", "real_dim")
-NAME_SETS = {"field": FIELDS, "family": FAMILIES, "variant": VARIANTS}
+NAME_SETS = {"field": tuple(FIELD_DIM), "family": FAMILIES, "variant": VARIANTS}
 REQUIRED = ("format_version", "signature", "real_dim", "field", "family", "variant", "generators",
             "spin_metric")
 

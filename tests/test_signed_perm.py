@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinrep import recipe, structure
+from spinrep.errors import InputError
 from spinrep.kmatrix import commutant
 from spinrep.linalg import QMat, SignedPerm
 from spinrep.recipe import assemble_signature, even_summand, intertwiners
@@ -65,9 +66,9 @@ def test_of_refuses_non_monomial(dense):
 
 
 def test_scale_and_diag_refuse_other_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="scales by"):
         SignedPerm.identity(2).scale(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="diagonal entries"):
         SignedPerm.diag([1, 0])
 
 

@@ -209,19 +209,24 @@ def _non_null_vectors(sig, rng, count):
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(rs=st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 1), (1, 2)]), seed=st.integers(0, 2**32 - 1),
-       count=st.sampled_from([2, 4]))
-def test_known_inverse_adjoint_in_mixed_signatures(rs, seed, count):
-    sig = Signature(*rs)
-    rng = random.Random(seed)
-    while True:  # a product of non-null vectors whose g rev(g), the product of their squares, is positive
+def _versor(sig, rng, count):
+    """A product of ``count`` non-null vectors whose g rev(g), the product of
+    their squares, is positive."""
+    while True:
         vecs = _non_null_vectors(sig, rng, count)
         if math.prod(sig.bilinear(v, v) for v in vecs) > 0:
             break
     x = Multivector.scalar(sig, 1)
     for v in vecs:
         x = x * Multivector.vector(sig, v)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(rs=st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 1), (1, 2)]), seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([2, 4]))
+def test_known_inverse_adjoint_in_mixed_signatures(rs, seed, count):
+    x = _versor(Signature(*rs), random.Random(seed), count)
     g = SpinElement.from_multivector(x)
     assert _spin_adjoint(g) == twisted_adjoint_matrix(x)
     assert _spin_adjoint(-g) == twisted_adjoint_matrix(-x)
@@ -238,6 +243,7 @@ def test_boost_in_cl13_is_pinned():
     assert twisted_adjoint_matrix(g.value) == boost
     assert spin_coordinate_system(module, g).covered_frame == boost
     assert double_cover_check(g, module).ok
+    assert verify_spin_coordinate_system(module, spin_coordinate_system(module, g)).ok
 
 
 @pytest.mark.parametrize("factor", [2, Fraction(1, 2), -1, 0])
@@ -295,6 +301,31 @@ def test_spin_coordinate_system_even_commutant_checked_on_summand():
         "commutes-even-2",
         "commutes-even-3",
     ]
+
+
+@pytest.mark.parametrize("rs", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (2, 3), (1, 4), (0, 5), (5, 0)])
+def test_spin_coordinate_systems_in_every_signature(rs):
+    # a boost preserves no definite form: the isometry check uses
+    # M = g_S e_1 ... e_r, for which an even versor's adjoint is its reversion;
+    # an iso scaled by 2 then fails that check and only that one
+    sig = Signature(*rs)
+    rng = random.Random(sum(rs) * 10 + rs[0])
+    for module in [assemble_signature(*rs, variant) for variant in sig.variants for _ in range(2)]:
+        system = spin_coordinate_system(module, SpinElement.from_multivector(_versor(sig, rng, 4)))
+        assert [name for name, ok, _ in verify_spin_coordinate_system(module, system).checks if not ok] == []
+        scaled = SpinCoordinateSystem(system.iso.scale(2), system.covered_frame, system.scale2)
+        report = verify_spin_coordinate_system(module, scaled)
+        assert [name for name, ok, _ in report.checks if not ok] == ["spin-metric-isometry"]
+
+
+@pytest.mark.parametrize("rs, terms, message", [
+    ((0, 3), {0b1: 1}, "must be even"),
+    ((0, 4), {0: 1, 0b1111: 1}, "must be scalar"),  # x rev(x) = 2 + 2 e1234
+    ((1, 1), {0b11: 1}, "must be positive"),  # e1 e2 e2 e1 = -1
+])
+def test_from_multivector_refusals(rs, terms, message):
+    with pytest.raises(InputError, match=message):
+        SpinElement.from_multivector(Multivector.make(Signature(*rs), terms))
 
 
 # -- float quaternions ---------------------------------------------------------
