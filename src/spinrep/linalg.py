@@ -294,10 +294,10 @@ class SignedPerm:
 
     @staticmethod
     def diag(values: Iterable) -> "SignedPerm":
-        signs = [int(v) for v in values]
+        signs = list(values)
         if any(v != 1 and v != -1 for v in signs):
             raise InputError("a signed permutation has diagonal entries +1 or -1 only")
-        return SignedPerm(list(range(len(signs))), signs)
+        return SignedPerm(list(range(len(signs))), [int(v) for v in signs])
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         if len(self.perm) != len(other.perm):

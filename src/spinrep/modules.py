@@ -24,7 +24,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import InputError, StructureError
-from .linalg import ZERO, QMat, Rref, SignedPerm, _exact, intertwiner_space, sparse_solve
+from .linalg import QMat, Rref, SignedPerm, _exact, intertwiner_space
 from .recipe import (_UNITS, GradedSpace, SpinorModule, _exterior_action, _right_units, _unit_blocks,
                      assemble_euclidean, split_signature_module, volume_diagonal)
 # not used in this module: perfbench/inproc.py wraps them here and clears the lru_caches it finds here
@@ -142,7 +142,7 @@ def _invert(m: QMat) -> QMat:
                                        for i in range(d)], den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # a float misses the cache and meets the integer check
 def sqrt_space_module(n: int) -> SpinorModule:
     """Euclidean modules on the exterior algebra of R^n, halved by right
     multiplication with the volume element (the Hodge star up to sign) where
@@ -156,7 +156,7 @@ def sqrt_space_module(n: int) -> SpinorModule:
     moved through x: invariant by construction and, up to scale, the only
     symmetric invariant form; scaled to 1 at (0,0)) and the field K.
     Nothing on this path loads ``spinrep.clifford``."""
-    if not 1 <= n <= 4:
+    if type(n) is not int or not 1 <= n <= 4:
         raise InputError("sqrt-space modules exist for dimensions 1..4 only")
     gens = _sqrt_gens(n)
     dim = gens[0].nrows
@@ -183,7 +183,7 @@ def sqrt_space_module(n: int) -> SpinorModule:
 _OCT_IMAGINARY = (4, 5, 6, 7, 1, 2, 3)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # a float misses the cache and meets the integer check
 def octonion_module(k: int) -> SpinorModule:
     """Octonion models: Cl(0,k) acting on O for 4 <= k <= 7 by right
     multiplication with imaginary units, and on O (+) O for k = 8 by
@@ -191,7 +191,7 @@ def octonion_module(k: int) -> SpinorModule:
     condition exact even though O is not associative.  Unit products permute
     the units up to sign, so the data are signed permutations read off the
     unit table."""
-    if not 4 <= k <= 8:
+    if type(k) is not int or not 4 <= k <= 8:
         raise InputError("octonion modules exist for dimensions 4..8 only")
     sig = Signature(0, k)
     if k <= 7:
@@ -226,53 +226,38 @@ def grading_from_volume(module: SpinorModule) -> GradedSpace:
 
 
 def spinor_square(module: SpinorModule, s1: list, s2: list) -> Multivector:
-    """Unique mixed-degree multivector omega with c(omega) = s1 (x) conj(s2).
+    """The multivector omega with c(omega) = s1 (x) conj(s2), by the Fierz
+    expansion.
 
-    The right-hand side is the rank-one operator x -> s1 . k(s2, x) built
-    from the K-valued spin metric; for signatures with s - r = 3 mod 4 the
-    solve runs over even blades only (the full algebra acts through its even
-    part there).  The solve is exact; a singular system raises.
+    The right-hand side is the rank-one operator R = sum_a (u_a s1)(g u_a s2)^T
+    over 1 and the right units u_a of K, g the spin metric.  Every blade used,
+    other than 1, acts with trace 0: a blade that is not central anticommutes
+    with some generator; a central volume element squaring to -1 acts as a
+    complex structure; where it squares to +1 (s - r = 3 mod 4) only even
+    blades are used, and none of them is the volume element.  So
+    tr(c(e_A)^-1 c(e_B)) = d delta_AB with e_A^-1 = (e_A^2) e_A, and
+    omega_A = (e_A^2) tr(c(e_A) R) / d, one trace per blade.  An R outside
+    the image of c is refused by the exact check c(omega) == R.
     """
-    from .clifford import Multivector
+    from .clifford import Multivector, blade_product
 
     d = module.real_dim
-    s1 = [_exact(c) for c in s1]
-    s2 = [_exact(c) for c in s2]
-    if len(s1) != d or len(s2) != d:
-        raise InputError("spinor length does not match module dimension")
+    if not all(isinstance(s, (list, tuple)) and len(s) == d for s in (s1, s2)):
+        raise InputError(f"spinors must be lists or tuples of {d} rational numbers")
+    s1, s2 = [_exact(c) for c in s1], [_exact(c) for c in s2]
     sig = module.signature
-    n = sig.n
-    even_only = "minus" in sig.variants
-    masks = [m for m in range(1 << n) if not even_only or bin(m).count("1") % 2 == 0]
-
-    # columns of the rank-one operator
-    k_dim = FIELD_DIM[module.field]
-    s1_images = [s1] + [u.apply(s1) for u in module.right_units]
-    s2_images = [s2] + [u.apply(s2) for u in module.right_units]
-    metric_rows = [module.spin_metric.apply(img) for img in s2_images]
-    rank_one: dict[tuple[int, int], Fraction] = {}
-    for t in range(d):
-        col = [ZERO] * d
-        for a in range(k_dim):
-            coef = metric_rows[a][t]
-            if coef:
-                img = s1_images[a]
-                for i in range(d):
-                    if img[i]:
-                        col[i] += coef * img[i]
-        for i in range(d):
-            if col[i]:
-                rank_one[(i, t)] = col[i]
-
-    rows_by_entry: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for col_idx, mask in enumerate(masks):
-        op = module.blade_operator(mask)
-        for i, j, v in op.entries():
-            rows_by_entry.setdefault((i, j), {})[col_idx] = v
-    keys = sorted(set(rows_by_entry) | set(rank_one))
-    rows = [rows_by_entry.get(key, {}) for key in keys]
-    rhs = [rank_one.get(key, ZERO) for key in keys]
-    sol, unique = sparse_solve(rows, rhs, len(masks))
-    if sol is None or not unique:
-        raise StructureError("blade-to-operator solve is singular for this module")
-    return Multivector.make(sig, {masks[t]: c for t, c in sol.items()})
+    units = [QMat.identity(d), *module.right_units]
+    left = QMat(len(units), d, [dict(enumerate(u.apply(s1))) for u in units])
+    right = QMat(len(units), d, [dict(enumerate(module.spin_metric.apply(u.apply(s2)))) for u in units])
+    rank_one = left.transpose() * right
+    r_t = rank_one.transpose().num  # tr(c R) = sum_ij c_ij R_ji
+    terms = {}
+    for mask in range(1 << sig.n):
+        if "minus" not in sig.variants or mask.bit_count() % 2 == 0:
+            op = module.operator(Multivector.blade(sig, mask))
+            trace = sum(v * r_t[i].get(j, 0) for i, row in enumerate(op.num) for j, v in row.items())
+            terms[mask] = blade_product(sig, mask, mask)[0] * Fraction(trace, op.den * rank_one.den * d)
+    omega = Multivector.make(sig, terms)
+    if module.operator(omega) != rank_one:
+        raise StructureError("s1 (x) conj(s2) is not the action of a multivector on this module")
+    return omega

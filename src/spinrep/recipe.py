@@ -455,7 +455,7 @@ def _exterior_action(i: int, j: int, contraction: int) -> SignedPerm:
                        for mask in range(1 << i)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # a float misses the cache and meets the integer check
 def split_signature_module(i: int) -> SpinorModule:
     """Cl(i,i) on the exterior algebra of R^i, graded by multivector parity.
 
@@ -465,7 +465,7 @@ def split_signature_module(i: int) -> SpinorModule:
     g/2-orthonormal vectors x_j -+ omega_j, so the represented relations are
     exact with no runtime rescaling.
     """
-    if i < 1:
+    if type(i) is not int or i < 1:
         raise InputError("split dimension must be >= 1")
     # x_j + omega_j square to +1, then x_j - omega_j to -1
     gens = [_exterior_action(i, j, c) for c in (1, -1) for j in range(i)]
@@ -473,7 +473,7 @@ def split_signature_module(i: int) -> SpinorModule:
     return _module(Signature(i, i), "R", gens, GradedSpace("R", 1 << i, grading), FAMILY_SPLIT, "plus")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # a float misses the cache and meets the integer check
 def assemble_signature(r: int, s: int, variant: str = "plus") -> SpinorModule:
     """Irreducible module for Cl(r,s), any signature.
 

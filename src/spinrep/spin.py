@@ -133,6 +133,8 @@ def spin_lift(rotation: list[list], sig: Signature | None = None) -> SpinElement
     and as k is even the lift's ``norm2`` is the product of the mirrors'
     squared lengths, in O(n^2).
     """
+    if not isinstance(rotation, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rotation):
+        raise InputError("a rotation must be a list or tuple of rows, each a list or tuple")
     rows = [[_exact(c) for c in r] for r in rotation]
     n = len(rows)
     if sig is None:

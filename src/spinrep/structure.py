@@ -40,7 +40,7 @@ class Signature:
     __slots__ = ("r", "s")
 
     def __init__(self, r: int, s: int):
-        if r < 0 or s < 0 or r + s < 1:
+        if type(r) is not int or type(s) is not int or r < 0 or s < 0 or r + s < 1:
             raise InputError(f"invalid signature ({r},{s})")
         self.r = r
         self.s = s

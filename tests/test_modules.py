@@ -512,6 +512,33 @@ def test_exact_conversions_refuse_what_fraction_refuses(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: Signature(1.5, 2), id="Signature-float"),
+    pytest.param(lambda: Signature("1", 2), id="Signature-string"),
+    pytest.param(lambda: Signature(True, 2), id="Signature-bool"),
+    # each builder is called with the integer first, so the float meets a filled cache
+    pytest.param(lambda: (sqrt_space_module(2), sqrt_space_module(2.0)), id="sqrt_space_module-float"),
+    pytest.param(lambda: (split_signature_module(2), split_signature_module(2.0)), id="split_signature_module-float"),
+    pytest.param(lambda: (octonion_module(4), octonion_module(4.0)), id="octonion_module-float"),
+    pytest.param(lambda: assemble_signature(1.5, 2), id="assemble_signature-float"),
+    pytest.param(lambda: (assemble_signature(1, 2), assemble_signature(1.0, 2)), id="assemble_signature-integral-float"),
+])
+def test_dimensions_must_be_integers(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: spinor_square(assemble_euclidean(2), None, [1, 0, 0, 0]), id="spinor_square-None"),
+    pytest.param(lambda: spinor_square(assemble_euclidean(2), 5, [1, 0, 0, 0]), id="spinor_square-int"),
+    pytest.param(lambda: spin.spin_lift(None), id="spin_lift-None"),
+    pytest.param(lambda: spin.spin_lift([1]), id="spin_lift-row-int"),
+])
+def test_spinors_and_rotations_must_be_sequences(call):
+    with pytest.raises(InputError, match="list or tuple|lists or tuples"):
+        call()
+
+
 def test_report_is_the_only_report_class():
     src = Path(modules.__file__).parent
     found = sorted((path.stem, node.name) for path in src.glob("*.py")

@@ -70,6 +70,10 @@ def test_scale_and_diag_refuse_other_values():
         SignedPerm.identity(2).scale(2)
     with pytest.raises(InputError, match="diagonal entries"):
         SignedPerm.diag([1, 0])
+    with pytest.raises(InputError, match="diagonal entries"):
+        SignedPerm.diag([1.5, -1])
+    with pytest.raises(InputError, match="diagonal entries"):
+        SignedPerm.diag(["a"])
 
 
 # ---------------------------------------------------------------------------
