@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InputError, StructureError
-from .linalg import ONE, ZERO, _exact, _integers, _lowest, sparse_solve
+from .linalg import ONE, _exact, _integers, _lowest, sparse_solve
 from .structure import Signature
 
 
@@ -66,7 +66,7 @@ def blade_product(sig: Signature, a: int, b: int) -> tuple[Fraction, int]:
     squares of the repeated generators under the signature convention.
     """
     limit = 1 << sig.n
-    if a >= limit or b >= limit:
+    if type(a) is not int or type(b) is not int or not (0 <= a < limit and 0 <= b < limit):
         raise InputError("blade mask out of range for signature")
     odd = (_sign_mask(a, sig.neg_mask) & b).bit_count() & 1
     return (-ONE if odd else ONE), a ^ b
@@ -89,7 +89,7 @@ class Multivector:
         terms = {} if terms is None else terms
         limit = 1 << signature.n
         for mask, c in terms.items():
-            if not 0 <= mask < limit:
+            if type(mask) is not int or not 0 <= mask < limit:
                 raise InputError(f"blade mask {mask} invalid for {signature}")
             if type(c) is not int and not isinstance(c, Fraction):
                 raise InputError(f"coefficient {c!r} is not an int or a Fraction")
@@ -129,16 +129,14 @@ class Multivector:
     @staticmethod
     def generator(sig: Signature, i: int) -> "Multivector":
         """e_{i+1} for 0-based index i."""
-        if not 0 <= i < sig.n:
-            raise InputError(f"generator index {i} out of range")
+        sig.gen_square(i)  # refuses an index that is not an int in [0, n)
         return Multivector(sig, {1 << i: ONE})
 
     @staticmethod
     def vector(sig: Signature, coords) -> "Multivector":
-        terms = {1 << i: c for i, c in enumerate(map(_exact, coords)) if c}
-        if len(coords) != sig.n:
-            raise InputError("coordinate length mismatch")
-        return Multivector(sig, terms)
+        if not isinstance(coords, (list, tuple)) or len(coords) != sig.n:
+            raise InputError("coordinates must be a list or tuple of n rational numbers")
+        return Multivector(sig, {1 << i: c for i, c in enumerate(map(_exact, coords)) if c})
 
     @staticmethod
     def blade(sig: Signature, mask: int, c=1) -> "Multivector":
@@ -331,49 +329,26 @@ def volume_element(sig: Signature) -> Multivector:
     return Multivector(sig, {(1 << sig.n) - 1: ONE})
 
 
-def psi_embed(x: Multivector, target: Signature | None = None) -> Multivector:
-    """Embed Cl(r,s) into the even part of the one-dimension-larger algebra.
+def psi_embed(x: Multivector) -> Multivector:
+    """Cl(r,s) -> the even part of Cl(r,s+1), generated by e_i -> e_i e_{n+1}.
 
-    On generators this is v -> v * e_n; extended multiplicatively on blades
-    and linearly on sums.  By default the extra generator is Euclidean
-    (squares to -1), i.e. the target of Cl(r,s) is Cl(r,s+1); any other
-    extension must be passed explicitly and must contain the source.
+    The new generator squares to -1, so (e_a e_{n+1})(e_b e_{n+1}) =
+    -e_a e_b e_{n+1}^2 = e_a e_b: a blade e_A of grade k goes to
+    e_A e_{n+1}^(k mod 2) with sign +1, and e_A e_{n+1} is already in
+    ascending order.  The map is an injective algebra homomorphism.
     """
-    src = x.signature
-    if target is None:
-        target = Signature(src.r, src.s + 1)
-    if target.n != src.n + 1:
-        raise InputError("target must have exactly one more generator")
-    if target.r not in (src.r, src.r + 1):
-        raise InputError("target signature does not extend the source")
-    # the source generators must keep their squares in the target
-    for i in range(src.n):
-        if target.gen_square(i) != src.gen_square(i):
-            raise InputError("target signature reorders generator squares")
-    e_last = Multivector.generator(target, target.n - 1)
-    out = Multivector.scalar(target, 0)
-    for mask, c in x.terms.items():
-        word = Multivector.scalar(target, c)
-        for i in range(src.n):
-            if mask >> i & 1:
-                word = word * (Multivector.generator(target, i) * e_last)
-        out = out + word
-    return out
+    sig, n = x.signature, x.signature.n
+    return Multivector._of(Signature(sig.r, sig.s + 1), x.den,
+                           {m | (m.bit_count() & 1) << n: v for m, v in x.nums.items()})
 
 
-def hodge_star(n: int, x: Multivector) -> Multivector:
-    """Euclidean Hodge star on exterior-algebra elements.
+def hodge_star(x: Multivector) -> Multivector:
+    """Euclidean Hodge star on exterior-algebra elements, in any signature.
 
     Blades are read as exterior monomials; the orientation is the ascending
-    volume blade, and the defining property is  omega ^ star(omega) =
-    |omega|^2 * e_1^...^e_n  for every basis blade.
+    volume blade, and star(e_A) = reorder_sign(A, A^c) e_{A^c}, so that
+    e_A ^ star(e_A) = e_1^...^e_n for every basis blade.
     """
-    if x.signature.n != n:
-        raise InputError("dimension mismatch")
-    full = (1 << n) - 1
-    out = {}
-    for mask, c in x.terms.items():
-        comp = full ^ mask
-        sgn = reorder_sign(mask, comp)
-        out[comp] = out.get(comp, ZERO) + sgn * c
-    return Multivector.make(x.signature, out)
+    full = (1 << x.signature.n) - 1
+    return Multivector._of(x.signature, x.den,
+                           {full ^ m: reorder_sign(m, full ^ m) * v for m, v in x.nums.items()})

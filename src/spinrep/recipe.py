@@ -117,7 +117,7 @@ class SpinorModule:
         self.family = family
         self.variant = variant
         self.units = tuple(right_units)
-        self._blade_ops: dict[int, QMat | SignedPerm] = {}  # blade mask -> its operator, filled by blade_operator
+        self._blade_ops: dict[int, QMat | SignedPerm] = {}  # blade mask -> its operator, filled by _blade_operator
 
     @cached_property
     def generators(self) -> tuple[QMat, ...]:
@@ -141,6 +141,12 @@ class SpinorModule:
     def blade_operator(self, mask: int) -> QMat | SignedPerm:
         """Representing matrix of the basis blade with the given mask, a
         product of ``gens`` and of their type."""
+        if type(mask) is not int or not 0 <= mask < 1 << self.signature.n:
+            raise InputError(f"blade mask {mask!r} invalid for {self.signature}")
+        return self._blade_operator(mask)
+
+    def _blade_operator(self, mask: int) -> QMat | SignedPerm:
+        """``blade_operator`` for a mask already known to be valid."""
         op = self._blade_ops.get(mask)
         if op is None:
             if mask == 0:
@@ -149,7 +155,7 @@ class SpinorModule:
             else:
                 # ascending factor order: e_low * e_rest
                 low = mask & -mask
-                op = self.gens[low.bit_length() - 1] * self.blade_operator(mask & (mask - 1))
+                op = self.gens[low.bit_length() - 1] * self._blade_operator(mask & (mask - 1))
             self._blade_ops[mask] = op
         return op
 
@@ -159,7 +165,7 @@ class SpinorModule:
         over one common denominator, and one ``QMat`` built at the end."""
         if x.signature != self.signature:
             raise InputError("multivector signature does not match module")
-        ops = [(self.blade_operator(mask), v) for mask, v in x.nums.items()]
+        ops = [(self._blade_operator(mask), v) for mask, v in x.nums.items()]
         # SignedPerm entries are integers; a QMat's are integers over its own denominator
         scale = lcm(*(op.den for op, _ in ops if isinstance(op, QMat)))
         d = self.real_dim

@@ -62,7 +62,7 @@ class Signature:
 
     def gen_square(self, i: int) -> int:
         """Square of generator e_{i+1}: +1 for i < r, else -1."""
-        if not 0 <= i < self.n:
+        if type(i) is not int or not 0 <= i < self.n:
             raise InputError(f"generator index {i} out of range for {self}")
         return 1 if i < self.r else -1
 

@@ -21,6 +21,7 @@ from spinrep.clifford import (
 )
 from spinrep.errors import InputError
 from spinrep.linalg import sparse_solve
+from spinrep.recipe import assemble_euclidean
 
 
 def mv(sig, terms):
@@ -225,17 +226,15 @@ def test_psi_embed():
         y = Multivector.make(src, {rng.randrange(4): Fraction(rng.randint(-3, 3))})
         assert psi_embed(x * y) == psi_embed(x) * psi_embed(y)
         assert psi_embed(x).is_even()
-    with pytest.raises(InputError):
-        psi_embed(e1, target=euclidean(4))
 
 
 def test_hodge_star_examples():
     sig3 = euclidean(3)
     e1 = Multivector.generator(sig3, 0)
-    assert hodge_star(3, e1) == mv(sig3, {0b110: 1})
-    assert hodge_star(3, Multivector.scalar(sig3, 1)) == mv(sig3, {0b111: 1})
+    assert hodge_star(e1) == mv(sig3, {0b110: 1})
+    assert hodge_star(Multivector.scalar(sig3, 1)) == mv(sig3, {0b111: 1})
     sig4 = euclidean(4)
-    assert hodge_star(4, mv(sig4, {0b0011: 1})) == mv(sig4, {0b1100: 1})
+    assert hodge_star(mv(sig4, {0b0011: 1})) == mv(sig4, {0b1100: 1})
 
 
 def test_hodge_star_properties():
@@ -244,14 +243,14 @@ def test_hodge_star_properties():
         vol = mv(sig, {(1 << n) - 1: 1})
         for mask in range(1 << n):
             blade = mv(sig, {mask: 1})
-            star = hodge_star(n, blade)
+            star = hodge_star(blade)
             # omega ^ star(omega) = |omega|^2 vol for basis blades; the blades
             # share no factor, so their wedge is their geometric product
             assert blade * star == vol
             # star star = (-1)^(k(n-k))
             k = bin(mask).count("1")
             sign = (-1) ** (k * (n - k))
-            assert hodge_star(n, star) == blade.scale(sign)
+            assert hodge_star(star) == blade.scale(sign)
 
 
 def test_multivector_inverse():
@@ -282,6 +281,27 @@ def test_constructor_refuses_coefficients_that_are_not_int_or_fraction():
     assert Multivector(sig, {0: 2, 3: Fraction(-1, 3)}).terms == {0: 2, 3: Fraction(-1, 3)}
     # make converts exactly through Fraction
     assert Multivector.make(sig, {0: 0.5, 3: "1/3"}) == mv(sig, {0: Fraction(1, 2), 3: Fraction(1, 3)})
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: Multivector(euclidean(2), {1.0: 1}), id="float-mask"),
+    pytest.param(lambda: Multivector.blade(euclidean(2), 1.5), id="blade-float-mask"),
+    pytest.param(lambda: Multivector(euclidean(2), {True: 1}), id="bool-mask"),
+    pytest.param(lambda: Multivector.generator(euclidean(2), 1.0), id="generator-float-index"),
+    pytest.param(lambda: blade_product(euclidean(2), 1.5, 0), id="blade-product-float-mask"),
+    pytest.param(lambda: blade_product(euclidean(2), -1, 0), id="blade-product-negative-mask"),
+    pytest.param(lambda: Signature(0, 2).gen_square(1.5), id="gen-square-float-index"),
+    pytest.param(lambda: Multivector.vector(euclidean(2), None), id="vector-none"),
+    pytest.param(lambda: Multivector.vector(euclidean(2), 5), id="vector-int"),
+    pytest.param(lambda: assemble_euclidean(2).blade_operator(7), id="blade-operator-too-large"),
+    pytest.param(lambda: assemble_euclidean(2).blade_operator(-1), id="blade-operator-negative"),
+    pytest.param(lambda: assemble_euclidean(2).blade_operator(1.0), id="blade-operator-float"),
+])
+def test_masks_indices_and_coordinates_are_checked(call):
+    """Blade masks and generator indices are ints (bools refused) in range,
+    and vector coordinates a list or tuple of length n."""
+    with pytest.raises(InputError):
+        call()
 
 
 @pytest.mark.parametrize("rs", [(0, 40), (20, 20)])
