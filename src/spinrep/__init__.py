@@ -21,15 +21,14 @@ _EXPORTS = {
     "expressions": ("ParametricSurface",),
     "kmatrix": ("Commutant", "commutant"),
     "linalg": ("QMat",),
-    "modules": ("c4_action", "grading_from_volume", "octonion_module", "spinor_square", "split_clifford_action",
-                "sqrt_space_module"),
+    "modules": ("c4_action", "grading_from_volume", "hypersurface4_action", "octonion_module", "spinor_square",
+                "split_clifford_action", "sqrt_space_module"),
     "recipe": ("GradedSpace", "SpinorModule", "assemble_euclidean", "assemble_positive", "assemble_signature",
                "intertwiners", "split_signature_module", "verify_module"),
     "spin": ("SpinCoordinateSystem", "SpinElement", "double_cover_check", "reflection", "spin_action",
              "spin_coordinate_system", "spin_lift", "twisted_adjoint_matrix"),
     "structure": ("CONVENTION", "Signature", "expected_irreducible_dim", "verify_clifford_condition"),
-    "surfaces": ("TransportTrace", "hypersurface4_action", "spin_parallel_transport",
-                 "surface_frame", "unit_sphere"),
+    "surfaces": ("TransportTrace", "spin_parallel_transport", "surface_frame", "unit_sphere"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

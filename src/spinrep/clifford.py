@@ -56,6 +56,8 @@ def reorder_sign(a: int, b: int) -> int:
     Counts pairs (i in a, j in b) with j < i; this is the permutation part of
     a blade product, with no metric contractions.
     """
+    if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+        raise InputError(f"blade masks must be non-negative ints, got {a!r} and {b!r}")
     return -1 if (_sign_mask(a, 0) & b).bit_count() & 1 else 1
 
 

@@ -6,14 +6,14 @@ whole algebra for n = 1, 2).  Their right units, exact rational spin metric
 and field K are the recipe module's, carried over through one explicit
 intertwiner.  The octonion modules act in dimensions 4..8 by signed
 permutations read off the recipe's signed unit table of R, C, H and O.  Also
-here: the quaternionic action ``c4_action`` and the split action
-``split_clifford_action``, each the ``SpinorModule.operator`` of a vector on a
-recipe module, the grading by the volume element and spinor squaring.  The
-recipe modules live in ``spinrep.recipe``; the five recipe names imported here
-but not used are the ones the benchmark harness reaches through this module.
-Loading this module compiles neither ``spinrep.algebras`` nor
-``spinrep.clifford``; ``c4_action``, ``split_clifford_action`` and
-``spinor_square`` import ``clifford`` when they are called.
+here: the quaternionic action ``c4_action``, the hypersurface action
+``hypersurface4_action`` and the split action ``split_clifford_action``, each
+the ``SpinorModule.operator`` of a multivector on a recipe module, the grading
+by the volume element and spinor squaring.  The recipe modules live in
+``spinrep.recipe``; the five recipe names imported here but not used are the
+ones the benchmark harness reaches through this module.  Loading this module
+compiles neither ``spinrep.algebras`` nor ``spinrep.clifford``; the actions
+and ``spinor_square`` import them when they are called.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# Quaternionic multivector and split actions of arbitrary vectors
+# Quaternionic multivector, hypersurface and split actions
 # ---------------------------------------------------------------------------
 
 
@@ -53,6 +53,26 @@ def c4_action(q: KElement) -> QMat:
         raise InputError("c4_action expects a quaternion")
     module = assemble_euclidean(4)
     return module.operator(Multivector.vector(module.signature, q.coeffs))
+
+
+def hypersurface4_action(normal, v, q) -> KElement:
+    """Clifford action of a tangent vector v on spinors along a hypersurface
+    in R^4 with unit normal nu, all read as exact quaternions: the operator of
+    nu v on the Cl(0,4) module of ``c4_action`` restricted to its odd half H
+    (indices 4..7), left multiplication by -nu conj(v) = v conj(nu), applied
+    to q.  The preconditions are Clifford identities checked exactly:
+    nu^2 = -1 (a unit normal) and nu v + v nu = -2 g(nu, v) = 0 (a tangent v)."""
+    from .algebras import kelem
+    from .clifford import Multivector
+
+    module = assemble_euclidean(4)
+    nq, vq, qq = (kelem("H", x) for x in (normal, v, q))
+    nu, vec = (Multivector.vector(module.signature, x.coeffs) for x in (nq, vq))
+    if nu * nu != Multivector.scalar(module.signature, -1):
+        raise InputError("normal is not a unit quaternion")
+    if not (nu * vec + vec * nu).is_zero():
+        raise InputError("v is not tangent (Re(conj(n) v) != 0)")
+    return kelem("H", module.operator(nu * vec).apply([0] * 4 + list(qq.coeffs))[4:])
 
 
 def split_clifford_action(i: int, xs, omegas) -> QMat:

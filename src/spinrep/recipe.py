@@ -461,6 +461,11 @@ def _exterior_action(i: int, j: int, contraction: int) -> SignedPerm:
                        for mask in range(1 << i)])
 
 
+# the most generators, r + s, of a module built here: at 24 a module acts on
+# up to R^8192, and far larger counts exhaust the memory or the recursion
+_MAX_GENERATORS = 24
+
+
 @lru_cache(maxsize=None, typed=True)  # a float misses the cache and meets the integer check
 def split_signature_module(i: int) -> SpinorModule:
     """Cl(i,i) on the exterior algebra of R^i, graded by multivector parity.
@@ -473,6 +478,8 @@ def split_signature_module(i: int) -> SpinorModule:
     """
     if type(i) is not int or i < 1:
         raise InputError("split dimension must be >= 1")
+    if 2 * i > _MAX_GENERATORS:
+        raise InputError(f"modules are built for at most {_MAX_GENERATORS} generators, got Cl({i},{i})")
     # x_j + omega_j square to +1, then x_j - omega_j to -1
     gens = [_exterior_action(i, j, c) for c in (1, -1) for j in range(i)]
     grading = tuple(1 if mask.bit_count() % 2 == 0 else -1 for mask in range(1 << i))
@@ -495,6 +502,8 @@ def assemble_signature(r: int, s: int, variant: str = "plus") -> SpinorModule:
         raise InputError(f"variant must be 'plus' or 'minus', got {variant!r}")
     if variant not in sig.variants:
         raise InputError(f"minus variant not available for signature ({r},{s})")
+    if sig.n > _MAX_GENERATORS:
+        raise InputError(f"modules are built for at most {_MAX_GENERATORS} generators, got Cl({r},{s})")
     if r == 0 or s == 0:
         return _definite(r + s, s == 0, variant)
     i = min(r, s)

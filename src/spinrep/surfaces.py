@@ -337,26 +337,3 @@ def spin_parallel_transport(
             raise IntegrationError(str(exc), t_next) from exc
         t, sx, sy, sz = t_next, ex, ey, ez
 
-
-def hypersurface4_action(normal, v, q):
-    """Clifford action of a tangent vector on spinors along a hypersurface
-    in R^4 viewed as the quaternions.
-
-    The unit normal identifies the tangent space with the imaginary
-    quaternions through the isometry v -> v * conj(normal); the action is
-    left multiplication by that imaginary unit image, so squaring gives
-    -|v|^2 exactly for every tangent v (multiplying the normal on the other
-    side would break this whenever normal and v both have real components).
-
-    ``normal`` must be a unit quaternion, ``v`` tangent at that point
-    (Re(conj(normal) * v) = 0).  The inputs are read as Fractions and both
-    preconditions are checked exactly.
-    """
-    from . import algebras as alg
-
-    nq, vq, qq = (alg.kelem("H", x) for x in (normal, v, q))
-    if alg.norm_sq(nq) != 1:
-        raise InputError("normal is not a unit quaternion")
-    if alg.real_part(alg.mul(alg.conj(nq), vq)) != 0:
-        raise InputError("v is not tangent (Re(conj(n) v) != 0)")
-    return alg.mul(alg.mul(vq, alg.conj(nq)), qq)

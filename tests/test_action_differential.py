@@ -1,10 +1,12 @@
-"""``c4_action``, ``split_clifford_action`` and the frame sums of
-``verify_spin_coordinate_system``, each now one ``SpinorModule.operator``
-call, against frozen copies of the sums they replaced: the Cl(0,4) base
-generators scaled by q's coefficients, wedge-minus-contraction accumulated
-entry by entry, and a chain of scaled ``QMat`` generators added to zero.
+"""``c4_action``, ``split_clifford_action``, the frame sums of
+``verify_spin_coordinate_system`` and ``hypersurface4_action``, each now one
+``SpinorModule.operator`` call, against frozen copies of what they replaced:
+the Cl(0,4) base generators scaled by q's coefficients,
+wedge-minus-contraction accumulated entry by entry, a chain of scaled
+``QMat`` generators added to zero, and the quaternion product v conj(nu) q.
 The matrices must be equal with the same key order in every row of ``num``,
-and a bad coefficient must raise the same error class."""
+and a bad coefficient must raise the same error class; the hypersurface
+action must return the same quaternion or raise the same message."""
 
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinrep import algebras as alg, hypersurface4_action
 from spinrep.algebras import KElement
 from spinrep.clifford import Multivector
 from spinrep.errors import InputError
@@ -47,6 +50,15 @@ def _frozen_generator_sum(module, coords):
         if c:
             rhs = rhs + module.generators[i].scale(c)
     return rhs
+
+
+def _frozen_hypersurface4_action(normal, v, q):
+    nq, vq, qq = (alg.kelem("H", x) for x in (normal, v, q))
+    if alg.norm_sq(nq) != 1:
+        raise InputError("normal is not a unit quaternion")
+    if alg.real_part(alg.mul(alg.conj(nq), vq)) != 0:
+        raise InputError("v is not tangent (Re(conj(n) v) != 0)")
+    return alg.mul(alg.mul(vq, alg.conj(nq)), qq)
 
 
 def _same(got, want):
@@ -122,3 +134,59 @@ def test_bad_coefficients_raise_the_same_error_class():
     module = split_signature_module(1)
     _same_error(lambda: module.operator(Multivector.vector(module.signature, ["1/0", 0])),
                 lambda: _frozen_generator_sum(module, ["1/0", 0]))
+
+
+QUATERNIONS = st.lists(COEFFS, min_size=4, max_size=4)
+
+
+def _same_hypersurface_action(normal, v, q):
+    """Equal results, or the same ``InputError`` message from both."""
+    try:
+        want = _frozen_hypersurface4_action(normal, v, q)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            hypersurface4_action(normal, v, q)
+        assert str(got.value) == str(exc)
+    else:
+        got = hypersurface4_action(normal, v, q)
+        assert type(got) is KElement and got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(QUATERNIONS.filter(any), QUATERNIONS, QUATERNIONS)
+def test_hypersurface4_action_matches_the_quaternion_product(a, b, q):
+    """nu = a^2/|a|^2 is a unit and v = nu Im(conj(nu) b) is tangent at it."""
+    a = alg.kelem("H", a)
+    nu = alg.scale(alg.mul(a, a), 1 / alg.norm_sq(a))
+    im = alg.mul(alg.conj(nu), alg.kelem("H", b))
+    v = alg.mul(nu, KElement("H", (Fraction(0), *im.coeffs[1:])))
+    want = _frozen_hypersurface4_action(nu.coeffs, v.coeffs, q)
+    got = hypersurface4_action(nu.coeffs, v.coeffs, q)
+    assert type(got) is KElement and got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(QUATERNIONS, st.sampled_from([[1, 0, 0, 0], [0, 0, 0, -1], ["3/5", 0, "4/5", 0]])),
+       QUATERNIONS, QUATERNIONS)
+def test_hypersurface4_action_refuses_like_the_quaternion_product(normal, v, q):
+    """Mostly refusals: a normal that is not a unit, a v that is not tangent."""
+    _same_hypersurface_action(normal, v, q)
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(((2, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)), id="normal-not-unit"),
+    pytest.param(((1, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)), id="normal-norm-2"),
+    pytest.param(((0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)), id="normal-zero"),
+    pytest.param(((1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)), id="v-along-normal"),
+    pytest.param(((0, "3/5", "4/5", 0), (0, 1, 0, 1), (0, 1, 0, 0)), id="v-not-tangent"),
+    pytest.param(((2, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)), id="neither-unit-nor-tangent"),
+    *(pytest.param(tuple(bad if k == slot else (0, 1, 0, 0) if k == 1 else (1, 0, 0, 0) for k in range(3)),
+                   id=f"{name}-{arg}")
+      for slot, arg in enumerate(("normal", "v", "q"))
+      for name, bad in (("nan", (float("nan"), 0, 0, 0)), ("one-over-zero", ("1/0", 0, 0, 0)),
+                        ("short", (1, 0, 0)), ("long", (1, 0, 0, 0, 0)))),
+])
+def test_hypersurface4_action_bad_inputs_raise_the_same_message(args):
+    with pytest.raises(InputError):
+        _frozen_hypersurface4_action(*args)
+    _same_hypersurface_action(*args)

@@ -54,6 +54,8 @@ def test_generate_rejects_bad_family_dimension(tmp_path):
     assert result.exit_code == 2
     result, _ = _generate(tmp_path, "bad3.json", "--sig", "0,2", "--variant", "minus")
     assert result.exit_code == 2
+    result, _ = _generate(tmp_path, "bad4.json", "--sig", "5000,0")
+    assert result.exit_code == 2
 
 
 def test_verify_reports_the_checks_it_skips(tmp_path):

@@ -296,6 +296,10 @@ def test_constructor_refuses_coefficients_that_are_not_int_or_fraction():
     pytest.param(lambda: assemble_euclidean(2).blade_operator(7), id="blade-operator-too-large"),
     pytest.param(lambda: assemble_euclidean(2).blade_operator(-1), id="blade-operator-negative"),
     pytest.param(lambda: assemble_euclidean(2).blade_operator(1.0), id="blade-operator-float"),
+    pytest.param(lambda: reorder_sign(-1, 0), id="reorder-sign-negative-first"),
+    pytest.param(lambda: reorder_sign(0, -1), id="reorder-sign-negative-second"),
+    pytest.param(lambda: reorder_sign(True, 0), id="reorder-sign-bool"),
+    pytest.param(lambda: reorder_sign(1.5, 0), id="reorder-sign-float"),
 ])
 def test_masks_indices_and_coordinates_are_checked(call):
     """Blade masks and generator indices are ints (bools refused) in range,

@@ -36,7 +36,7 @@ from spinrep.recipe import (
     verify_module,
 )
 from spinrep.structure import audit, expected_irreducible_dim, verify_clifford_condition
-from spinrep.surfaces import hypersurface4_action
+from spinrep.modules import hypersurface4_action
 
 K_DIMS = [2, 4, 4, 4, 2, 1, 1, 1]
 K0_DIMS = [4, 8, 4, 4, 4, 2, 1, 1]
@@ -170,6 +170,24 @@ def test_unknown_variant_is_rejected_on_split_signatures(sig):
     with pytest.raises(InputError, match="variant must be 'plus' or 'minus', got 'foo'"):
         assemble_signature(*sig, "foo")
     assert assemble_signature.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: assemble_signature(0, 5000), id="cl-0-5000"),
+    pytest.param(lambda: assemble_signature(0, 25), id="cl-0-25"),
+    pytest.param(lambda: split_signature_module(13), id="split-13"),
+    pytest.param(lambda: split_signature_module(10**40), id="split-10-40"),
+    pytest.param(lambda: split_clifford_action(10**40, [], []), id="split-action-10-40"),
+])
+def test_modules_are_built_for_at_most_24_generators(call):
+    """Refused before anything is built: uncapped, these overflow the
+    recursion or a shift by the dimension, or build Cl(13,13)."""
+    with pytest.raises(InputError, match="at most 24 generators"):
+        call()
+
+
+def test_the_generator_cap_admits_24_generators():
+    assert split_signature_module(12).real_dim == 1 << 12
 
 
 def test_positive_signature_assembly():

@@ -9,8 +9,8 @@ import pytest
 from spinrep import algebras as alg
 from spinrep.errors import InputError
 from spinrep.files import trace_to_csv
+from spinrep.modules import hypersurface4_action
 from spinrep.surfaces import (
-    hypersurface4_action,
     plane,
     spin_parallel_transport,
     surface_frame,
