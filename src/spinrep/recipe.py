@@ -393,16 +393,18 @@ def _restrict_h_to_c(mod: SpinorModule) -> tuple[list[SignedPerm], GradedSpace]:
 def _definite(n: int, positive: bool, variant: str) -> SpinorModule:
     """Irreducible module for Cl(n,0) when ``positive``, else for Cl(0,n).
 
-    Dimensions 1..4 are the base modules.  Beyond, n = 8k + r with r = 1..8:
+    Dimensions 1..4 are the base modules.  Beyond, n = 8k + r with r = 1..8,
+    and S_n is S_b tensored with the smaller factor S_(n-b), where b = 8k
+    when k >= 1 and r = 1..4 or 8, else b = 8k + 4.  S_(8k) is laid out over
+    R and S_(8k+4) over H, and the factors' fields decide:
 
-    * k >= 1 and r = 1..4 or 8: the graded real tensor product of S_(8k)
-      with S_r, space-graded when S_r is (r = 4, 8);
-    * otherwise (r = 5..7, or n = 8): S_(8k+4) tensored with the base factor of
-      dimension m = r - 4 over that factor's field F: over R the left
-      factor's right-H action survives (K = H); over C the left factor is
-      re-blocked over C (K = C); over H the product is real (K = R).
+    * when either factor is over R: their graded real tensor product
+      (``_tensor_r``), space-graded when the smaller factor is, with the
+      other factor's K;
+    * over H and C: the left factor is re-blocked over C (K = C);
+    * over H and H: the product is real (K = R).
 
-    S_r and the base factor have the residue of n mod 4, so they carry the
+    The smaller factor has the residue of n mod 4, so it carries the
     minus variant exactly when the whole module does, and the recursion
     passes only valid (n, variant) pairs; ``assemble_signature`` checks them.
     """
@@ -413,12 +415,11 @@ def _definite(n: int, positive: bool, variant: str) -> SpinorModule:
         return _module(sig, field_tag, gens, space, family, variant)
     k, r = divmod(n - 1, 8)
     r += 1
-    if k and r not in (5, 6, 7):
-        return _tensor_r(sig, _definite(8 * k, positive, "plus"), _definite(r, positive, variant), variant)
-    left = _definite(8 * k + 4, positive, "plus")
-    small = _definite(r - 4, positive, variant)
+    big = 8 * k if k and r not in (5, 6, 7) else 8 * k + 4
+    left = _definite(big, positive, "plus")
+    small = _definite(n - big, positive, variant)
     small_space = small.space
-    if small_space.field == "R":
+    if "R" in (left.space.field, small_space.field):
         return _tensor_r(sig, left, small, variant)
     if small_space.field == "C":
         left_gens, left_space = _restrict_h_to_c(left)

@@ -58,6 +58,18 @@ def test_generate_rejects_bad_family_dimension(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("sig, family, message", [
+    ("0,5", "sqrt-space", "sqrt-space modules exist for dimensions 1..4 only"),
+    ("0,9", "octonion", "octonion modules exist for dimensions 4..8 only"),
+    ("0,3", "octonion", "octonion modules exist for dimensions 4..8 only"),
+])
+def test_family_dimensions_are_judged_by_the_builder(tmp_path, sig, family, message):
+    result, out = _generate(tmp_path, "bad.json", "--sig", sig, "--family", family)
+    assert result.exit_code == 2
+    assert result.output == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_verify_reports_the_checks_it_skips(tmp_path):
     # Cl(0,7) has no grading; Cl(5,5) has s - r = 0 mod 4, so no volume checks
     _, out = _generate(tmp_path, "g07.json", "--sig", "0,7")
@@ -143,6 +155,25 @@ def test_verify_malformed_file(tmp_path):
     assert result.exit_code == 3
 
 
+def test_verify_refuses_a_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"convention": "\xe9"}')
+    result = run_cli(["verify", str(bad)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: malformed file:")
+
+
+def test_verify_refuses_a_file_of_real_dim_0(tmp_path):
+    result, out = _generate(tmp_path, "g01.json", "--sig", "0,1")
+    assert result.exit_code == 0
+    payload = json.loads(out.read_text())
+    payload["real_dim"] = 0
+    out.write_text(json.dumps(payload))
+    result = run_cli(["verify", str(out)])
+    assert result.exit_code == 2
+    assert result.output == "error: malformed file: real_dim must be positive\n"
+
+
 def test_octonion_file_round_trip(tmp_path):
     result, out = _generate(tmp_path, "oct8.json", "--sig", "0,8", "--family", "octonion")
     assert result.exit_code == 0
@@ -206,6 +237,14 @@ def test_transport_bad_specs(tmp_path):
     assert result.exit_code == 2
     result = run_cli(["transport", "--surface", "y=u", "--out", str(out)])
     assert result.exit_code == 2
+
+
+def test_transport_refuses_a_q0_that_is_not_numbers(tmp_path):
+    out = tmp_path / "x.csv"
+    result = run_cli(["transport", "--q0", "a,b,c,d", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: bad spinor 'a,b,c,d'")
+    assert not out.exists()
 
 
 def test_transport_integration_failure_exit_4(tmp_path):

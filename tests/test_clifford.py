@@ -283,6 +283,13 @@ def test_constructor_refuses_coefficients_that_are_not_int_or_fraction():
     assert Multivector.make(sig, {0: 0.5, 3: "1/3"}) == mv(sig, {0: Fraction(1, 2), 3: Fraction(1, 3)})
 
 
+@pytest.mark.parametrize("zero", ["0", "0/5", "-0", 0.0])
+def test_make_drops_zeros_however_they_are_spelled(zero):
+    sig = euclidean(2)
+    assert Multivector.make(sig, {1: zero, 2: 1}) == Multivector(sig, {2: 1})
+    assert Multivector.make(sig, {1: zero}) == Multivector(sig)
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: Multivector(euclidean(2), {1.0: 1}), id="float-mask"),
     pytest.param(lambda: Multivector.blade(euclidean(2), 1.5), id="blade-float-mask"),

@@ -12,6 +12,7 @@ import pytest
 from spinrep import algebras as alg
 from spinrep.clifford import Multivector, Signature, blade_product, euclidean
 from spinrep.errors import InputError, StructureError
+from spinrep.kmatrix import commutant
 from spinrep.files import module_to_payload, payload_to_gamma
 from spinrep.linalg import QMat, SignedPerm, inertia, intertwiner_space
 from spinrep import modules, recipe, spin, structure
@@ -33,6 +34,7 @@ from spinrep.recipe import (
     even_summand,
     intertwiners,
     split_signature_module,
+    tensor_op_left,
     verify_module,
 )
 from spinrep.structure import audit, expected_irreducible_dim, verify_clifford_condition
@@ -554,6 +556,49 @@ def test_dimensions_must_be_integers(call):
 ])
 def test_spinors_and_rotations_must_be_sequences(call):
     with pytest.raises(InputError, match="list or tuple|lists or tuples"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: QMat(2, 2, [{0: 1}]), id="too-few-rows"),
+    pytest.param(lambda: QMat(1, 2, [{}, {}]), id="too-many-rows"),
+    pytest.param(lambda: QMat(2, 2, [{5: 1}, {}]), id="column-too-large"),
+    pytest.param(lambda: QMat(2, 2, [{-1: 1}, {}]), id="column-negative"),
+    pytest.param(lambda: QMat(2, 2, [{1.0: 1}, {}]), id="column-float"),
+    pytest.param(lambda: QMat(2, 2, [{True: 1}, {}]), id="column-bool"),
+    pytest.param(lambda: QMat(-1, 2), id="rows-negative"),
+    pytest.param(lambda: QMat(2, -1), id="columns-negative"),
+    pytest.param(lambda: QMat(2.0, 2), id="rows-float"),
+    pytest.param(lambda: QMat(True, 2), id="rows-bool"),
+    pytest.param(lambda: QMat.from_entries(2, 2, {(3, 0): 1}), id="from_entries-row-too-large"),
+    pytest.param(lambda: QMat.from_entries(2, 2, {(-1, 0): 1}), id="from_entries-row-negative"),
+    pytest.param(lambda: QMat.from_entries(2, 2, {(0, 2): 1}), id="from_entries-column-too-large"),
+])
+def test_qmat_refuses_shapes_it_cannot_hold(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: commutant([QMat.identity(2), QMat.identity(3)], 2), "size mismatch",
+                 id="commutant-mixed-sizes"),
+    pytest.param(lambda: verify_clifford_condition([QMat.identity(2)], Signature(0, 2)), "needs 2 generators",
+                 id="verify_clifford_condition-count"),
+    pytest.param(lambda: verify_clifford_condition([QMat.identity(2), QMat.identity(3)], Signature(0, 2)),
+                 "equal size", id="verify_clifford_condition-shapes"),
+    pytest.param(lambda: Signature(0, 2).bilinear([1], [1, 0]), "length", id="bilinear-short"),
+    pytest.param(lambda: assemble_euclidean(2).operator(Multivector.scalar(Signature(0, 3), 1)),
+                 "signature", id="operator-other-signature"),
+    pytest.param(lambda: tensor_op_left(QMat.identity(3), GradedSpace("R", 2, (1, -1)), GradedSpace("R", 1)),
+                 "size", id="tensor_op_left-size"),
+    pytest.param(lambda: tensor_op_left(QMat.identity(2), GradedSpace("R", 2), GradedSpace("C", 1)),
+                 "fields", id="tensor_op_left-fields"),
+    pytest.param(lambda: GradedSpace("O", 1), "field", id="GradedSpace-field"),
+    pytest.param(lambda: GradedSpace("R", 2, (1,)), "length", id="GradedSpace-grading-length"),
+    pytest.param(lambda: GradedSpace("R", 2, (1, 0)), "entries", id="GradedSpace-grading-entry"),
+])
+def test_mismatched_shapes_and_layouts_are_refused(call, match):
+    with pytest.raises(InputError, match=match):
         call()
 
 
